@@ -24,7 +24,7 @@ from importlib import resources
 from .analysis import ConvergenceTable, ManufacturedSolution, error_norms
 from .fespace import FeSpace
 from .mesh import TRIANGLE_PATTERNS, build_quad, build_tri
-from .linalg import CgConfig
+from .linalg import CgConfig, IterativeSolveError
 from .nfunc import GrowthLaw
 from .solver import FlowConfig, ProblemSpec, solve
 
@@ -78,6 +78,8 @@ class StudyConfig:
             raise UsageError("need either an N list or N0 plus a level count")
         if self.n_list is None and self.levels < 1:
             raise UsageError("need at least one refinement level")
+        if not self.clamp > 0:
+            raise UsageError("clamp must be positive")
         if self.domain not in ("unit", "symmetric"):
             raise UsageError(f"unknown domain {self.domain!r}")
         if self.format not in ("csv", "markdown"):
@@ -190,8 +192,10 @@ def parse_config(argv):
 def run_study(cfg):
     """Run a refinement sweep; returns (ConvergenceTable, solve reports).
 
-    A level whose flow does not converge flags the table as incomplete
-    and stops the sweep; already computed rows are kept.
+    A level whose flow does not converge, or whose solve fails with an
+    IterativeSolveError or a FloatingPointError, flags the table as
+    incomplete and stops the sweep; already computed rows are kept.  A
+    failed solve leaves no report.
     """
     law = GrowthLaw((cfg.p1, cfg.p2), (cfg.delta, cfg.delta))
     ms = ManufacturedSolution(law)
@@ -207,7 +211,11 @@ def run_study(cfg):
         flow = FlowConfig(tau=cfg.tau, tol=cfg.tol, max_iter=cfg.max_iter,
                           clamp=cfg.clamp, residual_target=cfg.residual_target,
                           cg=CgConfig(tol=cfg.cg_tol))
-        solution, report = solve(spec, flow)
+        try:
+            solution, report = solve(spec, flow)
+        except (IterativeSolveError, FloatingPointError):
+            table.complete = False
+            break
         reports.append(report)
         if not report.converged:
             table.complete = False

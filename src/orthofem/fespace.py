@@ -123,23 +123,32 @@ class FeSpace:
             self._geom[key] = quadrature_rule(kind, degree)
         return self._geom[key]
 
-    def rule_geometry(self, degree):
-        """Physical quadrature points and weights, shaped (nc, npts, ...)."""
+    def rule_geometry(self, degree, cells=None):
+        """Physical quadrature points and weights, shaped (nc, npts, ...).
+
+        With ``cells`` (a slice or index array) only those cells are
+        computed, and the result is not cached.
+        """
+        if cells is not None:
+            return self._rule_geometry(degree, cells)
         key = ("geom", degree)
         if key not in self._geom:
-            rule = self.rule(degree)
-            v = self.mesh.nodes[self.mesh.cells]
-            if self.kind == "Q1":
-                pts = v[:, None, 0, :] + rule.points[None, :, :] * self.mesh.h
-                wts = np.broadcast_to(rule.weights * self.mesh.h ** 2,
-                                      (self.mesh.num_cells, len(rule.weights)))
-            else:
-                pts = (v[:, None, 0, :]
-                       + rule.points[None, :, 0, None] * (v[:, None, 1, :] - v[:, None, 0, :])
-                       + rule.points[None, :, 1, None] * (v[:, None, 2, :] - v[:, None, 0, :]))
-                wts = rule.weights[None, :] * (2 * self.areas)[:, None]
-            self._geom[key] = (pts, wts)
+            self._geom[key] = self._rule_geometry(degree, slice(None))
         return self._geom[key]
+
+    def _rule_geometry(self, degree, cells):
+        rule = self.rule(degree)
+        v = self.mesh.nodes[self.mesh.cells[cells]]
+        if self.kind == "Q1":
+            pts = v[:, None, 0, :] + rule.points[None, :, :] * self.mesh.h
+            wts = np.broadcast_to(rule.weights * self.mesh.h ** 2,
+                                  (len(v), len(rule.weights)))
+        else:
+            pts = (v[:, None, 0, :]
+                   + rule.points[None, :, 0, None] * (v[:, None, 1, :] - v[:, None, 0, :])
+                   + rule.points[None, :, 1, None] * (v[:, None, 2, :] - v[:, None, 0, :]))
+            wts = rule.weights[None, :] * (2 * self.areas[cells])[:, None]
+        return pts, wts
 
     def ref_shapes(self, degree):
         """Shape values/ref-gradients at the rule points of the given degree."""
@@ -175,16 +184,17 @@ class FeFunction:
         return np.stack([((c1 - c0) + (c2 - c3)) / (2 * h),
                          ((c3 - c0) + (c2 - c1)) / (2 * h)], axis=1)
 
-    def gradients_on_rule(self, degree):
-        """(nc, npts, 2) physical gradients at the quadrature points."""
+    def gradients_on_rule(self, degree, cells=slice(None)):
+        """(nc, npts, 2) physical gradients at the quadrature points of
+        the given cells (a slice or index array; all by default)."""
         space = self.space
-        uc = self.coeffs[space.mesh.cells]
+        uc = self.coeffs[space.mesh.cells[cells]]
         if space.kind == "Q1":
             _, ref_grads = space.ref_shapes(degree)
-            return np.einsum("ca,qai->cqi", uc, ref_grads) / space.mesh.h
-        g = np.einsum("ca,cai->ci", uc, space.cell_basis_grads)
+            return np.tensordot(uc, ref_grads, axes=(1, 1)) / space.mesh.h
+        g = np.einsum("ca,cai->ci", uc, space.cell_basis_grads[cells])
         npts = len(space.rule(degree).points)
-        return np.broadcast_to(g[:, None, :], (space.mesh.num_cells, npts, 2))
+        return np.broadcast_to(g[:, None, :], (len(uc), npts, 2))
 
     def evaluate(self, points):
         """Pointwise values; points are located on the structured lattice."""

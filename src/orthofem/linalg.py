@@ -99,23 +99,12 @@ class CsrMatrix:
         out[self._rows, self.indices] = self.values
         return out
 
-    def scale(self, alpha):
-        return CsrMatrix(self.dim, self.indptr, self.indices,
-                         alpha * self.values, rows=self._rows)
-
-    def add(self, other):
-        """Sum of two CSR matrices (fast path for identical patterns)."""
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        if (len(self.values) == len(other.values)
-                and np.array_equal(self.indptr, other.indptr)
-                and np.array_equal(self.indices, other.indices)):
-            return CsrMatrix(self.dim, self.indptr, self.indices,
-                             self.values + other.values, rows=self._rows)
-        rows = np.concatenate([self._rows, other._rows])
-        cols = np.concatenate([self.indices, other.indices])
-        vals = np.concatenate([self.values, other.values])
-        return from_triplets(self.dim, rows, cols, vals)
+    def with_values(self, values):
+        """Matrix on the same sparsity pattern with other values."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.values.shape:
+            raise ValueError("values do not match the sparsity pattern")
+        return CsrMatrix(self.dim, self.indptr, self.indices, values, rows=self._rows)
 
     def submatrix(self, keep):
         """Principal submatrix on the True entries of a boolean mask."""

@@ -1,14 +1,26 @@
 """Nonlinear system assembly and the preconditioned semi-implicit flow.
 
 Writing the flux as A_i(t) = B_i(t) t, each pseudo-time step freezes
-the weights at the previous iterate and solves the linear SPD system
+the weights at the current iterate u^k and solves for a correction on
+the interior nodes,
 
-    (K / tau + K_B(u^k)) u^{k+1} = F + K u^k / tau
+    (K_II / tau + K_B,II(u^k)) delta_I = -r_I(u^k),    u^{k+1} = u^k + delta,
 
-on the interior nodes, with Dirichlet values condensed out.  K is the
-plain Laplacian stiffness (the preconditioner term) and K_B the
-weighted stiffness with entries  sum_i B_i(d_i u^k) d_i phi_a d_i
-phi_b.  The iteration stops once the energy of the increment,
+with delta = 0 on the boundary, so the Dirichlet values of the start
+iterate are kept.  K is the plain Laplacian stiffness (the
+preconditioner term), K_B the weighted stiffness with entries
+sum_i B_i(d_i u^k) d_i phi_a d_i phi_b, r the Galerkin residual, and
+the subscript II marks the interior block, assembled directly on an
+interior-only pattern.  For P1, K_B(u) u - F = r(u), so the step is
+(K/tau + K_B) u^{k+1} = F + K u^k / tau in correction form; for Q1 the
+residual uses a finer rule than K_B, and the flow stops at a zero of
+that residual.
+
+A step only has to reduce the current residual, so CG solves for the
+correction from zero to the relative tolerance FORCING on |r_I| (a
+constant forcing term of an inexact Newton method, in the sense of
+Eisenstat and Walker), or to the configured CG tolerance if that is
+looser.  The iteration stops once the energy of the increment,
 
     J(w) = sum_i int of phi_i(|d_i w|) - phi_i(0),
 
@@ -38,6 +50,7 @@ __all__ = [
 
 ASSEMBLY_DEGREE = 2    # Q1 weighted entries are quadratic per direction
 RESIDUAL_DEGREE = 4
+FORCING = 0.1          # CG tolerance of a step, relative to |r_I(u^k)|
 
 
 @dataclass
@@ -62,7 +75,7 @@ class FlowConfig:
     residual_growth_factor: float = 10.0
 
     def __post_init__(self):
-        if self.tau <= 0 or self.tol <= 0 or self.clamp < 0:
+        if self.tau <= 0 or self.tol <= 0 or self.clamp <= 0:
             raise ValueError("flow parameters must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -80,49 +93,76 @@ class SolveReport:
 
 
 class _Assembler:
-    """Cached sparsity pattern and reference data for one space."""
+    """Sparsity patterns and reference data for one space.
+
+    The interior-block pattern serves the flow; the full-node pattern is
+    built only when a full matrix is asked for.
+    """
 
     def __init__(self, space):
         self.space = space
-        cells = space.mesh.cells
-        nloc = cells.shape[1]
-        self.rows = np.repeat(cells, nloc, axis=1).ravel()
-        self.cols = np.tile(cells, (1, nloc)).ravel()
-        self.pattern = CsrPattern(space.ndofs, self.rows, self.cols)
-        if space.kind == "Q1":
-            rule = space.rule(ASSEMBLY_DEGREE)
+        rows, cols = self._triplets()
+        interior = space.interior
+        self.interior_triplets = np.flatnonzero(interior[rows] & interior[cols])
+        renumber = np.cumsum(interior) - 1
+        self.interior_pattern = CsrPattern(
+            int(np.count_nonzero(interior)),
+            renumber[rows[self.interior_triplets]],
+            renumber[cols[self.interior_triplets]])
+        self._full_pattern = None
+        if space.kind == "P1":
+            g, areas = space.cell_basis_grads, space.areas[:, None]
+            # per direction i, rows c: |c| d_i phi_a d_i phi_b on cell c
+            self.cell_products = [
+                (g[:, :, None, i] * g[:, None, :, i]).reshape(len(g), -1) * areas
+                for i in range(2)]
+        else:
+            weights = space.rule(ASSEMBLY_DEGREE).weights
             _, self.ref_grads = space.ref_shapes(ASSEMBLY_DEGREE)
-            self.ref_weights = rule.weights
+            # per direction i, rows q: w_q d_i phi_a d_i phi_b at point q
+            self.ref_products = [
+                np.einsum("q,qa,qb->qab", weights, self.ref_grads[:, :, i],
+                          self.ref_grads[:, :, i]).reshape(len(weights), -1)
+                for i in range(2)]
+
+    def _triplets(self):
+        """Row and column of each local matrix entry, cell by cell."""
+        cells = self.space.mesh.cells
+        nloc = cells.shape[1]
+        return np.repeat(cells, nloc, axis=1).ravel(), np.tile(cells, (1, nloc)).ravel()
+
+    def assemble(self, vals, interior_only):
+        """CSR matrix of the local values: the interior block or all nodes."""
+        if interior_only:
+            return self.interior_pattern.assemble(vals[self.interior_triplets])
+        if self._full_pattern is None:
+            self._full_pattern = CsrPattern(self.space.ndofs, *self._triplets())
+        return self._full_pattern.assemble(vals)
 
     def stiffness_values(self):
         space = self.space
         if space.kind == "P1":
-            g = space.cell_basis_grads
-            local = np.einsum("cai,cbi,c->cab", g, g, space.areas)
+            local = self.cell_products[0] + self.cell_products[1]
         else:
             # physical grads carry 1/h each, the cell measure h^2: h cancels
-            local_ref = np.einsum("q,qai,qbi->ab", self.ref_weights,
-                                  self.ref_grads, self.ref_grads)
-            local = np.broadcast_to(local_ref, (space.mesh.num_cells, 4, 4))
+            local_ref = (self.ref_products[0] + self.ref_products[1]).sum(axis=0)
+            local = np.broadcast_to(local_ref, (space.mesh.num_cells, 16))
         return local.ravel()
 
     def weighted_values(self, coeffs, law, clamp):
         space = self.space
         if space.kind == "P1":
-            g = space.cell_basis_grads
-            gu = np.einsum("ca,cai->ci", coeffs[space.mesh.cells], g)
-            w1 = law.weight(0, gu[:, 0], clamp) * space.areas
-            w2 = law.weight(1, gu[:, 1], clamp) * space.areas
-            local = (np.einsum("ca,cb,c->cab", g[:, :, 0], g[:, :, 0], w1)
-                     + np.einsum("ca,cb,c->cab", g[:, :, 1], g[:, :, 1], w2))
+            gu = np.einsum("ca,cai->ci", coeffs[space.mesh.cells], space.cell_basis_grads)
+            w1 = law.weight(0, gu[:, 0], clamp)
+            w2 = law.weight(1, gu[:, 1], clamp)
+            local = (w1[:, None] * self.cell_products[0]
+                     + w2[:, None] * self.cell_products[1])
         else:
             h = space.mesh.h
-            gq = np.einsum("ca,qai->cqi", coeffs[space.mesh.cells], self.ref_grads) / h
+            gq = np.tensordot(coeffs[space.mesh.cells], self.ref_grads, axes=(1, 1)) / h
             w1 = law.weight(0, gq[:, :, 0], clamp)
             w2 = law.weight(1, gq[:, :, 1], clamp)
-            gr = self.ref_grads
-            local = (np.einsum("cq,q,qa,qb->cab", w1, self.ref_weights, gr[:, :, 0], gr[:, :, 0])
-                     + np.einsum("cq,q,qa,qb->cab", w2, self.ref_weights, gr[:, :, 1], gr[:, :, 1]))
+            local = w1 @ self.ref_products[0] + w2 @ self.ref_products[1]
         return local.ravel()
 
 
@@ -132,20 +172,21 @@ def _assembler(space):
     return space._geom["assembler"]
 
 
-def assemble_stiffness(space):
-    """Laplacian stiffness over all nodes (boundary handled at solve time)."""
+def assemble_stiffness(space, interior_only=False):
+    """Laplacian stiffness over all nodes, or its interior block K_II."""
     asm = _assembler(space)
-    return asm.pattern.assemble(asm.stiffness_values())
+    return asm.assemble(asm.stiffness_values(), interior_only)
 
 
-def assemble_weighted_stiffness(space, u_k, law, clamp=1e-10):
-    """Stiffness weighted per direction by B_i at the gradient of u_k."""
+def assemble_weighted_stiffness(space, u_k, law, clamp=1e-10, interior_only=False):
+    """Stiffness weighted per direction by B_i at the gradient of u_k,
+    over all nodes or as its interior block."""
     coeffs = u_k.coeffs if isinstance(u_k, FeFunction) else np.asarray(u_k, float)
     asm = _assembler(space)
     vals = asm.weighted_values(coeffs, law, clamp)
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("non-finite weight in the weighted stiffness")
-    return asm.pattern.assemble(vals)
+    return asm.assemble(vals, interior_only)
 
 
 def assemble_load(space, f, degree=4):
@@ -201,30 +242,29 @@ def galerkin_residual(space, u, law, f=None, degree=RESIDUAL_DEGREE):
         _, ref_grads = space.ref_shapes(degree)
         gq = uf.gradients_on_rule(degree)
         h = mesh.h
-        contrib = (np.einsum("cq,qa->ca", wts * law.flux(0, gq[:, :, 0]), ref_grads[:, :, 0])
-                   + np.einsum("cq,qa->ca", wts * law.flux(1, gq[:, :, 1]), ref_grads[:, :, 1])) / h
+        contrib = ((wts * law.flux(0, gq[:, :, 0])) @ ref_grads[:, :, 0]
+                   + (wts * law.flux(1, gq[:, :, 1])) @ ref_grads[:, :, 1]) / h
     res = np.bincount(mesh.cells.ravel(), weights=contrib.ravel(), minlength=space.ndofs)
     return res - assemble_load(space, f, degree=degree)
 
 
-def flow_step(k_matrix, kb_matrix, load, u_k, tau, boundary, boundary_values,
-              cg_cfg=None, x0=None):
-    """One semi-implicit step; returns (new coefficients, cg iterations).
+def flow_step(k_ii, kb_ii, residual, u_k, tau, interior, cg_cfg=None):
+    """One semi-implicit step in correction form; returns (new
+    coefficients, cg iterations).
 
-    Solves (K/tau + K_B) u = load + K u_k / tau on the interior nodes,
-    holding the given boundary values fixed through condensation.
+    Solves (K_II/tau + K_B,II) delta = -residual[interior] by CG from
+    zero and adds delta to u_k on the interior nodes.  ``k_ii`` and
+    ``kb_ii`` are interior blocks on one sparsity pattern; ``residual``
+    is the Galerkin residual at u_k over all nodes.
     """
-    system = k_matrix.scale(1.0 / tau).add(kb_matrix)
-    rhs = load + k_matrix.matvec(u_k) / tau
-    lifted = np.where(boundary, boundary_values, 0.0)
-    reduced = rhs - system.matvec(lifted)
-    interior = ~boundary
-    sys_ii = system.submatrix(interior)
-    x, iterations = cg_solve(sys_ii, reduced[interior], cg_cfg,
-                             x0=None if x0 is None else x0[interior])
-    out = lifted.copy()
-    out[interior] = x
-    return out, iterations
+    if not (k_ii.dim == kb_ii.dim and np.array_equal(k_ii.indptr, kb_ii.indptr)
+            and np.array_equal(k_ii.indices, kb_ii.indices)):
+        raise ValueError("K_II and K_B,II must share one sparsity pattern")
+    system = k_ii.with_values(k_ii.values / tau + kb_ii.values)
+    delta, iterations = cg_solve(system, -residual[interior], cg_cfg)
+    u_next = u_k.copy()
+    u_next[interior] += delta
+    return u_next, iterations
 
 
 def solve(spec, cfg=None):
@@ -232,13 +272,15 @@ def solve(spec, cfg=None):
     energy increment (and optional residual target) is met.
 
     Returns (FeFunction, SolveReport).  A maximum-iteration breach
-    returns the best iterate with ``converged=False``; CG failures
-    propagate as IterativeSolveError.
+    returns the iterate with the smallest residual, start iterate
+    included, with ``converged=False``; CG failures propagate as
+    IterativeSolveError.
     """
     cfg = cfg or FlowConfig()
     space = spec.space
     law = spec.law
     boundary = space.mesh.boundary
+    interior = space.interior
 
     g_vals = np.asarray(spec.dirichlet(space.mesh.nodes), dtype=float)
     if g_vals.ndim == 0:
@@ -246,30 +288,30 @@ def solve(spec, cfg=None):
     if not np.all(np.isfinite(g_vals[boundary])):
         raise ValueError("Dirichlet data is not finite at some boundary node")
 
-    k_matrix = assemble_stiffness(space)
-    load = assemble_load(space, spec.source)
+    k_ii = assemble_stiffness(space, interior_only=True)
+    cg_cfg = CgConfig(tol=max(cfg.cg.tol, FORCING), max_iter=cfg.cg.max_iter)
     u = np.where(boundary, g_vals, 0.0)
+    residual = galerkin_residual(space, u, law, spec.source)
+    residual_norm = float(np.max(np.abs(residual[interior])))
+    best_u, best_residual = u, residual_norm
 
     tau = cfg.tau
     tau_schedule = [(0, tau)]
     halvings = 0
-    best_residual = np.inf
     increments = []
     cg_total = 0
     converged = False
-    interior = space.interior
-    residual_norm = np.inf
 
     for k in range(cfg.max_iter):
-        kb_matrix = assemble_weighted_stiffness(space, u, law, cfg.clamp)
-        u_new, iterations = flow_step(k_matrix, kb_matrix, load, u, tau,
-                                      boundary, g_vals, cfg.cg, x0=u)
+        kb_ii = assemble_weighted_stiffness(space, u, law, cfg.clamp,
+                                            interior_only=True)
+        u_new, iterations = flow_step(k_ii, kb_ii, residual, u, tau, interior, cg_cfg)
         cg_total += iterations
         increment = energy(space, u_new - u, law)
         increments.append(increment)
-        residual = galerkin_residual(space, u_new, law, spec.source)
-        residual_norm = float(np.max(np.abs(residual[interior])))
         u = u_new
+        residual = galerkin_residual(space, u, law, spec.source)
+        residual_norm = float(np.max(np.abs(residual[interior])))
         if increment < cfg.tol and (cfg.residual_target is None
                                     or residual_norm < cfg.residual_target):
             converged = True
@@ -279,8 +321,11 @@ def solve(spec, cfg=None):
             tau /= 2.0
             halvings += 1
             tau_schedule.append((k + 1, tau))
-        best_residual = min(best_residual, residual_norm)
+        if residual_norm < best_residual:
+            best_u, best_residual = u, residual_norm
 
+    if not converged:
+        u, residual_norm = best_u, best_residual
     report = SolveReport(
         converged=converged,
         iterations=len(increments),

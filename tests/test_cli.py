@@ -1,9 +1,11 @@
 import pytest
 
+from orthofem import solver
 from orthofem.analysis import ConvergenceTable
 from orthofem.cli import (StudyConfig, UsageError, diff_paper, emit_table,
                           load_paper_table, load_table, main, parse_config,
                           run_study)
+from orthofem.linalg import IterativeSolveError
 
 
 class TestParseConfig:
@@ -71,6 +73,9 @@ class TestParseConfig:
             StudyConfig(mesh="quad", p1=2.0, p2=2.0, n0=4, levels=0)
         with pytest.raises(UsageError):
             StudyConfig(mesh="quad", p1=2.0, p2=2.0)
+        for clamp in (0.0, -1.0):
+            with pytest.raises(UsageError):
+                StudyConfig(mesh="quad", p1=1.5, p2=2.0, n0=4, levels=1, clamp=clamp)
 
 
 class TestEmitTable:
@@ -181,8 +186,37 @@ class TestMain:
     def test_usage_error_exit_code(self, capsys):
         assert main(["--mesh", "quad"]) == 2
 
+    def test_nonpositive_clamp_exit_code(self, capsys):
+        assert main(["--mesh", "quad", "--p1", "1.5", "--p2", "2",
+                     "--N0", "4", "--levels", "1", "--clamp", "0"]) == 2
+        assert "clamp" in capsys.readouterr().err
+
     def test_failure_exit_code(self, capsys):
         code = main(["--mesh", "quad", "--p1", "3", "--p2", "1.5",
                      "--N0", "4", "--levels", "1", "--tol", "1e-18",
                      "--max-iter", "2"])
         assert code == 1
+
+    @pytest.mark.parametrize("error", [
+        IterativeSolveError("cg did not converge", residual=1.0, iterations=5),
+        FloatingPointError("non-finite weight"),
+    ])
+    def test_solver_failure_keeps_partial_table(self, monkeypatch, capsys, error):
+        cg_solve = solver.cg_solve
+
+        def failing_on_level_two(a, b, cfg=None):
+            if a.dim > 9:      # N = 4 has 9 interior nodes, N = 8 has 49
+                raise error
+            return cg_solve(a, b, cfg)
+
+        monkeypatch.setattr(solver, "cg_solve", failing_on_level_two)
+        argv = ["--mesh", "quad", "--p1", "2", "--p2", "2",
+                "--N0", "4", "--levels", "2", "--tol", "1e-13"]
+        table, reports = run_study(parse_config(argv))
+        assert not table.complete
+        assert [row.dim for row in table.rows] == [25]
+        assert len(reports) == 1 and reports[0].converged
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "table is partial" in captured.err
+        assert load_table(captured.out).rows[0].dim == 25

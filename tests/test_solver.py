@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from orthofem import linalg, solver
 from orthofem.analysis import ManufacturedSolution
 from orthofem.fespace import FeFunction, FeSpace, interpolate_nodal
 from orthofem.linalg import CgConfig
@@ -164,6 +165,32 @@ class TestEnergy:
         assert energy(space, np.zeros(space.ndofs), law) == pytest.approx(0.0, abs=1e-15)
 
 
+class TestInteriorAssembly:
+    @pytest.mark.parametrize("make_space", [
+        lambda: FeSpace(build_tri(5, "cross")),
+        lambda: FeSpace(build_quad(5)),
+    ])
+    def test_interior_block_matches_submatrix(self, make_space):
+        space = make_space()
+        law = GrowthLaw((3.0, 1.5))
+        u = FeFunction(space, np.random.default_rng(4).standard_normal(space.ndofs))
+        pairs = [(assemble_stiffness(space, interior_only=True), assemble_stiffness(space)),
+                 (assemble_weighted_stiffness(space, u, law, interior_only=True),
+                  assemble_weighted_stiffness(space, u, law))]
+        for block, full in pairs:
+            sub = full.submatrix(space.interior)
+            assert block.dim == len(space.interior_dofs)
+            assert np.array_equal(block.indptr, sub.indptr)
+            assert np.array_equal(block.indices, sub.indices)
+            assert np.abs(block.values - sub.values).max() < 1e-13
+
+
+def interior_blocks(space, law, u):
+    k = assemble_stiffness(space, interior_only=True)
+    kb = assemble_weighted_stiffness(space, FeFunction(space, u), law, interior_only=True)
+    return k, kb
+
+
 class TestFlowStep:
     def test_huge_tau_reproduces_linear_solve(self):
         space = FeSpace(build_quad(4))
@@ -171,41 +198,46 @@ class TestFlowStep:
         ms = ManufacturedSolution(law)
         g = interpolate_nodal(space, ms.value).coeffs
         boundary = space.mesh.boundary
-        k = assemble_stiffness(space)
+        interior = space.interior
         u0 = np.where(boundary, g, 0.0)
-        kb = assemble_weighted_stiffness(space, FeFunction(space, u0), law)
-        load = assemble_load(space, None)
-        u1, _ = flow_step(k, kb, load, u0, 1e12, boundary, g,
-                          CgConfig(tol=1e-14))
+        k, kb = interior_blocks(space, law, u0)
+        residual = galerkin_residual(space, u0, law)
+        u1, _ = flow_step(k, kb, residual, u0, 1e12, interior, CgConfig(tol=1e-14))
         # oracle: dense direct solve of the condensed linear system
-        kd = k.todense()
-        interior = ~boundary
+        kd = assemble_stiffness(space).todense()
         rhs = -kd[np.ix_(interior, boundary)] @ g[boundary]
         direct = np.linalg.solve(kd[np.ix_(interior, interior)], rhs)
         assert np.abs(u1[interior] - direct).max() < 1e-8
+        assert np.array_equal(u1[boundary], g[boundary])
 
     def test_fixed_point(self):
         space = FeSpace(build_quad(4))
         law = GrowthLaw((2.0, 2.0))
         ms = ManufacturedSolution(law)
         u_star = interpolate_nodal(space, ms.value).coeffs
-        boundary = space.mesh.boundary
-        k = assemble_stiffness(space)
-        kb = assemble_weighted_stiffness(space, FeFunction(space, u_star), law)
-        load = assemble_load(space, None)
-        u1, _ = flow_step(k, kb, load, u_star, 1.0, boundary, u_star,
+        k, kb = interior_blocks(space, law, u_star)
+        residual = galerkin_residual(space, u_star, law)
+        u1, _ = flow_step(k, kb, residual, u_star, 1.0, space.interior,
                           CgConfig(tol=1e-14))
         assert np.abs(u1 - u_star).max() < 1e-10
 
     def test_zero_data_stays_zero(self):
         space = FeSpace(build_tri(4, "boxslash"))
         law = GrowthLaw((1.5, 3.0))
-        k = assemble_stiffness(space)
         u0 = np.zeros(space.ndofs)
-        kb = assemble_weighted_stiffness(space, FeFunction(space, u0), law)
-        u1, _ = flow_step(k, kb, np.zeros(space.ndofs), u0, 1.0,
-                          space.mesh.boundary, u0)
+        k, kb = interior_blocks(space, law, u0)
+        u1, iterations = flow_step(k, kb, np.zeros(space.ndofs), u0, 1.0,
+                                   space.interior)
         assert np.abs(u1).max() == 0.0
+        assert iterations == 0
+
+    def test_patterns_must_match(self):
+        space = FeSpace(build_quad(4))
+        k = assemble_stiffness(space, interior_only=True)
+        other = assemble_stiffness(FeSpace(build_quad(3)), interior_only=True)
+        with pytest.raises(ValueError):
+            flow_step(k, other, np.zeros(space.ndofs), np.zeros(space.ndofs),
+                      1.0, space.interior)
 
 
 class TestSolve:
@@ -269,6 +301,48 @@ class TestSolve:
         assert not report.converged
         assert report.iterations == 3
 
+    def test_max_iterations_return_best_iterate(self, monkeypatch):
+        # the last correction overshoots tenfold, so the last iterate is
+        # not the one with the smallest residual
+        law = GrowthLaw((3.0, 1.5))
+        ms = ManufacturedSolution(law)
+        space = FeSpace(build_quad(4, bounds=(-1.0, 1.0)))
+        spec = ProblemSpec(law=law, space=space, dirichlet=ms.value)
+        calls = []
+
+        def overshooting(a, b, cfg=None):
+            x, iterations = linalg.cg_solve(a, b, cfg)
+            calls.append(None)
+            return (10 * x if len(calls) == 3 else x), iterations
+
+        norms = []
+
+        def recording(space, u, law, f=None):
+            res = galerkin_residual(space, u, law, f)
+            norms.append(np.abs(res[space.interior]).max())
+            return res
+
+        monkeypatch.setattr(solver, "cg_solve", overshooting)
+        monkeypatch.setattr(solver, "galerkin_residual", recording)
+        u, report = solve(spec, FlowConfig(tol=1e-14, max_iter=3))
+        assert not report.converged
+        assert len(norms) == 4 and norms[-1] > min(norms)
+        assert report.final_residual == min(norms)
+        returned = np.abs(galerkin_residual(space, u, law)[space.interior]).max()
+        assert returned == report.final_residual
+
+    def test_cg_iteration_count_guard(self):
+        # forcing-term inner solves need about 1 200 CG iterations here;
+        # solving every step to 5e-14 of the full right-hand side needs 8 601
+        law = GrowthLaw((3.0, 1.5))
+        ms = ManufacturedSolution(law)
+        space = FeSpace(build_tri(40, "boxslash", bounds=(-1.0, 1.0)))
+        spec = ProblemSpec(law=law, space=space, dirichlet=ms.value)
+        cfg = FlowConfig(tol=1e-12, residual_target=5e-7, cg=CgConfig(tol=5e-14))
+        _, report = solve(spec, cfg)
+        assert report.converged
+        assert report.cg_iterations <= 2500
+
     def test_nonfinite_dirichlet_rejected(self):
         law = GrowthLaw((2.0, 2.0))
         space = FeSpace(build_quad(4))
@@ -282,6 +356,9 @@ class TestSolve:
             FlowConfig(tau=0.0)
         with pytest.raises(ValueError):
             FlowConfig(max_iter=0)
+        for clamp in (0.0, -1e-10):
+            with pytest.raises(ValueError):
+                FlowConfig(clamp=clamp)
 
 
 def test_source_term_load_vector():
