@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 from importlib import resources
 
 from .analysis import ConvergenceTable, ManufacturedSolution, error_norms
-from .fespace import FeSpace
+from .fespace import MAX_DEGREE, FeSpace
 from .mesh import TRIANGLE_PATTERNS, build_quad, build_tri
 from .linalg import CgConfig, IterativeSolveError
 from .nfunc import GrowthLaw
@@ -78,8 +78,22 @@ class StudyConfig:
             raise UsageError("need either an N list or N0 plus a level count")
         if self.n_list is None and self.levels < 1:
             raise UsageError("need at least one refinement level")
-        if not self.clamp > 0:
-            raise UsageError("clamp must be positive")
+        sizes = self.level_sizes()
+        if sizes[0] < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+            raise UsageError(f"level sizes {sizes} must be at least 2 and "
+                             "strictly increasing")
+        for name in ("tau", "tol", "clamp", "residual_target"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise UsageError(f"{name} must be positive")
+        if not self.max_iter >= 1:
+            raise UsageError("max_iter must be at least 1")
+        if not 0 < self.cg_tol < 1:
+            raise UsageError("cg_tol must lie in (0, 1)")
+        if not 1 <= self.quad_degree <= MAX_DEGREE:
+            raise UsageError(f"quad_degree must lie in 1..{MAX_DEGREE}")
+        if not self.delta >= 0:
+            raise UsageError("delta must be non-negative")
         if self.domain not in ("unit", "symmetric"):
             raise UsageError(f"unknown domain {self.domain!r}")
         if self.format not in ("csv", "markdown"):

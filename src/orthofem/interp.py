@@ -5,13 +5,17 @@ Two families are provided:
 * ``AveragedInterpolant`` (positivity preserving): nodal values are
   means of the input over the box v(k) + (-h/2, h/2)^2, summed against
   the interior Lagrange basis.  Stable per cell and direction with
-  constant one.
+  constant one.  For FE inputs on a nested mesh of double resolution
+  the box means are exact: every source cell lies in the box of its
+  nearest lattice node, so one binned sum of the cell integrals gives
+  all boxes at once.
 
 * ``DualBasisProjector``: a genuine projection.  The node functionals
   pair the input with a dual function supported on the patch of the
   node, either piecewise quadratic on the half-refined Kuhn patch
-  (eight triangles around the node, usable for both the Q1 and the P1
-  target) or piecewise bilinear on the four adjacent squares of a quad
+  (the eight triangles around the node, taken from the node patch of
+  ``mesh.refine_kuhn_half``; usable for both the Q1 and the P1 target)
+  or piecewise bilinear on the four adjacent squares of a quad
   mesh (Q1 target only).  Near the boundary the input is extended by
   odd reflection, realized as an evaluation rule: query points are
   reflected into the domain and the value sign is flipped once per
@@ -19,6 +23,9 @@ Two families are provided:
 
 The dual coefficient tables are validated at construction by solving
 the local patch mass system and comparing.
+
+Lattice nodes are addressed by integer index pairs (k1, k2), located at
+lo + h (k1, k2) and read or written through ``mesh.lattice_ids``.
 
 Inputs may be analytic callables on (n, 2) point arrays (integrated by
 Gauss rules of a configurable degree) or FE functions; for FE inputs
@@ -28,7 +35,8 @@ lattice or a nested refinement of double resolution.
 
 import numpy as np
 
-from .fespace import FeFunction, quadrature_rule
+from .fespace import FeFunction, _q1_shapes, quadrature_rule
+from .mesh import build_tri, refine_kuhn_half
 
 __all__ = [
     "AveragedInterpolant",
@@ -90,6 +98,22 @@ def _require_lattice(mesh, what):
                          f"(pattern {mesh.pattern!r} carries non-lattice nodes)")
 
 
+def _lattice_pair(j):
+    """One node index pair as a (1, 2) integer array; rejects non-integers."""
+    kk = np.asarray(j, dtype=float)
+    if kk.shape != (2,) or np.any(kk != np.round(kk)):
+        raise ValueError(f"node index {j} is not an integer pair")
+    return kk.astype(np.int64)[None, :]
+
+
+def _interior_pairs(mesh):
+    """Index pairs (k1, k2) of the interior lattice nodes, shape (m, 2).
+
+    Row-major, unlike ``np.argwhere``, so that point arrays built from
+    the pairs reshape without a copy."""
+    return np.stack(np.nonzero(~mesh.boundary[mesh.lattice_ids]), axis=1)
+
+
 def _exact_cell_means(w):
     """Per-cell integral means of an FE function (exact for P1 and Q1)."""
     mesh = w.space.mesh
@@ -115,62 +139,46 @@ class AveragedInterpolant:
         self._box_points = np.concatenate(pts)     # offsets from the node
         self._box_weights = np.concatenate(wts)    # sums to 1
 
-    def _check_interior(self, k):
-        k1, k2 = k
-        n = self.space.mesh.n
-        if not (1 <= k1 <= n - 1 and 1 <= k2 <= n - 1):
-            raise ValueError(
-                f"averaging box at node {k} leaves the domain and no "
-                "extension rule is supplied")
-
-    def _node_positions(self, index_pairs):
-        mesh = self.space.mesh
-        lo, _ = mesh.bounds
-        kk = np.asarray(index_pairs, dtype=float)
-        return lo + kk * mesh.h
-
-    def _averages_exact(self, w, index_pairs):
+    def _averages_exact(self, w):
+        """Box means of an FE input at every lattice node, indexed [k1, k2]."""
         source = w.space.mesh
         mesh = self.space.mesh
         if source.bounds != mesh.bounds or source.n % (2 * mesh.n) != 0:
             raise ValueError(
                 "exact box averages need an input mesh nested at double "
                 "resolution; pass a callable otherwise")
+        # nesting keeps every source cell inside one box: bin it by the
+        # lattice node nearest to its centroid
         centroids = source.nodes[source.cells].mean(axis=1)
-        means = _exact_cell_means(w)
-        areas = np.abs(source.cell_areas())
-        half = mesh.h / 2
-        out = np.empty(len(index_pairs))
-        for i, pos in enumerate(self._node_positions(index_pairs)):
-            inside = (np.abs(centroids[:, 0] - pos[0]) < half) \
-                & (np.abs(centroids[:, 1] - pos[1]) < half)
-            out[i] = np.sum(areas[inside] * means[inside]) / mesh.h ** 2
-        return out
+        k = np.rint((centroids - mesh.bounds[0]) / mesh.h).astype(np.int64)
+        integrals = np.abs(source.cell_areas()) * _exact_cell_means(w)
+        sums = np.bincount(mesh.lattice_ids[k[:, 0], k[:, 1]], weights=integrals,
+                           minlength=mesh.num_nodes)
+        return sums[mesh.lattice_ids] / mesh.h ** 2
 
-    def _averages_quadrature(self, ev, index_pairs):
-        positions = self._node_positions(index_pairs)
-        pts = positions[:, None, :] + self._box_points[None, :, :]
-        vals = ev(pts.reshape(-1, 2)).reshape(len(positions), -1)
+    def _averages(self, w, kk):
+        if isinstance(w, FeFunction):
+            return self._averages_exact(w)[kk[:, 0], kk[:, 1]]
+        mesh = self.space.mesh
+        pts = (mesh.bounds[0] + mesh.h * kk)[:, None, :] + self._box_points
+        vals = _point_evaluator(w)(pts.reshape(-1, 2)).reshape(len(kk), -1)
         return vals @ self._box_weights
 
     def box_average(self, w, k):
         """Mean of the input over the box centered at interior node k."""
-        self._check_interior(k)
-        if isinstance(w, FeFunction):
-            return float(self._averages_exact(w, [k])[0])
-        return float(self._averages_quadrature(_point_evaluator(w), [k])[0])
+        kk = _lattice_pair(k)
+        if np.any((kk < 1) | (kk > self.space.mesh.n - 1)):
+            raise ValueError(
+                f"averaging box at node {k} leaves the domain and no "
+                "extension rule is supplied")
+        return float(self._averages(w, kk)[0])
 
     def apply(self, w):
         """Interpolant with box-average coefficients, zero on the boundary."""
         mesh = self.space.mesh
-        pairs = mesh.interior_lattice_indices()
-        if isinstance(w, FeFunction):
-            averages = self._averages_exact(w, pairs)
-        else:
-            averages = self._averages_quadrature(_point_evaluator(w), pairs)
+        kk = _interior_pairs(mesh)
         coeffs = np.zeros(self.space.ndofs)
-        for (k1, k2), val in zip(pairs, averages):
-            coeffs[mesh.lattice_node(k1, k2)] = val
+        coeffs[mesh.lattice_ids[kk[:, 0], kk[:, 1]]] = self._averages(w, kk)
         return FeFunction(self.space, coeffs)
 
 
@@ -179,20 +187,6 @@ def _p2_shapes(ref_points):
     l0, l1, l2 = 1 - x - y, x, y
     return np.stack([l0 * (2 * l0 - 1), l1 * (2 * l1 - 1), l2 * (2 * l2 - 1),
                      4 * l1 * l2, 4 * l2 * l0, 4 * l0 * l1], axis=1)
-
-
-def _patch_triangles(h):
-    """The eight simplices of the canonical patch, as offsets from the node."""
-    tris = []
-    for qx in (-1.0, 1.0):
-        for qy in (-1.0, 1.0):
-            corner = np.array([qx * h / 2, qy * h / 2])
-            on_x = np.array([qx * h / 2, 0.0])
-            on_y = np.array([0.0, qy * h / 2])
-            origin = np.zeros(2)
-            tris.append(np.array([origin, on_x, corner]))
-            tris.append(np.array([origin, corner, on_y]))
-    return np.asarray(tris)  # (8, 3, 2)
 
 
 def _classify_dual_coeff(offset, h):
@@ -232,7 +226,11 @@ class DualBasisProjector:
         self.callable_degree = callable_degree
         h = mesh.h
         if kind == "simplicial":
-            tris = _patch_triangles(h)
+            # the node patch of the half-refined Kuhn mesh, as offsets
+            # from the node: the center node of a 2 x 2 mesh on (-h, h)^2
+            refined = refine_kuhn_half(build_tri(2, "alternating-kuhn", bounds=(-h, h)))
+            child = refined.child
+            tris = child.nodes[child.cells[refined.node_patches[(1, 1)]]]  # (8, 3, 2)
             mids = np.stack([(tris[:, 1] + tris[:, 2]) / 2,
                              (tris[:, 2] + tris[:, 0]) / 2,
                              (tris[:, 0] + tris[:, 1]) / 2], axis=1)
@@ -250,20 +248,16 @@ class DualBasisProjector:
                 dual = np.einsum("qa,ta->tq", shapes, self.table)
                 self._rules[label] = (pts.reshape(-1, 2), (wts * dual).ravel())
         else:
+            # corner values of the dual function on each adjacent square,
+            # in Q1 vertex order: node, x-neighbor, diagonal, y-neighbor
+            self.table = np.array([4.0, -2.0, 1.0, -2.0]) / h ** 2
             self._rules = {}
             for label, degree in (("fe", FE_PAIRING_DEGREE), ("callable", callable_degree)):
                 rule = quadrature_rule("quad", max(degree, FE_PAIRING_DEGREE))
-                pts, wd = [], []
-                for qx in (-1.0, 1.0):
-                    for qy in (-1.0, 1.0):
-                        local = rule.points * np.array([qx, qy]) * h
-                        dual = ((2 - 3 * rule.points[:, 0])
-                                * (2 - 3 * rule.points[:, 1]) / h ** 2)
-                        pts.append(local)
-                        wd.append(rule.weights * h ** 2 * dual)
-                self._rules[label] = (np.concatenate(pts), np.concatenate(wd))
-            # corner-value table per adjacent square: node, neighbors, diagonal
-            self.table = np.array([4.0, -2.0, -2.0, 1.0]) / h ** 2
+                dual = _q1_shapes(rule.points)[0] @ self.table
+                pts = [rule.points * (qx, qy) * h for qx in (-1.0, 1.0) for qy in (-1.0, 1.0)]
+                self._rules[label] = (np.concatenate(pts),
+                                      np.tile(rule.weights * h ** 2 * dual, 4))
         self._validate_against_mass_solve()
 
     # -- build-time oracle -------------------------------------------------
@@ -271,54 +265,28 @@ class DualBasisProjector:
     def _validate_against_mass_solve(self):
         h = self.mesh.h
         if self.kind == "simplicial":
-            tris = _patch_triangles(h)
-            node_ids = {}
-
-            def nid(p):
-                key = (round(p[0] / h * 8), round(p[1] / h * 8))
-                return node_ids.setdefault(key, len(node_ids))
-
-            ids = np.array([[nid(p) for p in tri] for tri in self._tri_nodes])
+            elements = self._tri_nodes  # P2 nodes of the eight triangles
             rule = quadrature_rule("triangle", 4)
             shapes = _p2_shapes(rule.points)
-            mass = np.zeros((len(node_ids), len(node_ids)))
-            for tri, tid in zip(tris, ids):
-                e1, e2 = tri[1] - tri[0], tri[2] - tri[0]
-                area = abs(e1[0] * e2[1] - e1[1] * e2[0]) / 2
-                local = np.einsum("q,qa,qb->ab", rule.weights * 2 * area, shapes, shapes)
-                mass[np.ix_(tid, tid)] += local
-            rhs = np.zeros(len(node_ids))
-            rhs[nid(np.zeros(2))] = 1.0
-            coeffs = np.linalg.solve(mass, rhs)
+            e1, e2 = (elements[:, i] - elements[:, 0] for i in (1, 2))
+            jacobians = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
             tabulated = self.table
-            solved = coeffs[ids]
         else:
-            node_ids = {}
-
-            def nid(p):
-                key = (round(p[0] / h), round(p[1] / h))
-                return node_ids.setdefault(key, len(node_ids))
-
-            quads = []
-            for qx in (-1.0, 1.0):
-                for qy in (-1.0, 1.0):
-                    quads.append(np.array([[0.0, 0.0], [qx * h, 0.0],
-                                           [0.0, qy * h], [qx * h, qy * h]]))
-            ids = np.array([[nid(p) for p in q] for q in quads])
-            x, w = np.polynomial.legendre.leggauss(2)
-            x, w = (x + 1) / 2, w / 2
-            mass = np.zeros((len(node_ids), len(node_ids)))
-            for quad, qid in zip(quads, ids):
-                for xi, wx in zip(x, w):
-                    for eta, wy in zip(x, w):
-                        shape = np.array([(1 - xi) * (1 - eta), xi * (1 - eta),
-                                          (1 - xi) * eta, xi * eta])
-                        mass[np.ix_(qid, qid)] += wx * wy * h ** 2 * np.outer(shape, shape)
-            rhs = np.zeros(len(node_ids))
-            rhs[nid(np.zeros(2))] = 1.0
-            coeffs = np.linalg.solve(mass, rhs)
+            rule = quadrature_rule("quad", 2)
+            shapes = _q1_shapes(rule.points)[0]
+            corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) * h
+            elements = np.array([corners * (qx, qy) for qx in (-1, 1) for qy in (-1, 1)])
+            jacobians = np.full(4, h ** 2)
             tabulated = np.broadcast_to(self.table, (4, 4))
-            solved = coeffs[ids]
+        local = np.einsum("e,q,qa,qb->eab", jacobians, rule.weights, shapes, shapes)
+        # number the patch nodes by their position on the quarter lattice
+        keys = np.rint(elements.reshape(-1, 2) * (4 / h)).astype(np.int64)
+        keys, ids = np.unique(keys, axis=0, return_inverse=True)
+        ids = ids.reshape(elements.shape[:2])
+        mass = np.zeros((len(keys), len(keys)))
+        np.add.at(mass, (ids[:, :, None], ids[:, None, :]), local)
+        rhs = np.all(keys == 0, axis=1).astype(float)
+        solved = np.linalg.solve(mass, rhs)[ids]
         scale = np.abs(tabulated).max()
         if np.abs(solved - tabulated).max() > 1e-9 * scale:
             raise AssertionError(
@@ -326,17 +294,13 @@ class DualBasisProjector:
 
     # -- pairings and projection -------------------------------------------
 
-    def _node_position(self, j):
-        lo, _ = self.mesh.bounds
-        return np.array([lo + j[0] * self.mesh.h, lo + j[1] * self.mesh.h])
-
-    def _pairings(self, w, index_pairs):
+    def _pairings(self, w, kk):
         ev = _odd_reflection(_point_evaluator(w), self.mesh.bounds)
         label = "fe" if isinstance(w, FeFunction) else "callable"
         offsets, weighted_dual = self._rules[label]
-        positions = np.array([self._node_position(j) for j in index_pairs])
+        positions = self.mesh.bounds[0] + self.mesh.h * kk
         pts = positions[:, None, :] + offsets[None, :, :]
-        vals = ev(pts.reshape(-1, 2)).reshape(len(index_pairs), -1)
+        vals = ev(pts.reshape(-1, 2)).reshape(len(kk), -1)
         return vals @ weighted_dual
 
     def pairing(self, w, j):
@@ -345,10 +309,10 @@ class DualBasisProjector:
         Boundary nodes are admissible: the input is extended by odd
         reflection, which makes the pairing vanish there.
         """
-        n = self.mesh.n
-        if not (0 <= j[0] <= n and 0 <= j[1] <= n):
+        kk = _lattice_pair(j)
+        if np.any((kk < 0) | (kk > self.mesh.n)):
             raise ValueError(f"node index {j} outside the lattice")
-        return float(self._pairings(w, [j])[0])
+        return float(self._pairings(w, kk)[0])
 
     def apply(self, w, target_space):
         """Project onto the target space; zero trace by construction."""
@@ -358,11 +322,9 @@ class DualBasisProjector:
         _require_lattice(target, "the dual-basis projection target")
         if self.kind == "cubic" and target_space.kind != "Q1":
             raise ValueError("cubic dual tables are biorthogonal to Q1 targets only")
-        pairs = target.interior_lattice_indices()
-        values = self._pairings(w, pairs)
+        kk = _interior_pairs(target)
         coeffs = np.zeros(target_space.ndofs)
-        for (k1, k2), val in zip(pairs, values):
-            coeffs[target.lattice_node(k1, k2)] = val
+        coeffs[target.lattice_ids[kk[:, 0], kk[:, 1]]] = self._pairings(w, kk)
         return FeFunction(target_space, coeffs)
 
 
@@ -380,7 +342,5 @@ def transfer(v, target_space):
     if source.n != target.n or source.bounds != target.bounds:
         raise ValueError("transfer needs matching lattices")
     coeffs = np.zeros(target_space.ndofs)
-    for k1 in range(source.n + 1):
-        for k2 in range(source.n + 1):
-            coeffs[target.lattice_node(k1, k2)] = v.coeffs[source.lattice_node(k1, k2)]
+    coeffs[target.lattice_ids] = v.coeffs[source.lattice_ids]
     return FeFunction(target_space, coeffs)

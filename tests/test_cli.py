@@ -76,6 +76,17 @@ class TestParseConfig:
         for clamp in (0.0, -1.0):
             with pytest.raises(UsageError):
                 StudyConfig(mesh="quad", p1=1.5, p2=2.0, n0=4, levels=1, clamp=clamp)
+        for sizes in (dict(n_list=(1,)), dict(n0=1, levels=2),
+                      dict(n_list=(8, 4)), dict(n_list=(4, 4))):
+            with pytest.raises(UsageError):
+                StudyConfig(mesh="quad", p1=2.0, p2=2.0, **sizes)
+        for bad in (dict(tau=0.0), dict(tau=-1.0), dict(tol=0.0),
+                    dict(residual_target=-1.0), dict(residual_target=0.0),
+                    dict(max_iter=0), dict(cg_tol=0.0), dict(cg_tol=1.0),
+                    dict(quad_degree=0), dict(quad_degree=9), dict(delta=-1.0),
+                    dict(tau=float("nan"))):
+            with pytest.raises(UsageError):
+                StudyConfig(mesh="quad", p1=2.0, p2=2.0, n0=4, levels=1, **bad)
 
 
 class TestEmitTable:
@@ -190,6 +201,14 @@ class TestMain:
         assert main(["--mesh", "quad", "--p1", "1.5", "--p2", "2",
                      "--N0", "4", "--levels", "1", "--clamp", "0"]) == 2
         assert "clamp" in capsys.readouterr().err
+
+    def test_out_of_range_value_exit_code(self, capsys):
+        # rejected before any level is solved
+        assert main(["--mesh", "quad", "--p1", "2", "--p2", "2",
+                     "--N", "8,4"]) == 2
+        captured = capsys.readouterr()
+        assert "strictly increasing" in captured.err
+        assert captured.out == ""
 
     def test_failure_exit_code(self, capsys):
         code = main(["--mesh", "quad", "--p1", "3", "--p2", "1.5",

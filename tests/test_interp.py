@@ -39,6 +39,21 @@ def cell_integrals(u, mesh):
     return out
 
 
+def box_averages_by_scan(w, mesh):
+    """Oracle: for each interior node, the exact mean over the source cells
+    whose centroid lies in the node's box, found by scanning every cell."""
+    source = w.space.mesh
+    centroids = source.nodes[source.cells].mean(axis=1)
+    integrals = np.abs(source.cell_areas()) * w.coeffs[source.cells].mean(axis=1)
+    out = np.zeros(mesh.num_nodes)
+    for k1 in range(1, mesh.n):
+        for k2 in range(1, mesh.n):
+            node = mesh.lattice_node(k1, k2)
+            inside = (np.abs(centroids - mesh.nodes[node]) < mesh.h / 2).all(axis=1)
+            out[node] = integrals[inside].sum() / mesh.h ** 2
+    return out
+
+
 class TestBoxAverage:
     def test_constant(self):
         interp = AveragedInterpolant(FeSpace(build_quad(4)))
@@ -67,6 +82,33 @@ class TestBoxAverage:
         for c in inside:
             total += integrate(fine_source, int(c), w.evaluate, 3)
         assert value == pytest.approx(total / h ** 2, abs=1e-13)
+
+    @pytest.mark.parametrize("target_pattern", ["quad", "boxslash"])
+    @pytest.mark.parametrize("source_pattern", ["quad", "boxslash", "cross"])
+    @pytest.mark.parametrize("factor", [2, 4])
+    def test_apply_matches_cell_scan_oracle(self, target_pattern, source_pattern,
+                                            factor):
+        def space(n, pattern):
+            return FeSpace(build_quad(n) if pattern == "quad"
+                           else build_tri(n, pattern))
+
+        target = space(6, target_pattern)
+        source = space(6 * factor, source_pattern)
+        rng = np.random.default_rng(8)
+        w = FeFunction(source, rng.standard_normal(source.ndofs))
+        got = AveragedInterpolant(target).apply(w).coeffs
+        expected = box_averages_by_scan(w, target.mesh)
+        scale = np.abs(expected).max()
+        assert np.abs(got - expected).max() <= 1e-13 * scale
+
+    def test_non_integer_node_rejected(self, fine_source):
+        interp = AveragedInterpolant(FeSpace(build_quad(8)))
+        w = random_fine(fine_source, np.random.default_rng(9))
+        for k in ((1.5, 2), (2, 2.5)):
+            with pytest.raises(ValueError):
+                interp.box_average(w, k)
+            with pytest.raises(ValueError):
+                interp.box_average(lambda x: x[:, 0], k)
 
     def test_boundary_node_rejected(self):
         interp = AveragedInterpolant(FeSpace(build_quad(4)))
@@ -206,6 +248,14 @@ class TestDualPairing:
         proj = setup[0]
         with pytest.raises(ValueError):
             proj.pairing(lambda x: x[:, 0], (9, 1))
+
+    def test_non_integer_node_rejected(self, setup):
+        proj, space, projq, spaceq = setup
+        w = FeFunction(space, np.arange(space.ndofs, dtype=float))
+        for p in (proj, projq):
+            for j in ((1.5, 2), (2, 0.5)):
+                with pytest.raises(ValueError):
+                    p.pairing(w, j)
 
 
 class TestProjection:
@@ -349,6 +399,15 @@ class TestTransfer:
         v = FeFunction(FeSpace(build_quad(4)), np.zeros(25))
         with pytest.raises(ValueError):
             transfer(v, FeSpace(build_tri(8, "boxslash")))
+
+    @pytest.mark.parametrize("pattern", ["unionjack", "cross"])
+    def test_non_lattice_space_rejected(self, pattern):
+        lattice = FeSpace(build_quad(4))
+        other = FeSpace(build_tri(4, pattern))
+        with pytest.raises(ValueError):
+            transfer(FeFunction(other, np.zeros(other.ndofs)), lattice)
+        with pytest.raises(ValueError):
+            transfer(FeFunction(lattice, np.zeros(lattice.ndofs)), other)
 
 
 class TestDegenerateKernelEquivalence:
