@@ -1,10 +1,10 @@
 """Batch convergence-study runner.
 
 A study is a refinement sweep over one mesh family and one growth law:
-per level the mesh is built, the gradient flow solved, and the error
-functionals appended to a convergence table, which is emitted as CSV
-or as an aligned markdown table (scientific notation with four decimal
-digits, rates with two).
+per level the mesh is built, the gradient flow solved from the previous
+level's solution, and the error functionals appended to a convergence
+table, which is emitted as CSV or as an aligned markdown table
+(scientific notation with four decimal digits, rates with two).
 
 Reference tables from the original experiments are shipped as CSV
 assets in the same schema; ``--diff-paper <name>`` reports the
@@ -206,6 +206,11 @@ def parse_config(argv):
 def run_study(cfg):
     """Run a refinement sweep; returns (ConvergenceTable, solve reports).
 
+    Nested iteration: every level after the first starts its flow from
+    the previous level's solution, interpolated at the new mesh's nodes
+    (the Dirichlet data replaces it on the boundary).  The level list
+    need not be nested; the interpolation is pointwise.
+
     A level whose flow does not converge, or whose solve fails with an
     IterativeSolveError or a FloatingPointError, flags the table as
     incomplete and stops the sweep; already computed rows are kept.  A
@@ -215,6 +220,7 @@ def run_study(cfg):
     ms = ManufacturedSolution(law)
     table = ConvergenceTable(cfg.mesh, cfg.p1, cfg.p2)
     reports = []
+    solution = None
     for n in cfg.level_sizes():
         if cfg.mesh == "quad":
             mesh = build_quad(n, cfg.bounds())
@@ -225,8 +231,9 @@ def run_study(cfg):
         flow = FlowConfig(tau=cfg.tau, tol=cfg.tol, max_iter=cfg.max_iter,
                           clamp=cfg.clamp, residual_target=cfg.residual_target,
                           cg=CgConfig(tol=cfg.cg_tol))
+        start = None if solution is None else solution.evaluate(mesh.nodes)
         try:
-            solution, report = solve(spec, flow)
+            solution, report = solve(spec, flow, start)
         except (IterativeSolveError, FloatingPointError):
             table.complete = False
             break

@@ -158,7 +158,9 @@ def cg_solve(a, b, cfg=None, x0=None, callback=None):
     Returns ``(x, iterations)``; raises IterativeSolveError when the
     iteration budget is exhausted before the relative residual drops
     below the configured tolerance.  ``callback``, if given, receives
-    the current iterate after every iteration.
+    the current iterate after every iteration.  A call costs one matvec
+    per iteration, two for the symmetry probe, and one more only for a
+    start iterate ``x0``.
     """
     cfg = cfg or CgConfig()
     _check_symmetric(a)
@@ -167,8 +169,11 @@ def cg_solve(a, b, cfg=None, x0=None, callback=None):
     diag = a.diagonal()
     if np.any(diag <= 0):
         raise ValueError("nonpositive diagonal entry; matrix is not SPD")
-    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float).copy()
-    r = b - a.matvec(x)
+    if x0 is None:
+        x, r = np.zeros_like(b), b.copy()
+    else:
+        x = np.asarray(x0, dtype=float).copy()
+        r = b - a.matvec(x)
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros_like(b), 0

@@ -267,9 +267,15 @@ def flow_step(k_ii, kb_ii, residual, u_k, tau, interior, cg_cfg=None):
     return u_next, iterations
 
 
-def solve(spec, cfg=None):
-    """Run the gradient flow from the lifted boundary data until the
-    energy increment (and optional residual target) is met.
+def solve(spec, cfg=None, start=None):
+    """Run the gradient flow until the energy increment (and optional
+    residual target) is met.
+
+    The flow starts from ``start``, a coefficient vector of length
+    ``ndofs`` whose boundary values are always replaced by the Dirichlet
+    data, or from zero interior values when ``start`` is None.  A start
+    of the wrong shape or with non-finite interior values raises
+    ValueError.
 
     Returns (FeFunction, SolveReport).  A maximum-iteration breach
     returns the iterate with the smallest residual, start iterate
@@ -287,10 +293,16 @@ def solve(spec, cfg=None):
         g_vals = np.full(space.ndofs, float(g_vals))
     if not np.all(np.isfinite(g_vals[boundary])):
         raise ValueError("Dirichlet data is not finite at some boundary node")
+    start = np.zeros(space.ndofs) if start is None else np.asarray(start, dtype=float)
+    if start.shape != (space.ndofs,):
+        raise ValueError(f"start iterate has shape {start.shape}, "
+                         f"expected ({space.ndofs},)")
+    if not np.all(np.isfinite(start[interior])):
+        raise ValueError("start iterate is not finite at some interior node")
 
     k_ii = assemble_stiffness(space, interior_only=True)
     cg_cfg = CgConfig(tol=max(cfg.cg.tol, FORCING), max_iter=cfg.cg.max_iter)
-    u = np.where(boundary, g_vals, 0.0)
+    u = np.where(boundary, g_vals, start)
     residual = galerkin_residual(space, u, law, spec.source)
     residual_norm = float(np.max(np.abs(residual[interior])))
     best_u, best_residual = u, residual_norm

@@ -1,11 +1,14 @@
 import pytest
 
 from orthofem import solver
-from orthofem.analysis import ConvergenceTable
+from orthofem.analysis import ConvergenceTable, ManufacturedSolution, error_norms
 from orthofem.cli import (StudyConfig, UsageError, diff_paper, emit_table,
                           load_paper_table, load_table, main, parse_config,
                           run_study)
-from orthofem.linalg import IterativeSolveError
+from orthofem.fespace import FeSpace
+from orthofem.linalg import CgConfig, IterativeSolveError
+from orthofem.mesh import build_quad, build_tri
+from orthofem.nfunc import GrowthLaw
 
 
 class TestParseConfig:
@@ -172,6 +175,34 @@ class TestRunStudy:
         table, reports = run_study(cfg)
         assert not table.complete
         assert not reports[-1].converged
+
+    @pytest.mark.parametrize("mesh, sizes", [
+        ("quad", (4, 8)), ("boxslash", (4, 8)), ("alternating-kuhn", (4, 8)),
+        ("unionjack", (4, 8)), ("cross", (4, 8)), ("boxslash", (6, 10)),
+    ])
+    def test_nested_start_matches_cold_start(self, mesh, sizes):
+        # oracle: every level solved from zero interior values
+        cfg = StudyConfig(mesh=mesh, p1=3.0, p2=1.5, n_list=sizes, tol=1e-12,
+                          cg_tol=5e-14, residual_target=5e-7)
+        table, reports = run_study(cfg)
+        assert table.complete and len(table.rows) == len(sizes)
+        law = GrowthLaw((3.0, 1.5))
+        ms = ManufacturedSolution(law)
+        flow = solver.FlowConfig(tol=cfg.tol, residual_target=cfg.residual_target,
+                                 cg=CgConfig(tol=cfg.cg_tol))
+        cold_cg = []
+        for n, row in zip(sizes, table.rows):
+            built = (build_quad(n, cfg.bounds()) if mesh == "quad"
+                     else build_tri(n, mesh, cfg.bounds()))
+            space = FeSpace(built)
+            spec = solver.ProblemSpec(law=law, space=space, dirichlet=ms.value)
+            cold, cold_report = solver.solve(spec, flow)
+            assert cold_report.converged and row.dim == space.ndofs
+            cold_cg.append(cold_report.cg_iterations)
+            errors = error_norms(cold, ms, law, cfg.quad_degree)
+            for name, value in row.errors.items():
+                assert value == pytest.approx(getattr(errors, name), rel=1e-3)
+        assert reports[1].cg_iterations < cold_cg[1]
 
     def test_diff_paper_reports_deviation(self):
         cfg = StudyConfig(mesh="boxslash", p1=1.5, p2=1.5, n0=10, levels=1,

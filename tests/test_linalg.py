@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from orthofem.fespace import FeSpace
-from orthofem.linalg import (CgConfig, CsrPattern, IterativeSolveError,
-                             cg_solve, dense_solve, from_triplets)
+from orthofem.linalg import (CgConfig, CsrMatrix, CsrPattern,
+                             IterativeSolveError, cg_solve, dense_solve,
+                             from_triplets)
 from orthofem.mesh import build_quad, build_tri
 from orthofem.solver import assemble_stiffness
 from orthofem.nfunc import GrowthLaw
@@ -100,6 +101,24 @@ class TestCg:
         x, cold = cg_solve(a, b)
         _, warm = cg_solve(a, b, x0=x + 1e-10)
         assert warm < cold
+
+    def test_matvec_count(self):
+        # one matvec per iteration plus two for the symmetry probe; only a
+        # start iterate costs one more, for its residual
+        class CountingMatrix(CsrMatrix):
+            calls = 0
+
+            def matvec(self, x):
+                self.calls += 1
+                return super().matvec(x)
+
+        lap = laplacian_1d(40)
+        a = CountingMatrix(lap.dim, lap.indptr, lap.indices, lap.values)
+        _, iterations = cg_solve(a, np.ones(40))
+        assert iterations > 0 and a.calls == iterations + 2
+        a.calls = 0
+        _, iterations = cg_solve(a, np.ones(40), x0=np.full(40, 0.5))
+        assert iterations > 0 and a.calls == iterations + 3
 
     def test_max_iter_breach_reports_residual(self):
         a = laplacian_1d(64)

@@ -351,6 +351,55 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(spec, FlowConfig())
 
+    def test_start_boundary_values_ignored(self):
+        # two starts that differ only on the boundary give the same run,
+        # and the solution keeps the Dirichlet values
+        law = GrowthLaw((3.0, 1.5))
+        ms = ManufacturedSolution(law)
+        space = FeSpace(build_tri(6, "cross", bounds=(-1.0, 1.0)))
+        spec = ProblemSpec(law=law, space=space, dirichlet=ms.value)
+        boundary = space.mesh.boundary
+        start = np.random.default_rng(3).uniform(-1.0, 1.0, space.ndofs)
+        start[boundary] = 1e3
+        cfg = FlowConfig(tol=1e-12, cg=CgConfig(tol=1e-13))
+        u, report = solve(spec, cfg, start)
+        start[boundary] = np.nan
+        v, other = solve(spec, cfg, start)
+        assert report.converged
+        assert np.array_equal(u.coeffs, v.coeffs)
+        assert report.increments == other.increments
+        g = ms.value(space.mesh.nodes)
+        assert np.array_equal(u.coeffs[boundary], g[boundary])
+
+    def test_invalid_start_rejected(self):
+        law = GrowthLaw((3.0, 1.5))
+        ms = ManufacturedSolution(law)
+        space = FeSpace(build_quad(4, bounds=(-1.0, 1.0)))
+        spec = ProblemSpec(law=law, space=space, dirichlet=ms.value)
+        with pytest.raises(ValueError):
+            solve(spec, FlowConfig(), np.zeros(space.ndofs - 1))
+        with pytest.raises(ValueError):
+            solve(spec, FlowConfig(), np.zeros((space.ndofs, 1)))
+        start = np.zeros(space.ndofs)
+        start[np.flatnonzero(space.interior)[0]] = np.nan
+        with pytest.raises(ValueError):
+            solve(spec, FlowConfig(), start)
+
+    @pytest.mark.parametrize("make_mesh", [
+        lambda: build_quad(8, bounds=(-1.0, 1.0)),
+        lambda: build_tri(8, "boxslash", bounds=(-1.0, 1.0)),
+    ])
+    def test_converged_start_stops_at_once(self, make_mesh):
+        law = GrowthLaw((3.0, 1.5))
+        ms = ManufacturedSolution(law)
+        space = FeSpace(make_mesh())
+        spec = ProblemSpec(law=law, space=space, dirichlet=ms.value)
+        cfg = FlowConfig(tol=1e-12, residual_target=5e-7, cg=CgConfig(tol=5e-14))
+        u, cold = solve(spec, cfg)
+        _, warm = solve(spec, cfg, u.coeffs)
+        assert cold.converged and warm.converged
+        assert cold.iterations > 2 and warm.iterations <= 2
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FlowConfig(tau=0.0)
