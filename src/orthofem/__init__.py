@@ -13,9 +13,9 @@ from .analysis import (ConvergenceTable, ErrorReport, ManufacturedSolution,
                        eoc, error_norms)
 from .fespace import FeFunction, FeSpace, interpolate_nodal, quadrature_rule
 from .interp import AveragedInterpolant, DualBasisProjector, build_dual_table, transfer
-from .linalg import CgConfig, CsrMatrix, cg_solve, dense_solve, from_triplets
+from .linalg import CgConfig, CsrMatrix, cg_solve
 from .mesh import build_quad, build_tri, element_patch, refine_kuhn_half
-from .nfunc import GrowthLaw, PowerNFunction, ShiftedNFunction, conjugate_exponent
+from .nfunc import GrowthLaw, PowerNFunction, conjugate_exponent
 from .solver import (FlowConfig, ProblemSpec, SolveReport, assemble_stiffness,
                      assemble_weighted_stiffness, energy, galerkin_residual, solve)
 
@@ -25,10 +25,9 @@ __all__ = [
     "AveragedInterpolant", "CgConfig", "ConvergenceTable", "CsrMatrix",
     "DualBasisProjector", "ErrorReport", "FeFunction", "FeSpace", "FlowConfig",
     "GrowthLaw", "ManufacturedSolution", "PowerNFunction", "ProblemSpec",
-    "ShiftedNFunction", "SolveReport", "assemble_stiffness",
-    "assemble_weighted_stiffness", "build_dual_table", "build_quad", "build_tri",
-    "cg_solve", "conjugate_exponent", "dense_solve", "element_patch", "energy",
-    "eoc", "error_norms", "from_triplets", "galerkin_residual",
-    "interpolate_nodal", "quadrature_rule", "refine_kuhn_half", "solve",
-    "transfer",
+    "SolveReport", "assemble_stiffness", "assemble_weighted_stiffness",
+    "build_dual_table", "build_quad", "build_tri", "cg_solve",
+    "conjugate_exponent", "element_patch", "energy", "eoc", "error_norms",
+    "galerkin_residual", "interpolate_nodal", "quadrature_rule",
+    "refine_kuhn_half", "solve", "transfer",
 ]

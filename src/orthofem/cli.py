@@ -17,9 +17,12 @@ records parameters and the pseudo-time-step schedule, never clocks.
 """
 
 import argparse
+import os
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
+from pathlib import Path
 
 from .analysis import ConvergenceTable, ManufacturedSolution, error_norms
 from .fespace import MAX_DEGREE, FeSpace
@@ -38,18 +41,36 @@ __all__ = [
     "main",
 ]
 
-MESH_CHOICES = ("quad",) + TRIANGLE_PATTERNS
 CSV_HEADER = "dim,e_p1,rate_p1,e_p2,rate_p2,e_V,rate_V,e_comb,rate_comb"
 _COLUMNS = ("e_p1", "e_p2", "e_V", "e_comb")
 PAPER_TABLES = ("table1", "table2", "table3", "table4", "table5", "table6")
+# allowed values of the settings that take one of a fixed set
+CHOICES = {
+    "mesh": ("quad",) + TRIANGLE_PATTERNS,
+    "domain": ("unit", "symmetric"),
+    "format": ("csv", "markdown"),
+    "diff_paper": PAPER_TABLES,
+}
 
 
 class UsageError(ValueError):
     """Malformed configuration input."""
 
 
+def _n_list(text):
+    """Comma separated level sizes as a tuple of ints."""
+    sizes = tuple(int(part) for part in text.split(",") if part.strip())
+    if not sizes:
+        raise ValueError("empty N list")
+    return sizes
+
+
 @dataclass
 class StudyConfig:
+    """One refinement study.  Each field is also a flag (``--max-iter``
+    for ``max_iter``) and a config-file key, except for the spellings
+    listed in FLAG_SPELLINGS and FILE_KEY_SPELLINGS."""
+
     mesh: str
     p1: float
     p2: float
@@ -70,8 +91,10 @@ class StudyConfig:
     diff_paper: str | None = None
 
     def __post_init__(self):
-        if self.mesh not in MESH_CHOICES:
-            raise UsageError(f"unknown mesh {self.mesh!r}")
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value is not None and value not in allowed:
+                raise UsageError(f"unknown {name} {value!r}")
         if not (self.p1 > 1 and self.p2 > 1):
             raise UsageError("growth exponents must exceed 1")
         if self.n_list is None and (self.n0 is None or self.levels is None):
@@ -94,12 +117,6 @@ class StudyConfig:
             raise UsageError(f"quad_degree must lie in 1..{MAX_DEGREE}")
         if not self.delta >= 0:
             raise UsageError("delta must be non-negative")
-        if self.domain not in ("unit", "symmetric"):
-            raise UsageError(f"unknown domain {self.domain!r}")
-        if self.format not in ("csv", "markdown"):
-            raise UsageError(f"unknown output format {self.format!r}")
-        if self.diff_paper is not None and self.diff_paper not in PAPER_TABLES:
-            raise UsageError(f"unknown reference table {self.diff_paper!r}")
 
     def level_sizes(self):
         if self.n_list is not None:
@@ -110,44 +127,47 @@ class StudyConfig:
         return (0.0, 1.0) if self.domain == "unit" else (-1.0, 1.0)
 
 
-_FILE_KEYS = {
-    "mesh": str, "pattern": str, "n0": int, "levels": int, "n": str,
-    "p1": float, "p2": float, "delta": float, "tau": float, "tol": float,
-    "max_iter": int, "clamp": float, "quad_degree": int, "domain": str,
-    "residual_target": float, "cg_tol": float, "out": str, "format": str,
-    "diff_paper": str,
-}
+# spellings that differ from the field name
+FLAG_SPELLINGS = {"n0": "--N0", "n_list": "--N"}
+FILE_KEY_SPELLINGS = {"n_list": ("n",), "mesh": ("mesh", "pattern")}
+
+
+def _cast(f):
+    """Parser of a field's text values: its type, or the N-list parser."""
+    kind = next(t for t in typing.get_args(f.type) or (f.type,) if t is not type(None))
+    return _n_list if kind is tuple else kind
 
 
 def _read_config_file(path):
-    values = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = (part.strip() for part in line.split("=", 1))
-            key = key.lower().replace("-", "_")
-            if key not in _FILE_KEYS:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            caster = _FILE_KEYS[key]
-            try:
-                values[key] = caster(val)
-            except ValueError as exc:
-                raise UsageError(f"{path}:{lineno}: malformed value {val!r}") from exc
-    return values
-
-
-def _parse_n_list(text):
+    """Field values from a 'key = value' file; all spellings of one
+    field must agree, and a repeated key keeps its last value."""
+    keys = {key: f for f in fields(StudyConfig)
+            for key in FILE_KEY_SPELLINGS.get(f.name, (f.name,))}
     try:
-        sizes = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise UsageError(f"malformed N list {text!r}") from exc
-    if not sizes:
-        raise UsageError("empty N list")
-    return sizes
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    by_key = {}
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, val = (part.strip() for part in line.split("=", 1))
+        key = key.lower().replace("-", "_")
+        if key not in keys:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            by_key[key] = (keys[key].name, _cast(keys[key])(val))
+        except ValueError as exc:
+            raise UsageError(f"{path}:{lineno}: malformed value {val!r}") from exc
+    values = {}
+    for name, value in by_key.values():
+        if values.setdefault(name, value) != value:
+            raise UsageError(f"{path}: contradictory values for {name}: "
+                             f"{values[name]!r} vs {value!r}")
+    return values
 
 
 def _build_argparser():
@@ -155,25 +175,11 @@ def _build_argparser():
         prog="orthofem",
         description="Convergence studies for the orthotropic p-Laplacian.",
     )
-    parser.add_argument("--mesh", choices=MESH_CHOICES)
-    parser.add_argument("--N0", type=int, dest="n0")
-    parser.add_argument("--levels", type=int)
-    parser.add_argument("--N", dest="n_list", help="comma separated level sizes")
-    parser.add_argument("--p1", type=float)
-    parser.add_argument("--p2", type=float)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--max-iter", type=int, dest="max_iter")
-    parser.add_argument("--clamp", type=float)
-    parser.add_argument("--quad-degree", type=int, dest="quad_degree")
-    parser.add_argument("--domain", choices=("unit", "symmetric"))
-    parser.add_argument("--residual-target", type=float, dest="residual_target")
-    parser.add_argument("--cg-tol", type=float, dest="cg_tol")
-    parser.add_argument("--out")
-    parser.add_argument("--format", choices=("csv", "markdown"))
+    for f in fields(StudyConfig):
+        flag = FLAG_SPELLINGS.get(f.name, "--" + f.name.replace("_", "-"))
+        parser.add_argument(flag, dest=f.name, type=_cast(f),
+                            choices=CHOICES.get(f.name))
     parser.add_argument("--config")
-    parser.add_argument("--diff-paper", dest="diff_paper", choices=PAPER_TABLES)
     return parser
 
 
@@ -181,26 +187,17 @@ def parse_config(argv):
     """StudyConfig from flags plus an optional config file (flags win)."""
     args = _build_argparser().parse_args(argv)
     values = _read_config_file(args.config) if args.config else {}
-    if "pattern" in values:
-        pattern = values.pop("pattern")
-        if values.get("mesh", pattern) != pattern:
-            raise UsageError(
-                f"contradictory mesh/pattern pair: {values['mesh']!r} vs {pattern!r}")
-        values["mesh"] = pattern
-    if "n" in values:
-        values["n_list"] = _parse_n_list(str(values.pop("n")))
-    for spec_field in fields(StudyConfig):
-        flag_value = getattr(args, spec_field.name, None)
-        if flag_value is not None:
-            values[spec_field.name] = flag_value
-    if isinstance(values.get("n_list"), str):
-        values["n_list"] = _parse_n_list(values["n_list"])
-    unknown = set(values) - {f.name for f in fields(StudyConfig)}
-    if unknown:
-        raise UsageError(f"unknown keys {sorted(unknown)}")
-    if "mesh" not in values or "p1" not in values or "p2" not in values:
-        raise UsageError("mesh, p1, and p2 are required")
-    return StudyConfig(**values)
+    for f in fields(StudyConfig):
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
+    missing = [f.name for f in fields(StudyConfig)
+               if f.default is MISSING and f.name not in values]
+    if missing:
+        raise UsageError(f"{', '.join(missing)} required")
+    cfg = StudyConfig(**values)
+    if cfg.out is not None and not os.path.isdir(os.path.dirname(cfg.out) or "."):
+        raise UsageError(f"no directory for the output file {cfg.out}")
+    return cfg
 
 
 def run_study(cfg):
@@ -219,6 +216,9 @@ def run_study(cfg):
     law = GrowthLaw((cfg.p1, cfg.p2), (cfg.delta, cfg.delta))
     ms = ManufacturedSolution(law)
     table = ConvergenceTable(cfg.mesh, cfg.p1, cfg.p2)
+    flow = FlowConfig(tau=cfg.tau, tol=cfg.tol, max_iter=cfg.max_iter,
+                      clamp=cfg.clamp, residual_target=cfg.residual_target,
+                      cg=CgConfig(tol=cfg.cg_tol))
     reports = []
     solution = None
     for n in cfg.level_sizes():
@@ -228,9 +228,6 @@ def run_study(cfg):
             mesh = build_tri(n, cfg.mesh, cfg.bounds())
         space = FeSpace(mesh)
         spec = ProblemSpec(law=law, space=space, dirichlet=ms.value)
-        flow = FlowConfig(tau=cfg.tau, tol=cfg.tol, max_iter=cfg.max_iter,
-                          clamp=cfg.clamp, residual_target=cfg.residual_target,
-                          cg=CgConfig(tol=cfg.cg_tol))
         start = None if solution is None else solution.evaluate(mesh.nodes)
         try:
             solution, report = solve(spec, flow, start)

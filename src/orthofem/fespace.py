@@ -21,10 +21,7 @@ __all__ = [
     "FeFunction",
     "QuadratureRule",
     "quadrature_rule",
-    "basis_eval",
-    "basis_grad",
     "interpolate_nodal",
-    "integrate",
     "abs_partial_integral",
     "clip_convex",
     "polygon_area_centroid",
@@ -249,34 +246,6 @@ def locate(mesh, points):
     raise NotImplementedError(f"point location on pattern {mesh.pattern!r}")
 
 
-def _check_ref_point(kind, xref, tol=1e-12):
-    x, y = xref
-    if kind == "Q1":
-        ok = -tol <= x <= 1 + tol and -tol <= y <= 1 + tol
-    else:
-        ok = x >= -tol and y >= -tol and x + y <= 1 + tol
-    if not ok:
-        raise ValueError(f"reference point {xref} outside the reference element")
-
-
-def basis_eval(space, cell, local, xref):
-    """Value of a local basis function at a reference point."""
-    _check_ref_point(space.kind, xref)
-    pts = np.asarray([xref], dtype=float)
-    vals = _q1_shapes(pts)[0] if space.kind == "Q1" else _p1_shapes(pts)[0]
-    return float(vals[0, local])
-
-
-def basis_grad(space, cell, local, xref):
-    """Physical gradient of a local basis function at a reference point."""
-    _check_ref_point(space.kind, xref)
-    pts = np.asarray([xref], dtype=float)
-    if space.kind == "Q1":
-        g = _q1_shapes(pts)[1][0, local] / space.mesh.h
-        return np.asarray(g)
-    return space.cell_basis_grads[cell, local].copy()
-
-
 def interpolate_nodal(space, f):
     """FeFunction with coefficients f(v(k)) at every node."""
     vals = np.asarray(f(space.mesh.nodes), dtype=float)
@@ -285,12 +254,6 @@ def interpolate_nodal(space, f):
     if not np.all(np.isfinite(vals)):
         raise ValueError("field is not finite at some mesh node")
     return FeFunction(space, vals)
-
-
-def integrate(space, cell, integrand, degree):
-    """Gauss integral of a pointwise integrand over one cell."""
-    pts, wts = space.rule_geometry(degree)
-    return float(np.sum(wts[cell] * np.asarray(integrand(pts[cell]))))
 
 
 # --- exact integrals of |partial_i u| over convex polygons ----------------

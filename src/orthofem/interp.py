@@ -28,7 +28,7 @@ Lattice nodes are addressed by integer index pairs (k1, k2), located at
 lo + h (k1, k2) and read or written through ``mesh.lattice_ids``.
 
 Inputs may be analytic callables on (n, 2) point arrays (integrated by
-Gauss rules of a configurable degree) or FE functions; for FE inputs
+Gauss rules of degree CALLABLE_DEGREE) or FE functions; for FE inputs
 the standard rules are exact whenever the input mesh is the same
 lattice or a nested refinement of double resolution.
 """
@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 FE_PAIRING_DEGREE = 4
+CALLABLE_DEGREE = 6    # Gauss degree for analytic (callable) inputs
 
 # dual coefficients on the simplicial patch by node class: the key is
 # the sorted pair (|x|, |y|) in units of h, the value is in units of
@@ -123,12 +124,11 @@ def _exact_cell_means(w):
 class AveragedInterpolant:
     """Box-average quasi-interpolant onto a Q1 or lattice P1 space."""
 
-    def __init__(self, space, degree=6):
+    def __init__(self, space):
         _require_lattice(space.mesh, "the averaged interpolant")
         self.space = space
-        self.degree = degree
         h = space.mesh.h
-        rule = quadrature_rule("quad", degree)
+        rule = quadrature_rule("quad", CALLABLE_DEGREE)
         # quadrant-wise tensor rule on the averaging box, so inputs that
         # are piecewise polynomial on the half lattice integrate exactly
         pts, wts = [], []
@@ -206,12 +206,12 @@ class DualBasisProjector:
     mesh : StructuredMesh
         Alternating-kuhn triangle mesh (simplicial) or quad mesh
         (cubic); fixes the lattice, spacing, and bounds.
-    callable_degree : int
-        Gauss degree used for analytic inputs (FE inputs use the exact
-        degree-4 rules).
+
+    Analytic inputs are integrated with Gauss rules of degree
+    CALLABLE_DEGREE, FE inputs with the exact degree-4 rules.
     """
 
-    def __init__(self, kind, mesh, callable_degree=6):
+    def __init__(self, kind, mesh):
         if kind == "simplicial":
             if mesh.kind != "triangle" or mesh.pattern != "alternating-kuhn":
                 raise ValueError("simplicial dual tables need an alternating-kuhn mesh")
@@ -223,7 +223,6 @@ class DualBasisProjector:
         _require_lattice(mesh, "the dual-basis projector")
         self.kind = kind
         self.mesh = mesh
-        self.callable_degree = callable_degree
         h = mesh.h
         if kind == "simplicial":
             # the node patch of the half-refined Kuhn mesh, as offsets
@@ -238,8 +237,8 @@ class DualBasisProjector:
             self.table = np.array([[_classify_dual_coeff(p, h) for p in tri]
                                    for tri in self._tri_nodes])
             self._rules = {}
-            for label, degree in (("fe", FE_PAIRING_DEGREE), ("callable", callable_degree)):
-                rule = quadrature_rule("triangle", max(degree, FE_PAIRING_DEGREE))
+            for label, degree in (("fe", FE_PAIRING_DEGREE), ("callable", CALLABLE_DEGREE)):
+                rule = quadrature_rule("triangle", degree)
                 shapes = _p2_shapes(rule.points)
                 pts = (tris[:, None, 0, :]
                        + rule.points[None, :, 0, None] * (tris[:, None, 1, :] - tris[:, None, 0, :])
@@ -252,8 +251,8 @@ class DualBasisProjector:
             # in Q1 vertex order: node, x-neighbor, diagonal, y-neighbor
             self.table = np.array([4.0, -2.0, 1.0, -2.0]) / h ** 2
             self._rules = {}
-            for label, degree in (("fe", FE_PAIRING_DEGREE), ("callable", callable_degree)):
-                rule = quadrature_rule("quad", max(degree, FE_PAIRING_DEGREE))
+            for label, degree in (("fe", FE_PAIRING_DEGREE), ("callable", CALLABLE_DEGREE)):
+                rule = quadrature_rule("quad", degree)
                 dual = _q1_shapes(rule.points)[0] @ self.table
                 pts = [rule.points * (qx, qy) * h for qx in (-1.0, 1.0) for qy in (-1.0, 1.0)]
                 self._rules[label] = (np.concatenate(pts),
@@ -328,9 +327,9 @@ class DualBasisProjector:
         return FeFunction(target_space, coeffs)
 
 
-def build_dual_table(kind, mesh, callable_degree=6):
+def build_dual_table(kind, mesh):
     """Construct and validate a dual-basis projector for the mesh."""
-    return DualBasisProjector(kind, mesh, callable_degree)
+    return DualBasisProjector(kind, mesh)
 
 
 def transfer(v, target_space):

@@ -15,9 +15,7 @@ __all__ = [
     "CsrPattern",
     "CgConfig",
     "IterativeSolveError",
-    "from_triplets",
     "cg_solve",
-    "dense_solve",
 ]
 
 
@@ -121,11 +119,6 @@ class CsrMatrix:
         return CsrMatrix(len(idx), indptr, cols, self.values[mask], rows=rows)
 
 
-def from_triplets(dim, rows, cols, vals):
-    """CSR matrix from COO triplets; duplicates are summed."""
-    return CsrPattern(dim, rows, cols).assemble(vals)
-
-
 @dataclass
 class CgConfig:
     """Tolerance is on the relative residual |b - Ax| / |b|."""
@@ -201,10 +194,3 @@ def cg_solve(a, b, cfg=None, x0=None, callback=None):
         if callback is not None:
             callback(x.copy())
     return x, iterations
-
-
-def dense_solve(a, b):
-    """Direct dense solve, as an oracle for moderate problem sizes."""
-    if a.dim > 2000:
-        raise ValueError("dense fallback is limited to dim <= 2000")
-    return np.linalg.solve(a.todense(), np.asarray(b, dtype=float))

@@ -27,7 +27,6 @@ __all__ = [
     "build_tri",
     "refine_kuhn_half",
     "element_patch",
-    "dump",
 ]
 
 TRIANGLE_PATTERNS = ("boxslash", "alternating-kuhn", "unionjack", "cross")
@@ -178,14 +177,9 @@ def build_tri(n, pattern, bounds=(0.0, 1.0)):
         lattice_ids = ids
     elif pattern == "unionjack":
         # all nodes of the half lattice: corners, edge midpoints, centers
-        m = 2 * n
-        k = np.arange(m + 1)
-        J1, J2 = np.meshgrid(k, k, indexing="xy")
-        nodes = np.stack([lo + J1.ravel() * h / 2, lo + J2.ravel() * h / 2], axis=1)
-        boundary = ((J1 == 0) | (J1 == m) | (J2 == 0) | (J2 == m)).ravel()
-        half_ids = np.arange((m + 1) ** 2).reshape(m + 1, m + 1).T
-        lattice = ((J1 % 2 == 0) & (J2 % 2 == 0)).ravel()
+        nodes, boundary, half_ids = _lattice_arrays(2 * n, bounds)
         lattice_ids = half_ids[::2, ::2]
+        lattice = np.isin(np.arange(len(nodes)), lattice_ids)
         cells = []
         for b in range(n):
             for a in range(n):
@@ -248,19 +242,12 @@ def refine_kuhn_half(mesh):
     """Bisect every Kuhn triangle twice and collect the node patches."""
     if mesh.kind != "triangle" or mesh.pattern != "alternating-kuhn":
         raise ValueError("half refinement requires the alternating-kuhn pattern")
-    n = mesh.n
-    lo, hi = mesh.bounds
-    m = 2 * n
-    k = np.arange(m + 1)
-    J1, J2 = np.meshgrid(k, k, indexing="xy")
-    half = (hi - lo) / m
-    child_nodes = np.stack([lo + J1.ravel() * half, lo + J2.ravel() * half], axis=1)
-    child_boundary = ((J1 == 0) | (J1 == m) | (J2 == 0) | (J2 == m)).ravel()
-    half_ids = np.arange((m + 1) ** 2).reshape(m + 1, m + 1).T
-    child_lattice = ((J1 % 2 == 0) & (J2 % 2 == 0)).ravel()
+    m = 2 * mesh.n
+    child_nodes, child_boundary, half_ids = _lattice_arrays(m, mesh.bounds)
+    child_lattice = np.isin(np.arange(len(child_nodes)), half_ids[::2, ::2])
 
     # integer (k1, k2) of every parent node
-    pk = np.round((mesh.nodes - lo) / mesh.h).astype(np.int64)
+    pk = np.round((mesh.nodes - mesh.bounds[0]) / mesh.h).astype(np.int64)
 
     child_cells = []
     for tri in mesh.cells:
@@ -305,13 +292,3 @@ def element_patch(mesh, cell):
     node_cells = mesh.node_cells()
     ids = np.unique(np.concatenate([node_cells[v] for v in mesh.cells[cell]]))
     return ids
-
-
-def dump(mesh):
-    """Plain-text mesh dump: node lines 'n x y b', cell lines 'c i j k [l]'."""
-    lines = []
-    for (x, y), b in zip(mesh.nodes, mesh.boundary):
-        lines.append(f"n {x:.17g} {y:.17g} {int(b)}")
-    for cell in mesh.cells:
-        lines.append("c " + " ".join(str(int(v)) for v in cell))
-    return "\n".join(lines) + "\n"

@@ -7,10 +7,7 @@ The growth of the flux in each coordinate direction is described by a
 
 which for delta = 0 reduces to t^p / p.  From phi we derive, per
 coordinate, the flux A(t) = B(t) t, the weight B used by the
-semi-implicit solver, the natural-distance map V, and the auxiliary
-root map psi' with psi'(t)^2 = t phi'(t).  Shifted N-functions
-phi_a'(t) = t/(a+t) phi'(a+t) are provided for the convexity/Young
-property checks.
+semi-implicit solver, and the natural-distance map V.
 
 All evaluation maps accept floats or numpy arrays and are pure; every
 object here is immutable after construction.
@@ -22,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "PowerNFunction",
-    "ShiftedNFunction",
     "GrowthLaw",
     "conjugate_exponent",
 ]
@@ -64,80 +60,6 @@ class PowerNFunction:
         else:
             out = t * (self.delta ** 2 + t ** 2) ** ((self.p - 2) / 2)
         return out if out.ndim else float(out)
-
-    def deriv2(self, t):
-        """phi''(t) = (delta^2 + t^2)^((p-4)/2) (delta^2 + (p-1) t^2)."""
-        _check_nonnegative(t)
-        t = np.asarray(t, dtype=float)
-        if self.delta == 0.0:
-            out = (self.p - 1) * t ** (self.p - 2)
-        else:
-            out = (self.delta ** 2 + t ** 2) ** ((self.p - 4) / 2) * (
-                self.delta ** 2 + (self.p - 1) * t ** 2
-            )
-        return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class ShiftedNFunction:
-    """Shift of a power N-function by a gradient magnitude a >= 0."""
-
-    base: PowerNFunction
-    a: float
-
-    def __post_init__(self):
-        if self.a < 0:
-            raise ValueError(f"shift must be >= 0, got {self.a}")
-
-    def deriv(self, t):
-        """t/(a+t) phi'(a+t), continued by 0 at t = 0."""
-        _check_nonnegative(t)
-        t = np.asarray(t, dtype=float)
-        denom = self.a + t
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(denom > 0, t / np.where(denom > 0, denom, 1.0), 0.0)
-        out = out * self.base.deriv(denom)
-        return out if out.ndim else float(out)
-
-    def value(self, t):
-        """Integral of the shifted derivative from 0 to t.
-
-        Uses the closed-form antiderivative of s (a+s)^(p-2) when
-        delta = 0 and adaptive 32-node Gauss-Legendre otherwise.
-        """
-        _check_nonnegative(t)
-        t = np.asarray(t, dtype=float)
-        if self.base.delta == 0.0:
-            out = self._value_closed(t)
-        else:
-            out = np.vectorize(self._value_quad)(t)
-        out = np.asarray(out)
-        return out if out.ndim else float(out)
-
-    def _value_closed(self, t):
-        p, a = self.base.p, self.a
-        s = a + t
-        if a == 0.0:
-            return t ** p / p
-        return (s ** p - a ** p) / p - a * (s ** (p - 1) - a ** (p - 1)) / (p - 1)
-
-    def _value_quad(self, t, rel_tol=1e-10):
-        if t == 0.0:
-            return 0.0
-        nodes, weights = np.polynomial.legendre.leggauss(32)
-
-        def panel(lo, hi):
-            mid, half = (hi + lo) / 2, (hi - lo) / 2
-            return half * float(np.sum(weights * self.deriv(mid + half * nodes)))
-
-        def refine(lo, hi, whole, depth):
-            mid = (lo + hi) / 2
-            left, right = panel(lo, mid), panel(mid, hi)
-            if abs(left + right - whole) <= rel_tol * (abs(left) + abs(right)) or depth > 40:
-                return left + right
-            return refine(lo, mid, left, depth + 1) + refine(mid, hi, right, depth + 1)
-
-        return refine(0.0, float(t), panel(0.0, float(t)), 0)
 
 
 def conjugate_exponent(p):
@@ -214,13 +136,6 @@ class GrowthLaw:
         p = self.exponents[i]
         t = np.asarray(t, dtype=float)
         out = np.sign(t) * np.abs(t) ** (p / 2)
-        return out if out.ndim else float(out)
-
-    def psi_deriv(self, i, t):
-        """psi_i'(t) = sqrt(t phi_i'(t)) for t >= 0."""
-        _check_nonnegative(t)
-        t = np.asarray(t, dtype=float)
-        out = np.sqrt(t * self.phis[i].deriv(t))
         return out if out.ndim else float(out)
 
     def conjugates(self):

@@ -49,8 +49,10 @@ __all__ = [
 ]
 
 ASSEMBLY_DEGREE = 2    # Q1 weighted entries are quadratic per direction
-RESIDUAL_DEGREE = 4
+RESIDUAL_DEGREE = 4    # Q1 residual, load vector and energy
 FORCING = 0.1          # CG tolerance of a step, relative to |r_I(u^k)|
+MAX_TAU_HALVINGS = 20
+RESIDUAL_GROWTH_FACTOR = 10.0   # residual growth over the best that halves tau
 
 
 @dataclass
@@ -71,8 +73,6 @@ class FlowConfig:
     clamp: float = 1e-10
     cg: CgConfig = field(default_factory=CgConfig)
     residual_target: float | None = None
-    max_tau_halvings: int = 20
-    residual_growth_factor: float = 10.0
 
     def __post_init__(self):
         if self.tau <= 0 or self.tol <= 0 or self.clamp <= 0:
@@ -189,25 +189,25 @@ def assemble_weighted_stiffness(space, u_k, law, clamp=1e-10, interior_only=Fals
     return asm.assemble(vals, interior_only)
 
 
-def assemble_load(space, f, degree=4):
+def assemble_load(space, f):
     """Load vector for a source field; zero vector when f is None."""
     if f is None:
         return np.zeros(space.ndofs)
-    pts, wts = space.rule_geometry(degree)
-    shapes, _ = space.ref_shapes(degree)
+    pts, wts = space.rule_geometry(RESIDUAL_DEGREE)
+    shapes, _ = space.ref_shapes(RESIDUAL_DEGREE)
     fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
     contrib = np.einsum("cq,qa->ca", wts * fv, shapes)
     return np.bincount(space.mesh.cells.ravel(), weights=contrib.ravel(),
                        minlength=space.ndofs)
 
 
-def energy(space, w, law, degree=4):
+def energy(space, w, law):
     """J(w) = sum_i int of phi_i(|d_i w|) - phi_i(0).
 
     Subtracting phi_i(0) removes the constant delta-contribution, so
     the value is zero for w = 0 also in the regularized case.  Exact
-    for P1 (cellwise constant gradients); Gauss of the given degree
-    for Q1.
+    for P1 (cellwise constant gradients); Gauss of degree
+    RESIDUAL_DEGREE for Q1.
     """
     u = w if isinstance(w, FeFunction) else FeFunction(space, w)
     phi1, phi2 = law.phi(0), law.phi(1)
@@ -216,18 +216,18 @@ def energy(space, w, law, degree=4):
         g = u.cell_gradients()
         dens = phi1.value(np.abs(g[:, 0])) + phi2.value(np.abs(g[:, 1])) - zero
         return float(np.sum(space.areas * dens))
-    g = u.gradients_on_rule(degree)
-    _, wts = space.rule_geometry(degree)
+    g = u.gradients_on_rule(RESIDUAL_DEGREE)
+    _, wts = space.rule_geometry(RESIDUAL_DEGREE)
     dens = phi1.value(np.abs(g[:, :, 0])) + phi2.value(np.abs(g[:, :, 1])) - zero
     return float(np.sum(wts * dens))
 
 
-def galerkin_residual(space, u, law, f=None, degree=RESIDUAL_DEGREE):
+def galerkin_residual(space, u, law, f=None):
     """Residual vector of the discrete nonlinear system at u.
 
     Entry a is  int of sum_i A_i(d_i u) d_i phi_a  -  int of f phi_a,
-    computed exactly for P1 and with Gauss quadrature of the given
-    degree for Q1.  The caller restricts to interior nodes.
+    computed exactly for P1 and with Gauss quadrature of degree
+    RESIDUAL_DEGREE for Q1.  The caller restricts to interior nodes.
     """
     uf = u if isinstance(u, FeFunction) else FeFunction(space, u)
     mesh = space.mesh
@@ -238,14 +238,14 @@ def galerkin_residual(space, u, law, f=None, degree=RESIDUAL_DEGREE):
         a2 = law.flux(1, gu[:, 1]) * space.areas
         contrib = a1[:, None] * g[:, :, 0] + a2[:, None] * g[:, :, 1]
     else:
-        _, wts = space.rule_geometry(degree)
-        _, ref_grads = space.ref_shapes(degree)
-        gq = uf.gradients_on_rule(degree)
+        _, wts = space.rule_geometry(RESIDUAL_DEGREE)
+        _, ref_grads = space.ref_shapes(RESIDUAL_DEGREE)
+        gq = uf.gradients_on_rule(RESIDUAL_DEGREE)
         h = mesh.h
         contrib = ((wts * law.flux(0, gq[:, :, 0])) @ ref_grads[:, :, 0]
                    + (wts * law.flux(1, gq[:, :, 1])) @ ref_grads[:, :, 1]) / h
     res = np.bincount(mesh.cells.ravel(), weights=contrib.ravel(), minlength=space.ndofs)
-    return res - assemble_load(space, f, degree=degree)
+    return res - assemble_load(space, f)
 
 
 def flow_step(k_ii, kb_ii, residual, u_k, tau, interior, cg_cfg=None):
@@ -328,8 +328,8 @@ def solve(spec, cfg=None, start=None):
                                     or residual_norm < cfg.residual_target):
             converged = True
             break
-        if (residual_norm > cfg.residual_growth_factor * best_residual
-                and halvings < cfg.max_tau_halvings):
+        if (residual_norm > RESIDUAL_GROWTH_FACTOR * best_residual
+                and halvings < MAX_TAU_HALVINGS):
             tau /= 2.0
             halvings += 1
             tau_schedule.append((k + 1, tau))

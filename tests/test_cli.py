@@ -1,6 +1,8 @@
+from dataclasses import fields
+
 import pytest
 
-from orthofem import solver
+from orthofem import cli, solver
 from orthofem.analysis import ConvergenceTable, ManufacturedSolution, error_norms
 from orthofem.cli import (StudyConfig, UsageError, diff_paper, emit_table,
                           load_paper_table, load_table, main, parse_config,
@@ -9,6 +11,91 @@ from orthofem.fespace import FeSpace
 from orthofem.linalg import CgConfig, IterativeSolveError
 from orthofem.mesh import build_quad, build_tri
 from orthofem.nfunc import GrowthLaw
+
+BASE_FLAGS = {"mesh": ["--mesh", "quad"], "p1": ["--p1", "2"], "p2": ["--p2", "2"],
+              "n0": ["--N0", "4"], "levels": ["--levels", "1"]}
+
+# per field: flag, config-file key, a value as text and as parsed, a second
+# valid value, and a malformed value
+FIELD_CASES = [
+    ("mesh", "--mesh", "mesh", "cross", "cross", "boxslash", "hexagon"),
+    ("p1", "--p1", "p1", "3", 3.0, "2.5", "two"),
+    ("p2", "--p2", "p2", "1.5", 1.5, "3", "1,5"),
+    ("n0", "--N0", "n0", "8", 8, "2", "4.5"),
+    ("levels", "--levels", "levels", "3", 3, "2", "three"),
+    ("n_list", "--N", "n", "4, 8", (4, 8), "6,12", "4,x"),
+    ("delta", "--delta", "delta", "0.1", 0.1, "0.2", "small"),
+    ("tau", "--tau", "tau", "0.5", 0.5, "0.25", "fast"),
+    ("tol", "--tol", "tol", "1e-9", 1e-9, "1e-8", "tight"),
+    ("max_iter", "--max-iter", "max_iter", "7", 7, "9", "1e3"),
+    ("clamp", "--clamp", "clamp", "1e-8", 1e-8, "1e-6", "none"),
+    ("quad_degree", "--quad-degree", "quad_degree", "3", 3, "4", "3.0"),
+    ("domain", "--domain", "domain", "unit", "unit", "symmetric", "disk"),
+    ("residual_target", "--residual-target", "residual_target", "1e-6", 1e-6,
+     "1e-5", "low"),
+    ("cg_tol", "--cg-tol", "cg_tol", "1e-5", 1e-5, "1e-4", "loose"),
+    ("out", "--out", "out", "a.csv", "a.csv", "b.csv", "missing/a.csv"),
+    ("format", "--format", "format", "markdown", "markdown", "csv", "html"),
+    ("diff_paper", "--diff-paper", "diff_paper", "table3", "table3", "table1",
+     "table9"),
+]
+
+
+def config_file(tmp_path, text):
+    path = tmp_path / "study.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def base_flags(without):
+    return [arg for name, pair in BASE_FLAGS.items() if name != without
+            for arg in pair]
+
+
+def main_without_solving(monkeypatch, argv):
+    """Exit status of main; a solved level fails the test."""
+    def no_study(cfg):
+        raise AssertionError("a level was solved")
+
+    monkeypatch.setattr(cli, "run_study", no_study)
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("name, flag, key, text, value, other, malformed",
+                         FIELD_CASES, ids=[case[0] for case in FIELD_CASES])
+class TestEveryField:
+    def test_flag_and_file_key_agree(self, tmp_path, monkeypatch, name, flag, key,
+                                     text, value, other, malformed):
+        monkeypatch.chdir(tmp_path)
+        by_flag = parse_config(base_flags(name) + [flag, text])
+        by_file = parse_config(base_flags(name) + [
+            "--config", config_file(tmp_path, f"{key} = {text}\n")])
+        assert getattr(by_flag, name) == value
+        assert by_file == by_flag
+
+    def test_flag_wins_over_file(self, tmp_path, monkeypatch, name, flag, key,
+                                 text, value, other, malformed):
+        monkeypatch.chdir(tmp_path)
+        cfg = parse_config(base_flags(name) + [
+            "--config", config_file(tmp_path, f"{key} = {other}\n"), flag, text])
+        assert getattr(cfg, name) == value
+
+    def test_malformed_value_exits_2(self, tmp_path, monkeypatch, capsys, name,
+                                     flag, key, text, value, other, malformed):
+        monkeypatch.chdir(tmp_path)
+        assert main_without_solving(
+            monkeypatch, base_flags(name) + [flag, malformed]) == 2
+        path = config_file(tmp_path, f"{key} = {malformed}\n")
+        assert main_without_solving(
+            monkeypatch, base_flags(name) + ["--config", path]) == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_field_cases_cover_every_field():
+    assert [case[0] for case in FIELD_CASES] == [f.name for f in fields(StudyConfig)]
 
 
 class TestParseConfig:
@@ -68,6 +155,26 @@ class TestParseConfig:
         with pytest.raises(UsageError):
             parse_config(["--config", str(path), "--p1", "2", "--p2", "2",
                           "--N0", "4", "--levels", "1"])
+
+    def test_file_key_spellings(self, tmp_path):
+        # keys are case-insensitive, '-' reads as '_', and pattern is
+        # another spelling of mesh; flags still win over either
+        path = config_file(tmp_path, "pattern = cross\nMesh = cross\nN = 4,8\n"
+                                     "P1 = 3\np2 = 1.5\nmax-iter = 7\n")
+        cfg = parse_config(["--config", path])
+        assert (cfg.mesh, cfg.n_list, cfg.p1, cfg.max_iter) == ("cross", (4, 8), 3.0, 7)
+        assert parse_config(["--config", path, "--mesh", "quad"]).mesh == "quad"
+        pattern_only = config_file(tmp_path, "pattern = unionjack\np1 = 3\n"
+                                             "p2 = 1.5\nn = 4\n")
+        assert parse_config(["--config", pattern_only]).mesh == "unionjack"
+
+    def test_field_names_are_not_extra_spellings(self, tmp_path):
+        with pytest.raises(UsageError):
+            parse_config(["--config", config_file(tmp_path, "n_list = 4,8\n"),
+                          "--mesh", "quad", "--p1", "2", "--p2", "2"])
+        for flag in (["--n-list", "4,8"], ["--n0", "4", "--levels", "1"]):
+            with pytest.raises(SystemExit):
+                parse_config(["--mesh", "quad", "--p1", "2", "--p2", "2"] + flag)
 
     def test_validation_errors(self):
         with pytest.raises(UsageError):
@@ -240,6 +347,25 @@ class TestMain:
         captured = capsys.readouterr()
         assert "strictly increasing" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("case", ["missing config", "config not utf-8",
+                                      "no output directory"])
+    def test_input_output_errors_are_usage_errors(self, tmp_path, monkeypatch,
+                                                  capsys, case):
+        argv = ["--mesh", "quad", "--p1", "2", "--p2", "2", "--N0", "4",
+                "--levels", "1"]
+        if case == "missing config":
+            argv += ["--config", str(tmp_path / "absent.cfg")]
+        elif case == "config not utf-8":
+            path = tmp_path / "latin1.cfg"
+            path.write_bytes("# études\ntau = 0.5\n".encode("latin-1"))
+            argv += ["--config", str(path)]
+        else:
+            argv += ["--out", str(tmp_path / "absent" / "study.csv")]
+        assert main_without_solving(monkeypatch, argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_failure_exit_code(self, capsys):
         code = main(["--mesh", "quad", "--p1", "3", "--p2", "1.5",

@@ -3,13 +3,43 @@ import math
 import numpy as np
 import pytest
 
-from orthofem.fespace import (FeFunction, FeSpace, abs_partial_integral,
-                              basis_eval, basis_grad, clip_convex, integrate,
+from orthofem.fespace import (FeFunction, FeSpace, _p1_shapes, _q1_shapes,
+                              abs_partial_integral, clip_convex,
                               interpolate_nodal, polygon_area_centroid,
                               quadrature_rule)
 from orthofem.mesh import build_quad, build_tri
 from orthofem.nfunc import GrowthLaw
 from orthofem.solver import assemble_stiffness
+
+from oracles import integrate
+
+
+def _check_ref_point(kind, xref, tol=1e-12):
+    x, y = xref
+    if kind == "Q1":
+        ok = -tol <= x <= 1 + tol and -tol <= y <= 1 + tol
+    else:
+        ok = x >= -tol and y >= -tol and x + y <= 1 + tol
+    if not ok:
+        raise ValueError(f"reference point {xref} outside the reference element")
+
+
+def basis_eval(space, cell, local, xref):
+    """Value of a local basis function at a reference point."""
+    _check_ref_point(space.kind, xref)
+    pts = np.asarray([xref], dtype=float)
+    vals = _q1_shapes(pts)[0] if space.kind == "Q1" else _p1_shapes(pts)[0]
+    return float(vals[0, local])
+
+
+def basis_grad(space, cell, local, xref):
+    """Physical gradient of a local basis function at a reference point."""
+    _check_ref_point(space.kind, xref)
+    pts = np.asarray([xref], dtype=float)
+    if space.kind == "Q1":
+        g = _q1_shapes(pts)[1][0, local] / space.mesh.h
+        return np.asarray(g)
+    return space.cell_basis_grads[cell, local].copy()
 
 
 def reference_monomial_integral(kind, a, b):

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
-from orthofem.fespace import FeSpace
+from orthofem.fespace import FeFunction, FeSpace
 from orthofem.linalg import (CgConfig, CsrMatrix, CsrPattern,
-                             IterativeSolveError, cg_solve, dense_solve,
-                             from_triplets)
+                             IterativeSolveError, cg_solve)
 from orthofem.mesh import build_quad, build_tri
-from orthofem.solver import assemble_stiffness
 from orthofem.nfunc import GrowthLaw
-from orthofem.solver import assemble_weighted_stiffness
-from orthofem.fespace import FeFunction
+from orthofem.solver import assemble_stiffness, assemble_weighted_stiffness
+
+
+def dense_solve(a, b):
+    """Direct dense solve, as an oracle for moderate problem sizes."""
+    if a.dim > 2000:
+        raise ValueError("dense fallback is limited to dim <= 2000")
+    return np.linalg.solve(a.todense(), np.asarray(b, dtype=float))
 
 
 def laplacian_1d(n):
@@ -20,18 +24,17 @@ def laplacian_1d(n):
             rows += [i, i + 1]
             cols += [i + 1, i]
             vals += [-1.0, -1.0]
-    return from_triplets(n, np.array(rows), np.array(cols), np.array(vals))
+    return CsrPattern(n, rows, cols).assemble(vals)
 
 
 class TestFromTriplets:
     def test_duplicates_summed(self):
-        a = from_triplets(2, np.array([0, 0]), np.array([0, 0]), np.array([1.0, 1.0]))
+        a = CsrPattern(2, [0, 0], [0, 0]).assemble([1.0, 1.0])
         assert a.todense()[0, 0] == 2.0
         assert a.nnz == 1
 
     def test_empty_matrix(self):
-        a = from_triplets(3, np.array([], dtype=int), np.array([], dtype=int),
-                          np.array([]))
+        a = CsrPattern(3, [], []).assemble([])
         assert np.all(a.matvec(np.ones(3)) == 0)
 
     def test_random_triplets_match_dense_accumulation(self):
@@ -42,14 +45,14 @@ class TestFromTriplets:
         vals = rng.standard_normal(nnz)
         dense = np.zeros((n, n))
         np.add.at(dense, (rows, cols), vals)
-        a = from_triplets(n, rows, cols, vals)
+        a = CsrPattern(n, rows, cols).assemble(vals)
         assert np.allclose(a.todense(), dense, atol=0)
         x = rng.standard_normal(n)
         assert np.allclose(a.matvec(x), dense @ x, atol=1e-13)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(IndexError):
-            from_triplets(2, np.array([2]), np.array([0]), np.array([1.0]))
+            CsrPattern(2, [2], [0])
 
     def test_pattern_reuse(self):
         rows = np.array([0, 1, 1, 0])
@@ -66,7 +69,7 @@ class TestFromTriplets:
         m = rng.standard_normal((n, n))
         m = m + m.T + 10 * np.eye(n)
         rows, cols = np.nonzero(np.abs(m) > 0.7)
-        a = from_triplets(n, rows, cols, m[rows, cols])
+        a = CsrPattern(n, rows, cols).assemble(m[rows, cols])
         keep = rng.random(n) > 0.4
         sub = a.submatrix(keep)
         assert np.allclose(sub.todense(), a.todense()[np.ix_(keep, keep)], atol=0)
@@ -75,7 +78,7 @@ class TestFromTriplets:
 class TestCg:
     def test_identity(self):
         n = 9
-        eye = from_triplets(n, np.arange(n), np.arange(n), np.ones(n))
+        eye = CsrPattern(n, np.arange(n), np.arange(n)).assemble(np.ones(n))
         b = np.linspace(-1, 2, n)
         x, iterations = cg_solve(eye, b)
         assert np.allclose(x, b, atol=1e-13)
@@ -129,7 +132,7 @@ class TestCg:
         assert np.isfinite(err.value.residual) and err.value.residual > 0
 
     def test_symmetry_check(self):
-        a = from_triplets(3, np.array([0, 1]), np.array([1, 2]), np.array([1.0, 3.0]))
+        a = CsrPattern(3, [0, 1], [1, 2]).assemble([1.0, 3.0])
         with pytest.raises(ValueError):
             cg_solve(a, np.ones(3))
 
@@ -181,6 +184,6 @@ class TestSymmetryOfAssemblies:
 
 
 def test_dense_solve_size_guard():
-    a = from_triplets(2001, np.arange(2001), np.arange(2001), np.ones(2001))
+    a = CsrPattern(2001, np.arange(2001), np.arange(2001)).assemble(np.ones(2001))
     with pytest.raises(ValueError):
         dense_solve(a, np.ones(2001))

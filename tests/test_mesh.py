@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orthofem.mesh import (HalfRefinement, build_quad, build_tri, dump,
+from orthofem.mesh import (HalfRefinement, build_quad, build_tri,
                            element_patch, refine_kuhn_half)
 
 QUAD2_DUMP = (
@@ -9,6 +9,16 @@ QUAD2_DUMP = (
     "n 0 1 1\nn 0.5 1 1\nn 1 1 1\n"
     "c 0 1 4 3\nc 1 2 5 4\nc 3 4 7 6\nc 4 5 8 7\n"
 )
+
+
+def dump(mesh):
+    """Plain-text mesh dump: node lines 'n x y b', cell lines 'c i j k [l]'."""
+    lines = []
+    for (x, y), b in zip(mesh.nodes, mesh.boundary):
+        lines.append(f"n {x:.17g} {y:.17g} {int(b)}")
+    for cell in mesh.cells:
+        lines.append("c " + " ".join(str(int(v)) for v in cell))
+    return "\n".join(lines) + "\n"
 
 
 def brute_force_patch(mesh, cell):
@@ -120,6 +130,27 @@ def test_scaled_bounds():
     assert mesh.h == pytest.approx(0.5)
     assert abs(float(np.sum(mesh.cell_areas())) - 4.0) < 1e-12
     assert np.allclose(mesh.nodes.min(axis=0), [-1, -1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 10])
+@pytest.mark.parametrize("bounds", [(0.0, 1.0), (-1.0, 1.0), (-0.3, 2.2)])
+def test_half_lattice_of_unionjack_and_half_refinement(n, bounds):
+    # oracle: the half lattice written out; 2n + 1 nodes per side, numbered
+    # by (j2, j1), with the N-lattice at even index pairs
+    lo, hi = bounds
+    m = 2 * n
+    j1, j2 = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="xy")
+    nodes = np.stack([lo + j1.ravel() * ((hi - lo) / m),
+                      lo + j2.ravel() * ((hi - lo) / m)], axis=1)
+    boundary = ((j1 == 0) | (j1 == m) | (j2 == 0) | (j2 == m)).ravel()
+    lattice = ((j1 % 2 == 0) & (j2 % 2 == 0)).ravel()
+    ids = np.arange((m + 1) ** 2).reshape(m + 1, m + 1).T
+    for mesh in (build_tri(n, "unionjack", bounds),
+                 refine_kuhn_half(build_tri(n, "alternating-kuhn", bounds)).child):
+        assert np.array_equal(mesh.nodes, nodes)
+        assert np.array_equal(mesh.boundary, boundary)
+        assert np.array_equal(mesh.lattice, lattice)
+        assert np.array_equal(mesh.lattice_ids, ids[::2, ::2])
 
 
 class TestHalfRefinement:
