@@ -195,8 +195,13 @@ def parse_config(argv):
     if missing:
         raise UsageError(f"{', '.join(missing)} required")
     cfg = StudyConfig(**values)
-    if cfg.out is not None and not os.path.isdir(os.path.dirname(cfg.out) or "."):
-        raise UsageError(f"no directory for the output file {cfg.out}")
+    if cfg.out is not None:
+        folder = os.path.dirname(cfg.out) or "."
+        if not os.path.isdir(folder):
+            raise UsageError(f"no directory for the output file {cfg.out}")
+        exists = os.path.lexists(cfg.out)
+        if os.path.isdir(cfg.out) or not os.access(cfg.out if exists else folder, os.W_OK):
+            raise UsageError(f"cannot write the output file {cfg.out}")
     return cfg
 
 

@@ -1,9 +1,15 @@
-"""Minimal sparse linear algebra: CSR matrices and preconditioned CG.
+"""Minimal sparse linear algebra: padded-row sparse matrices and
+preconditioned CG.
 
-Assembly from COO triplets uses a lexicographic sort with duplicate
-summing; the sort/segment data can be kept as a ``CsrPattern`` so that
-repeated assemblies on a fixed mesh (one per gradient-flow step) only
-pay for a gather and a segmented reduction.
+A ``CsrPattern`` is built once from COO triplet indices.  A lexicographic
+sort finds the distinct entries, which are laid out row by row in the
+padded-row (ELLPACK) format of Bell and Garland (SC '09): column j of a
+``(width, dim)`` array holds row j's entries in column order, every row
+has a slot for its diagonal, and unused slots point at the row itself and
+hold zero.  Every matrix assembled on a pattern shares its layout, so an
+assembly (one per gradient-flow step) is one ``bincount`` of the triplet
+values into their slots, and a matvec is one ``take`` and one ``einsum``.
+``cg_solve`` reduces through ``einsum`` too, never through BLAS.
 """
 
 from dataclasses import dataclass
@@ -29,7 +35,14 @@ class IterativeSolveError(RuntimeError):
 
 
 class CsrPattern:
-    """Reusable sparsity pattern built from triplet indices."""
+    """Reusable sparsity pattern built from triplet indices.
+
+    ``cols`` is the padded ``(width, dim)`` column array.  ``target``,
+    ``slots``, ``diag`` and ``transpose`` are flat positions in it: of each
+    input triplet, of each distinct entry in row-major order, of each row's
+    diagonal and of each slot's transpose entry.  Position ``width * dim``,
+    one past the end, takes dropped triplets and missing transpose entries.
+    """
 
     def __init__(self, dim, rows, cols):
         rows = np.asarray(rows, dtype=np.int64).ravel()
@@ -40,83 +53,79 @@ class CsrPattern:
                           or cols.min() < 0 or cols.max() >= dim):
             raise IndexError("triplet index out of range")
         self.dim = dim
-        self.order = np.lexsort((cols, rows))
-        r, c = rows[self.order], cols[self.order]
-        if len(r):
-            first = np.empty(len(r), dtype=bool)
-            first[0] = True
-            first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-            self.segments = np.flatnonzero(first)
-            self.rows = r[self.segments]
-            self.cols = c[self.segments]
-        else:
-            self.segments = np.empty(0, dtype=np.int64)
-            self.rows = np.empty(0, dtype=np.int64)
-            self.cols = np.empty(0, dtype=np.int64)
-        counts = np.bincount(self.rows, minlength=dim)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)])
+        order = np.lexsort((cols, rows))
+        r, c = rows[order], cols[order]
+        first = np.ones(len(r), dtype=bool)
+        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        r, c = r[first], c[first]
+        counts = np.bincount(r, minlength=dim)
+        slot = np.arange(len(r)) - (np.cumsum(counts) - counts)[r]
+        self.slots = slot * dim + r
+        runs = np.diff(np.flatnonzero(np.append(first, True)))  # triplets per entry
+        self.target = np.empty_like(order)
+        self.target[order] = np.repeat(self.slots, runs)
+        del order  # before the transpose map's temporaries
+        diag = counts.copy()  # a row without a diagonal entry gets a zero slot
+        diag[r[r == c]] = slot[r == c]
+        width = int(np.maximum(counts, diag + 1).max(initial=0))
+        ids = np.arange(dim)
+        self.diag = diag * dim + ids
+        self.cols = np.tile(ids, (width, 1))
+        np.put(self.cols, self.slots, c)
+        keys, tkeys = r * dim + c, c * dim + r
+        pos = np.searchsorted(keys, tkeys)
+        pos[keys.take(pos, mode="clip") != tkeys] = len(keys)  # not stored
+        self.transpose = np.arange(width * dim).reshape(width, dim)
+        np.put(self.transpose, self.slots, np.append(self.slots, width * dim)[pos])
 
     def assemble(self, vals):
         """Sum triplet values (in original order) into a CsrMatrix."""
         vals = np.asarray(vals, dtype=float).ravel()
-        if len(self.order) == 0:
-            data = np.zeros(0)
-        else:
-            data = np.add.reduceat(vals[self.order], self.segments)
-        return CsrMatrix(self.dim, self.indptr, self.cols, data, rows=self.rows)
+        sums = np.bincount(self.target, weights=vals, minlength=self.cols.size + 1)
+        return CsrMatrix(self, sums[:-1].reshape(self.cols.shape))
 
 
 class CsrMatrix:
-    """Square sparse matrix in CSR form with sorted column indices."""
+    """Square sparse matrix on a CsrPattern: ``values[k, j]`` (read-only)
+    is the entry of row j in column ``pattern.cols[k, j]``."""
 
-    def __init__(self, dim, indptr, indices, values, rows=None):
-        self.dim = dim
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.values = np.asarray(values, dtype=float)
-        if rows is None:
-            rows = np.repeat(np.arange(dim), np.diff(self.indptr))
-        self._rows = rows
+    def __init__(self, pattern, values):
+        values = np.asarray(values, dtype=float).view()
+        if values.shape != pattern.cols.shape:
+            raise ValueError("values do not match the sparsity pattern")
+        values.flags.writeable = False
+        self.pattern, self.values, self.dim = pattern, values, pattern.dim
 
     @property
     def nnz(self):
-        return len(self.values)
+        return len(self.pattern.slots)
 
     def matvec(self, x):
         x = np.asarray(x, dtype=float)
-        return np.bincount(self._rows, weights=self.values * x[self.indices],
-                           minlength=self.dim)
+        return np.einsum("ij,ij->j", self.values, x.take(self.pattern.cols))
 
     def diagonal(self):
-        mask = self._rows == self.indices
-        return np.bincount(self._rows[mask], weights=self.values[mask],
-                           minlength=self.dim)
+        return self.values.take(self.pattern.diag)
+
+    def entries(self):
+        """Rows, columns and values of the stored entries, row by row."""
+        slots = self.pattern.slots
+        return slots % self.dim, self.pattern.cols.take(slots), self.values.take(slots)
 
     def todense(self):
         out = np.zeros((self.dim, self.dim))
-        out[self._rows, self.indices] = self.values
+        rows, cols, vals = self.entries()
+        out[rows, cols] = vals
         return out
-
-    def with_values(self, values):
-        """Matrix on the same sparsity pattern with other values."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.values.shape:
-            raise ValueError("values do not match the sparsity pattern")
-        return CsrMatrix(self.dim, self.indptr, self.indices, values, rows=self._rows)
 
     def submatrix(self, keep):
         """Principal submatrix on the True entries of a boolean mask."""
         keep = np.asarray(keep, dtype=bool)
-        renumber = -np.ones(self.dim, dtype=np.int64)
-        idx = np.flatnonzero(keep)
-        renumber[idx] = np.arange(len(idx))
-        mask = keep[self._rows] & keep[self.indices]
-        rows = renumber[self._rows[mask]]
-        cols = renumber[self.indices[mask]]
-        counts = np.bincount(rows, minlength=len(idx))
-        # entries stay sorted by (row, col) under monotone renumbering
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        return CsrMatrix(len(idx), indptr, cols, self.values[mask], rows=rows)
+        renumber = np.cumsum(keep) - 1
+        rows, cols, vals = self.entries()
+        mask = keep[rows] & keep[cols]
+        return CsrPattern(int(np.count_nonzero(keep)), renumber[rows[mask]],
+                          renumber[cols[mask]]).assemble(vals[mask])
 
 
 @dataclass
@@ -133,16 +142,17 @@ class CgConfig:
             raise ValueError("max_iter must be >= 1")
 
 
+def _dot(u, v):
+    """Inner product through einsum, which never wakes the BLAS threads."""
+    return float(np.einsum("i,i->", u, v))
+
+
 def _check_symmetric(a, rtol=1e-10):
-    rng = np.random.default_rng(12345)
-    u = rng.standard_normal(a.dim)
-    v = rng.standard_normal(a.dim)
-    left = u @ a.matvec(v)
-    right = v @ a.matvec(u)
-    vmax = np.abs(a.values).max() if len(a.values) else 0.0
-    scale = vmax * np.linalg.norm(u) * np.linalg.norm(v) + 1e-300
-    if abs(left - right) > rtol * scale:
-        raise ValueError("matrix fails the symmetry probe; CG needs A = A^T")
+    """|a_ij - a_ji| <= rtol * max|a| entrywise; a missing entry is zero."""
+    vals = np.append(a.values, 0.0)
+    gap = np.abs(a.values - vals.take(a.pattern.transpose)).max(initial=0.0)
+    if gap > rtol * np.abs(vals).max():
+        raise ValueError("matrix is not symmetric; CG needs A = A^T")
 
 
 def cg_solve(a, b, cfg=None, x0=None, callback=None):
@@ -152,8 +162,7 @@ def cg_solve(a, b, cfg=None, x0=None, callback=None):
     iteration budget is exhausted before the relative residual drops
     below the configured tolerance.  ``callback``, if given, receives
     the current iterate after every iteration.  A call costs one matvec
-    per iteration, two for the symmetry probe, and one more only for a
-    start iterate ``x0``.
+    per iteration and one more only for a start iterate ``x0``.
     """
     cfg = cfg or CgConfig()
     _check_symmetric(a)
@@ -162,34 +171,35 @@ def cg_solve(a, b, cfg=None, x0=None, callback=None):
     diag = a.diagonal()
     if np.any(diag <= 0):
         raise ValueError("nonpositive diagonal entry; matrix is not SPD")
+    inv_diag = 1.0 / diag
     if x0 is None:
         x, r = np.zeros_like(b), b.copy()
     else:
-        x = np.asarray(x0, dtype=float).copy()
+        x = np.array(x0, dtype=float)
         r = b - a.matvec(x)
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
+    bb = _dot(b, b)
+    if bb == 0.0:
         return np.zeros_like(b), 0
-    z = r / diag
+    z = r * inv_diag
     p = z.copy()
-    rz = r @ z
+    rz, rr = _dot(r, z), _dot(r, r)
     iterations = 0
-    while np.linalg.norm(r) > cfg.tol * norm_b:
+    while rr > cfg.tol ** 2 * bb:
         if iterations >= max_iter:
+            residual = np.sqrt(rr / bb)
             raise IterativeSolveError(
                 f"cg did not converge in {max_iter} iterations "
-                f"(relative residual {np.linalg.norm(r) / norm_b:.3e})",
-                residual=np.linalg.norm(r) / norm_b,
-                iterations=iterations,
-            )
+                f"(relative residual {residual:.3e})",
+                residual=residual, iterations=iterations)
         ap = a.matvec(p)
-        alpha = rz / (p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        z = r / diag
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        alpha = rz / _dot(p, ap)
+        x += np.multiply(alpha, p, out=z)  # z is scratch until recomputed
+        r -= np.multiply(alpha, ap, out=ap)
+        np.multiply(r, inv_diag, out=z)
+        rz_new = _dot(r, z)
+        p *= rz_new / rz
+        p += z
+        rz, rr = rz_new, _dot(r, r)
         iterations += 1
         if callback is not None:
             callback(x.copy())

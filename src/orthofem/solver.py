@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fespace import FeFunction
-from .linalg import CgConfig, CsrPattern, cg_solve
+from .linalg import CgConfig, CsrMatrix, CsrPattern, cg_solve
 
 __all__ = [
     "ProblemSpec",
@@ -103,12 +103,16 @@ class _Assembler:
         self.space = space
         rows, cols = self._triplets()
         interior = space.interior
-        self.interior_triplets = np.flatnonzero(interior[rows] & interior[cols])
+        kept = np.flatnonzero(interior[rows] & interior[cols])
         renumber = np.cumsum(interior) - 1
-        self.interior_pattern = CsrPattern(
-            int(np.count_nonzero(interior)),
-            renumber[rows[self.interior_triplets]],
-            renumber[cols[self.interior_triplets]])
+        size = len(rows)
+        rows, cols = renumber[rows[kept]], renumber[cols[kept]]  # frees the full arrays
+        self.interior_pattern = CsrPattern(int(np.count_nonzero(interior)), rows, cols)
+        # local values of all cells sum straight into the interior block;
+        # the others go to the discarded slot past its end
+        target = np.full(size, self.interior_pattern.cols.size)
+        target[kept] = self.interior_pattern.target
+        self.interior_pattern.target = target
         self._full_pattern = None
         if space.kind == "P1":
             g, areas = space.cell_basis_grads, space.areas[:, None]
@@ -132,9 +136,9 @@ class _Assembler:
         return np.repeat(cells, nloc, axis=1).ravel(), np.tile(cells, (1, nloc)).ravel()
 
     def assemble(self, vals, interior_only):
-        """CSR matrix of the local values: the interior block or all nodes."""
+        """Sparse matrix of the local values: the interior block or all nodes."""
         if interior_only:
-            return self.interior_pattern.assemble(vals[self.interior_triplets])
+            return self.interior_pattern.assemble(vals)
         if self._full_pattern is None:
             self._full_pattern = CsrPattern(self.space.ndofs, *self._triplets())
         return self._full_pattern.assemble(vals)
@@ -257,10 +261,9 @@ def flow_step(k_ii, kb_ii, residual, u_k, tau, interior, cg_cfg=None):
     ``kb_ii`` are interior blocks on one sparsity pattern; ``residual``
     is the Galerkin residual at u_k over all nodes.
     """
-    if not (k_ii.dim == kb_ii.dim and np.array_equal(k_ii.indptr, kb_ii.indptr)
-            and np.array_equal(k_ii.indices, kb_ii.indices)):
+    if k_ii.pattern is not kb_ii.pattern:
         raise ValueError("K_II and K_B,II must share one sparsity pattern")
-    system = k_ii.with_values(k_ii.values / tau + kb_ii.values)
+    system = CsrMatrix(k_ii.pattern, k_ii.values / tau + kb_ii.values)
     delta, iterations = cg_solve(system, -residual[interior], cg_cfg)
     u_next = u_k.copy()
     u_next[interior] += delta

@@ -1,3 +1,4 @@
+import os
 from dataclasses import fields
 
 import pytest
@@ -349,23 +350,38 @@ class TestMain:
         assert captured.out == ""
 
     @pytest.mark.parametrize("case", ["missing config", "config not utf-8",
-                                      "no output directory"])
+                                      "no output directory", "output is a directory",
+                                      "unwritable output file"])
     def test_input_output_errors_are_usage_errors(self, tmp_path, monkeypatch,
                                                   capsys, case):
         argv = ["--mesh", "quad", "--p1", "2", "--p2", "2", "--N0", "4",
                 "--levels", "1"]
+        locked = tmp_path / "locked.csv"
         if case == "missing config":
             argv += ["--config", str(tmp_path / "absent.cfg")]
         elif case == "config not utf-8":
             path = tmp_path / "latin1.cfg"
             path.write_bytes("# études\ntau = 0.5\n".encode("latin-1"))
             argv += ["--config", str(path)]
-        else:
+        elif case == "no output directory":
             argv += ["--out", str(tmp_path / "absent" / "study.csv")]
+        elif case == "output is a directory":
+            argv += ["--out", str(tmp_path)]
+        else:
+            locked.write_text("old\n")
+            locked.chmod(0o444)
+            if os.access(locked, os.W_OK):
+                # the superuser may write any file: deny this one as if it could not
+                access = os.access
+                monkeypatch.setattr(os, "access", lambda path, mode: (
+                    path != str(locked) and access(path, mode)))
+            argv += ["--out", str(locked)]
         assert main_without_solving(monkeypatch, argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        if case == "unwritable output file":
+            assert "cannot write" in captured.err and locked.read_text() == "old\n"
 
     def test_failure_exit_code(self, capsys):
         code = main(["--mesh", "quad", "--p1", "3", "--p2", "1.5",

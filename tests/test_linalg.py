@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from orthofem.fespace import FeFunction, FeSpace
 from orthofem.linalg import (CgConfig, CsrMatrix, CsrPattern,
-                             IterativeSolveError, cg_solve)
+                             IterativeSolveError, _check_symmetric, cg_solve)
 from orthofem.mesh import build_quad, build_tri
 from orthofem.nfunc import GrowthLaw
 from orthofem.solver import assemble_stiffness, assemble_weighted_stiffness
@@ -75,6 +76,93 @@ class TestFromTriplets:
         assert np.allclose(sub.todense(), a.todense()[np.ix_(keep, keep)], atol=0)
 
 
+@st.composite
+def triplets(draw, symmetric=False):
+    """(dim, rows, cols, vals): duplicates and empty rows are likely."""
+    dim = draw(st.integers(1, 8))
+    index = st.integers(0, dim - 1)
+    entries = draw(st.lists(st.tuples(index, index, st.floats(-10, 10)), max_size=30))
+    if symmetric:
+        entries += [(c, r, v) for r, c, v in entries]
+    rows = np.array([e[0] for e in entries], dtype=np.int64)
+    cols = np.array([e[1] for e in entries], dtype=np.int64)
+    return dim, rows, cols, np.array([e[2] for e in entries], dtype=float)
+
+
+def dense_oracle(dim, rows, cols, vals):
+    dense = np.zeros((dim, dim))
+    np.add.at(dense, (rows, cols), vals)
+    return dense
+
+
+def oracle_close(actual, expected, dense):
+    scale = np.abs(dense).max(initial=0.0) * max(len(dense), 1)
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-13 * (1 + scale))
+
+
+class TestPaddedLayout:
+    """The padded-row layout against a dense accumulation of the triplets."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(triplets(), st.data())
+    def test_operations_match_dense_oracle(self, case, data):
+        dense = dense_oracle(*case)
+        a = CsrPattern(*case[:3]).assemble(case[3])
+        dim = case[0]
+        assert a.nnz == len(set(zip(case[1].tolist(), case[2].tolist())))
+        x = np.array(data.draw(st.lists(st.floats(-5, 5), min_size=dim, max_size=dim)))
+        oracle_close(a.todense(), dense, dense)
+        oracle_close(a.matvec(x), dense @ x, dense * 5)
+        oracle_close(a.diagonal(), np.diag(dense), dense)
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=dim, max_size=dim)))
+        oracle_close(a.submatrix(keep).todense(), dense[np.ix_(keep, keep)], dense)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(triplets(), triplets(symmetric=True)))
+    def test_symmetry_check_is_exact(self, case):
+        dense = dense_oracle(*case)
+        a = CsrPattern(*case[:3]).assemble(case[3])
+        if np.abs(dense - dense.T).max() > 1e-10 * np.abs(dense).max():
+            with pytest.raises(ValueError):
+                _check_symmetric(a)
+        else:
+            _check_symmetric(a)
+
+    def test_values_are_read_only(self):
+        a = laplacian_1d(4)
+        with pytest.raises(ValueError):
+            a.values[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            CsrMatrix(a.pattern, np.ones(3))
+
+
+FAMILIES = [lambda n: build_quad(n)] + [
+    lambda n, pattern=pattern: build_tri(n, pattern)
+    for pattern in ("boxslash", "alternating-kuhn", "cross", "unionjack")]
+
+
+class TestAssembledSymmetry:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(FAMILIES), st.integers(2, 6), st.floats(1.1, 6), st.floats(1.1, 6),
+           st.integers(0, 2**32 - 1), st.booleans())
+    def test_exactly_symmetric_and_perturbation_rejected(self, family, n, p1, p2, seed,
+                                                        interior_only):
+        space = FeSpace(family(n))
+        u = FeFunction(space, np.random.default_rng(seed).standard_normal(space.ndofs))
+        law = GrowthLaw((p1, p2))
+        for a in (assemble_stiffness(space, interior_only=interior_only),
+                  assemble_weighted_stiffness(space, u, law, interior_only=interior_only)):
+            _check_symmetric(a)
+            rows, cols, _ = a.entries()
+            off_diagonal = np.flatnonzero(rows != cols)
+            assume(len(off_diagonal) and np.abs(a.values).max() > 0)
+            values = np.array(a.values)
+            values.flat[a.pattern.slots[off_diagonal[seed % len(off_diagonal)]]] += (
+                1e-8 * np.abs(values).max())
+            with pytest.raises(ValueError):
+                _check_symmetric(CsrMatrix(a.pattern, values))
+
+
 class TestCg:
     def test_identity(self):
         n = 9
@@ -106,8 +194,8 @@ class TestCg:
         assert warm < cold
 
     def test_matvec_count(self):
-        # one matvec per iteration plus two for the symmetry probe; only a
-        # start iterate costs one more, for its residual
+        # one matvec per iteration; only a start iterate costs one more,
+        # for its residual (the symmetry check reads the entries)
         class CountingMatrix(CsrMatrix):
             calls = 0
 
@@ -116,12 +204,12 @@ class TestCg:
                 return super().matvec(x)
 
         lap = laplacian_1d(40)
-        a = CountingMatrix(lap.dim, lap.indptr, lap.indices, lap.values)
+        a = CountingMatrix(lap.pattern, lap.values)
         _, iterations = cg_solve(a, np.ones(40))
-        assert iterations > 0 and a.calls == iterations + 2
+        assert iterations > 0 and a.calls == iterations
         a.calls = 0
         _, iterations = cg_solve(a, np.ones(40), x0=np.full(40, 0.5))
-        assert iterations > 0 and a.calls == iterations + 3
+        assert iterations > 0 and a.calls == iterations + 1
 
     def test_max_iter_breach_reports_residual(self):
         a = laplacian_1d(64)

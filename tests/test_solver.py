@@ -180,8 +180,8 @@ class TestInteriorAssembly:
         for block, full in pairs:
             sub = full.submatrix(space.interior)
             assert block.dim == len(space.interior_dofs)
-            assert np.array_equal(block.indptr, sub.indptr)
-            assert np.array_equal(block.indices, sub.indices)
+            assert np.array_equal(block.pattern.slots, sub.pattern.slots)
+            assert np.array_equal(block.pattern.cols, sub.pattern.cols)
             assert np.abs(block.values - sub.values).max() < 1e-13
 
 
