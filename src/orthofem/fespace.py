@@ -8,10 +8,13 @@ polynomials up to the requested total degree (1..7).
 Besides pointwise evaluation this module provides exact integrals of
 |partial_i u| over convex polygonal regions, used to measure the
 orthotropic stability of interpolation operators: on every cell the
-partial derivative of a P1/Q1 function is affine, so clipping plus
-area-times-centroid integration is exact.
+partial derivative of a P1/Q1 function is affine, so Sutherland-Hodgman
+clipping plus area-times-centroid integration is exact.  The clip runs on
+plain Python floats (on a few vertices numpy's per-call cost dominates),
+over the cells of the lattice squares under the region's bounding box.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +26,6 @@ __all__ = [
     "quadrature_rule",
     "interpolate_nodal",
     "abs_partial_integral",
-    "clip_convex",
-    "polygon_area_centroid",
 ]
 
 MAX_DEGREE = 7
@@ -217,33 +218,32 @@ class FeFunction:
         return np.einsum("pa,pa->p", vals, uc)
 
 
+def _cells_per_square(mesh):
+    """Cells per lattice square: every builder numbers cells square by square."""
+    per = {None: 1, "boxslash": 2, "alternating-kuhn": 2, "cross": 4,
+           "unionjack": 8}.get(mesh.pattern)
+    if per is None:
+        raise NotImplementedError(f"lattice cell search on pattern {mesh.pattern!r}")
+    return per
+
+
 def locate(mesh, points):
     """Cell ids containing the given points (boundary ties arbitrary)."""
-    lo, _ = mesh.bounds
-    n = mesh.n
-    s = (points - lo) / mesh.h
+    per, n = _cells_per_square(mesh), mesh.n
+    s = (points - mesh.bounds[0]) / mesh.h
     a = np.clip(np.floor(s[:, 0]).astype(np.int64), 0, n - 1)
     b = np.clip(np.floor(s[:, 1]).astype(np.int64), 0, n - 1)
-    f1 = s[:, 0] - a
-    f2 = s[:, 1] - b
+    f1, f2 = s[:, 0] - a, s[:, 1] - b
     square = b * n + a
-    if mesh.kind == "quad":
+    if per == 1:
         return square
-    if mesh.pattern == "boxslash":
-        return 2 * square + (f1 < f2)
-    if mesh.pattern == "alternating-kuhn":
-        ne = (a + b) % 2 == 0
-        second = np.where(ne, f1 < f2, f1 + f2 > 1)
-        return 2 * square + second
-    if mesh.pattern == "cross":
-        theta = np.degrees(np.arctan2(f2 - 0.5, f1 - 0.5))
-        sector = np.floor(((theta - 225.0) % 360.0) / 90.0).astype(np.int64)
-        return 4 * square + np.clip(sector, 0, 3)
-    if mesh.pattern == "unionjack":
-        theta = np.degrees(np.arctan2(f2 - 0.5, f1 - 0.5))
-        sector = np.floor(((theta - 225.0) % 360.0) / 45.0).astype(np.int64)
-        return 8 * square + np.clip(sector, 0, 7)
-    raise NotImplementedError(f"point location on pattern {mesh.pattern!r}")
+    if per == 2:  # one diagonal per square, northeast or alternating
+        ne = mesh.pattern == "boxslash" or (a + b) % 2 == 0
+        return 2 * square + np.where(ne, f1 < f2, f1 + f2 > 1)
+    # cross and unionjack: equal sectors around the square's center
+    theta = np.degrees(np.arctan2(f2 - 0.5, f1 - 0.5))
+    sector = np.floor(((theta - 225.0) % 360.0) / (360.0 / per)).astype(np.int64)
+    return per * square + np.clip(sector, 0, per - 1)
 
 
 def interpolate_nodal(space, f):
@@ -258,94 +258,94 @@ def interpolate_nodal(space, f):
 
 # --- exact integrals of |partial_i u| over convex polygons ----------------
 
-def polygon_area_centroid(poly):
-    """Signed area and centroid of a polygon given as an (k, 2) array."""
-    x, y = poly[:, 0], poly[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    area = 0.5 * np.sum(cross)
-    if abs(area) < 1e-300:
-        return 0.0, poly.mean(axis=0)
-    cx = np.sum((x + xn) * cross) / (6 * area)
-    cy = np.sum((y + yn) * cross) / (6 * area)
-    return area, np.array([cx, cy])
+def _halfplanes(region):
+    """Half-planes a + bx*x + by*y <= 0 bounding a convex CCW polygon, else ValueError."""
+    planes, area, turning, clockwise = [], 0.0, 0.0, False
+    for (px, py), (qx, qy), (rx, ry) in zip(region, region[1:] + region[:1],
+                                            region[2:] + region[:2]):
+        ex, ey, fx, fy = qx - px, qy - py, rx - qx, ry - qy
+        cross = ex * fy - ey * fx
+        clockwise = clockwise or cross < 0
+        turning += math.atan2(cross, ex * fx + ey * fy)
+        area += px * qy - qx * py
+        planes.append((-(ey * px - ex * py), ey, -ex))  # inside: left of the edge
+    # left turns only, winding once (2 pi) around a positive area
+    if clockwise or area <= 0 or turning > 3 * math.pi:
+        raise ValueError("region is not convex with counter-clockwise vertices")
+    return planes
 
 
 def _clip_halfplane(poly, a, bx, by):
-    """Keep the part of the polygon with a + bx*x + by*y <= 0."""
-    if len(poly) == 0:
+    """Sutherland-Hodgman step: the part of a polygon with a + bx*x + by*y <= 0."""
+    vals = [a + bx * x + by * y for x, y in poly]
+    if max(vals, default=0.0) <= 0:
         return poly
-    vals = a + bx * poly[:, 0] + by * poly[:, 1]
     out = []
-    k = len(poly)
-    for i in range(k):
-        j = (i + 1) % k
-        vi, vj = vals[i], vals[j]
-        if vi <= 0:
-            out.append(poly[i])
-        if (vi < 0 < vj) or (vj < 0 < vi):
-            t = vi / (vi - vj)
-            out.append(poly[i] + t * (poly[j] - poly[i]))
-    return np.asarray(out).reshape(-1, 2)
-
-
-def clip_convex(poly, clipper):
-    """Sutherland-Hodgman clip of a polygon against a convex CCW clipper."""
-    out = np.asarray(poly, dtype=float)
-    k = len(clipper)
-    for i in range(k):
-        p, q = clipper[i], clipper[(i + 1) % k]
-        # interior of the CCW clipper is to the left of edge p->q
-        bx, by = q[1] - p[1], -(q[0] - p[0])
-        a = -(bx * p[0] + by * p[1])
-        out = _clip_halfplane(out, a, bx, by)
-        if len(out) == 0:
-            break
+    for p, q, vp, vq in zip(poly, poly[1:] + poly[:1], vals, vals[1:] + vals[:1]):
+        if vp <= 0:
+            out.append(p)
+        if (vp < 0 < vq) or (vq < 0 < vp):
+            t = vp / (vp - vq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
     return out
 
 
-def _partial_affine(u, cell, i):
-    """Coefficients (a, bx, by) of partial_i u = a + bx*x + by*y on a cell."""
+def _moment(poly, a, bx, by):
+    """|integral of a + bx*x + by*y| over a polygon, from area and centroid."""
+    s = sx = sy = 0.0
+    for (x, y), (xn, yn) in zip(poly, poly[1:] + poly[:1]):
+        cross = x * yn - xn * y
+        s, sx, sy = s + cross, sx + (x + xn) * cross, sy + (y + yn) * cross
+    area = 0.5 * s
+    if abs(area) < 1e-300:
+        return 0.0
+    return abs(area * (a + bx * (sx / (6 * area)) + by * (sy / (6 * area))))
+
+
+def _partial_affine(u, cells, i):
+    """Per cell, the floats (a, bx, by) of partial_i u = a + bx*x + by*y."""
     space = u.space
-    mesh = space.mesh
-    uc = u.coeffs[mesh.cells[cell]]
+    ids = space.mesh.cells[cells]
+    uc = u.coeffs[ids].tolist()
     if space.kind == "P1":
-        g = space.cell_basis_grads[cell]
-        return float(uc @ g[:, i]), 0.0, 0.0
-    h = mesh.h
-    x0, y0 = mesh.nodes[mesh.cells[cell, 0]]
-    c0, c1, c2, c3 = uc
-    if i == 0:
-        base = (c1 - c0) / h
+        grads = space.cell_basis_grads[cells, :, i].tolist()
+        return [(c0 * g0 + c1 * g1 + c2 * g2, 0.0, 0.0)
+                for (c0, c1, c2), (g0, g1, g2) in zip(uc, grads)]
+    h = space.mesh.h
+    out = []
+    for (c0, c1, c2, c3), corner in zip(uc, space.mesh.nodes[ids[:, 0]].tolist()):
+        if i == 1:
+            c1, c3 = c3, c1  # the same bilinear form with the axes swapped
         slope = ((c2 - c3) - (c1 - c0)) / h ** 2
-        return base - slope * y0, 0.0, slope
-    base = (c3 - c0) / h
-    slope = ((c2 - c1) - (c3 - c0)) / h ** 2
-    return base - slope * x0, slope, 0.0
+        base = (c1 - c0) / h - slope * corner[1 - i]
+        out.append((base, 0.0, slope) if i == 0 else (base, slope, 0.0))
+    return out
 
 
 def abs_partial_integral(u, region, i):
-    """Exact integral of |partial_i u| over a convex polygonal region."""
+    """Exact integral of |partial_i u| over a convex polygonal region given
+    by its (k, 2) vertices in counter-clockwise order (ValueError otherwise)."""
+    region = np.asarray(region, dtype=float).tolist()
+    planes = _halfplanes(region)
     mesh = u.space.mesh
-    region = np.asarray(region, dtype=float)
-    rmin, rmax = region.min(axis=0), region.max(axis=0)
-    v = mesh.nodes[mesh.cells]
-    cmin, cmax = v.min(axis=1), v.max(axis=1)
-    tol = 1e-12 * mesh.h
-    candidates = np.flatnonzero(
-        (cmin[:, 0] < rmax[0] - tol) & (cmax[:, 0] > rmin[0] + tol)
-        & (cmin[:, 1] < rmax[1] - tol) & (cmax[:, 1] > rmin[1] + tol)
-    )
+    per, lo, h, last = _cells_per_square(mesh), mesh.bounds[0], mesh.h, mesh.n - 1
+    (x0, x1), (y0, y1) = [(min(t), max(t)) for t in zip(*region)]
+    a0, b0 = (min(max(math.floor((t - lo) / h), 0), last) for t in (x0, y0))
+    a1, b1 = (min(max(math.ceil((t - lo) / h) - 1, 0), last) for t in (x1, y1))
+    cells = [(b * mesh.n + a) * per + k for b in range(b0, b1 + 1)
+             for a in range(a0, a1 + 1) for k in range(per)]
+    tol = 1e-12 * h
     total = 0.0
-    for cell in candidates:
-        piece = clip_convex(v[cell], region)
-        if len(piece) < 3:
+    for poly, (a, bx, by) in zip(mesh.nodes[mesh.cells[cells]].tolist(),
+                                 _partial_affine(u, cells, i)):
+        px, py = zip(*poly)  # skip cells whose box overlaps the region's by <= tol
+        if not (min(px) < x1 - tol and max(px) > x0 + tol
+                and min(py) < y1 - tol and max(py) > y0 + tol):
             continue
-        a, bx, by = _partial_affine(u, cell, i)
-        for sign in (1.0, -1.0):
-            part = _clip_halfplane(piece, sign * a, sign * bx, sign * by)
-            if len(part) < 3:
-                continue
-            area, cen = polygon_area_centroid(part)
-            total += abs(area * (a + bx * cen[0] + by * cen[1]))
+        for plane in planes:
+            poly = _clip_halfplane(poly, *plane)
+        if len(poly) < 3:
+            continue
+        for sign in (1.0, -1.0):  # where partial_i u <= 0, then >= 0
+            total += _moment(_clip_halfplane(poly, sign * a, sign * bx, sign * by), a, bx, by)
     return total

@@ -7,3 +7,100 @@ def integrate(space, cell, integrand, degree):
     """Gauss integral of a pointwise integrand over one cell."""
     pts, wts = space.rule_geometry(degree)
     return float(np.sum(wts[cell] * np.asarray(integrand(pts[cell]))))
+
+
+# --- numpy reference for fespace.abs_partial_integral ----------------------
+
+def polygon_area_centroid(poly):
+    """Signed area and centroid of a polygon given as a (k, 2) array."""
+    x, y = poly[:, 0], poly[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    area = 0.5 * np.sum(cross)
+    if abs(area) < 1e-300:
+        return 0.0, poly.mean(axis=0)
+    cx = np.sum((x + xn) * cross) / (6 * area)
+    cy = np.sum((y + yn) * cross) / (6 * area)
+    return area, np.array([cx, cy])
+
+
+def _clip_halfplane(poly, a, bx, by):
+    """Keep the part of the polygon with a + bx*x + by*y <= 0."""
+    if len(poly) == 0:
+        return poly
+    vals = a + bx * poly[:, 0] + by * poly[:, 1]
+    out = []
+    k = len(poly)
+    for i in range(k):
+        j = (i + 1) % k
+        vi, vj = vals[i], vals[j]
+        if vi <= 0:
+            out.append(poly[i])
+        if (vi < 0 < vj) or (vj < 0 < vi):
+            t = vi / (vi - vj)
+            out.append(poly[i] + t * (poly[j] - poly[i]))
+    return np.asarray(out).reshape(-1, 2)
+
+
+def clip_convex(poly, clipper):
+    """Sutherland-Hodgman clip of a polygon against a convex CCW clipper."""
+    out = np.asarray(poly, dtype=float)
+    k = len(clipper)
+    for i in range(k):
+        p, q = clipper[i], clipper[(i + 1) % k]
+        # interior of the CCW clipper is to the left of edge p->q
+        bx, by = q[1] - p[1], -(q[0] - p[0])
+        a = -(bx * p[0] + by * p[1])
+        out = _clip_halfplane(out, a, bx, by)
+        if len(out) == 0:
+            break
+    return out
+
+
+def _partial_affine(u, cell, i):
+    """Coefficients (a, bx, by) of partial_i u = a + bx*x + by*y on a cell."""
+    space = u.space
+    mesh = space.mesh
+    uc = u.coeffs[mesh.cells[cell]]
+    if space.kind == "P1":
+        g = space.cell_basis_grads[cell]
+        return float(uc @ g[:, i]), 0.0, 0.0
+    h = mesh.h
+    x0, y0 = mesh.nodes[mesh.cells[cell, 0]]
+    c0, c1, c2, c3 = uc
+    if i == 0:
+        base = (c1 - c0) / h
+        slope = ((c2 - c3) - (c1 - c0)) / h ** 2
+        return base - slope * y0, 0.0, slope
+    base = (c3 - c0) / h
+    slope = ((c2 - c1) - (c3 - c0)) / h ** 2
+    return base - slope * x0, slope, 0.0
+
+
+def abs_partial_integral(u, region, i):
+    """Integral of |partial_i u| over a convex CCW region: every cell whose
+    bounding box overlaps the region's is clipped against it and split
+    where partial_i u changes sign."""
+    mesh = u.space.mesh
+    region = np.asarray(region, dtype=float)
+    rmin, rmax = region.min(axis=0), region.max(axis=0)
+    v = mesh.nodes[mesh.cells]
+    cmin, cmax = v.min(axis=1), v.max(axis=1)
+    tol = 1e-12 * mesh.h
+    candidates = np.flatnonzero(
+        (cmin[:, 0] < rmax[0] - tol) & (cmax[:, 0] > rmin[0] + tol)
+        & (cmin[:, 1] < rmax[1] - tol) & (cmax[:, 1] > rmin[1] + tol)
+    )
+    total = 0.0
+    for cell in candidates:
+        piece = clip_convex(v[cell], region)
+        if len(piece) < 3:
+            continue
+        a, bx, by = _partial_affine(u, cell, i)
+        for sign in (1.0, -1.0):
+            part = _clip_halfplane(piece, sign * a, sign * bx, sign * by)
+            if len(part) < 3:
+                continue
+            area, cen = polygon_area_centroid(part)
+            total += abs(area * (a + bx * cen[0] + by * cen[1]))
+    return total

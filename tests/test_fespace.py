@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthofem.fespace import (FeFunction, FeSpace, _p1_shapes, _q1_shapes,
-                              abs_partial_integral, clip_convex,
-                              interpolate_nodal, polygon_area_centroid,
+                              abs_partial_integral, interpolate_nodal,
                               quadrature_rule)
 from orthofem.mesh import build_quad, build_tri
 from orthofem.nfunc import GrowthLaw
 from orthofem.solver import assemble_stiffness
 
-from oracles import integrate
+import oracles
+from oracles import clip_convex, integrate, polygon_area_centroid
 
 
 def _check_ref_point(kind, xref, tol=1e-12):
@@ -247,3 +248,83 @@ class TestPolygonTools:
         u = interpolate_nodal(space, lambda x: x[:, 0] ** 1)
         region = np.array([[0.0, 0.0], [0.25, 0.0], [0.25, 0.5], [0.0, 0.5]])
         assert abs_partial_integral(u, region, 0) == pytest.approx(0.125, rel=1e-13)
+
+    def test_region_must_be_convex_and_counter_clockwise(self):
+        space = FeSpace(build_quad(2))
+        u = interpolate_nodal(space, lambda x: x[:, 0])
+        region = np.array([[0.0, 0.0], [0.25, 0.0], [0.25, 0.5], [0.0, 0.5]])
+        arrow = np.array([[0.0, 0.0], [0.5, 0.0], [0.25, 0.1], [0.25, 0.5]])
+        star = np.array([[np.cos(t), np.sin(t)] for t in 0.8 * np.pi * np.arange(5)])
+        for bad in (region[::-1], arrow, 0.25 + 0.2 * star, region[:2], region[:1]):
+            with pytest.raises(ValueError, match="convex with counter-clockwise"):
+                abs_partial_integral(u, bad, 0)
+        # collinear vertices are no clockwise turn
+        mid = np.insert(region, 1, [0.125, 0.0], axis=0)
+        assert abs_partial_integral(u, mid, 0) == pytest.approx(0.125, rel=1e-13)
+
+
+FAMILIES = [("quad", lambda n, bounds: build_quad(n, bounds))] + [
+    (pattern, lambda n, bounds, pattern=pattern: build_tri(n, pattern, bounds))
+    for pattern in ("boxslash", "alternating-kuhn", "cross", "unionjack")]
+
+
+@st.composite
+def convex_regions(draw, mesh):
+    """Convex counter-clockwise regions over a mesh: random polygons on a
+    circle (possibly reaching past the domain), whole cells, unions of cells
+    (rectangles of lattice squares or their lower right halves, as the
+    boxslash cells of a coarser lattice), and slivers sharing an edge with
+    a cell."""
+    lo, hi = mesh.bounds
+    h = mesh.h
+    kind = draw(st.sampled_from(["circle", "cell", "squares", "sliver"]))
+    if kind == "circle":
+        # sorted angles with gaps of at least 2 pi / 90, so that rounding
+        # cannot turn a vertex clockwise
+        gaps = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=3, max_size=9)))
+        angles = draw(st.floats(0, 2 * np.pi)) + 2 * np.pi * (np.cumsum(gaps) - gaps) / gaps.sum()
+        center = np.array([draw(st.floats(lo, hi)), draw(st.floats(lo, hi))])
+        radius = draw(st.floats(0.05, 0.7)) * (hi - lo)
+        return center + radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    if kind == "squares":
+        a0, b0 = draw(st.integers(0, mesh.n - 1)), draw(st.integers(0, mesh.n - 1))
+        a1, b1 = draw(st.integers(a0, mesh.n - 1)), draw(st.integers(b0, mesh.n - 1))
+        x0, y0, x1, y1 = lo + a0 * h, lo + b0 * h, lo + (a1 + 1) * h, lo + (b1 + 1) * h
+        corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+        return corners[:3] if draw(st.booleans()) else corners
+    cell = mesh.nodes[mesh.cells[draw(st.integers(0, mesh.num_cells - 1))]]
+    if kind == "cell":
+        return cell
+    j = draw(st.integers(0, len(cell) - 1))
+    p, q = cell[j], cell[(j + 1) % len(cell)]
+    normal = np.array([p[1] - q[1], q[0] - p[0]])  # left of p -> q: into the cell
+    depth = draw(st.floats(1e-6, 0.3))
+    if draw(st.booleans()):
+        return np.array([p, q, (p + q) / 2 + depth * normal])
+    return np.array([q, p, (p + q) / 2 - depth * normal])
+
+
+class TestExactIntegralOracle:
+    """The plain-float path against the numpy reference in tests/oracles.py."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(FAMILIES), st.integers(2, 5), st.sampled_from([(0.0, 1.0), (-1.5, 0.5)]),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_agrees_with_oracle(self, family, n, bounds, seed, data):
+        mesh = family[1](n, bounds)
+        u = FeFunction(FeSpace(mesh), np.random.default_rng(seed).standard_normal(mesh.num_nodes))
+        region = data.draw(convex_regions(mesh))
+        for i in (0, 1):
+            expected = oracles.abs_partial_integral(u, region, i)
+            assert abs_partial_integral(u, region, i) == pytest.approx(expected, rel=1e-12,
+                                                                       abs=0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(FAMILIES), st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_cells_add_up_to_the_domain(self, family, n, seed):
+        mesh = family[1](n, (0.0, 1.0))
+        u = FeFunction(FeSpace(mesh), np.random.default_rng(seed).standard_normal(mesh.num_nodes))
+        domain = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        for i in (0, 1):
+            cells = sum(abs_partial_integral(u, cell, i) for cell in mesh.nodes[mesh.cells])
+            assert cells == pytest.approx(abs_partial_integral(u, domain, i), rel=1e-12)
