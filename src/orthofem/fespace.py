@@ -195,8 +195,11 @@ class FeFunction:
         return np.broadcast_to(g[:, None, :], (len(uc), npts, 2))
 
     def evaluate(self, points):
-        """Pointwise values; points are located on the structured lattice."""
+        """Pointwise values, located on the lattice; ValueError off the mesh's square."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        lo, hi = self.space.mesh.bounds
+        if not np.all(np.abs(points - (lo + hi) / 2) <= (hi - lo) * (0.5 + 1e-12)):
+            raise ValueError(f"evaluation point outside the mesh's square [{lo}, {hi}]^2")
         cells = locate(self.space.mesh, points)
         return self._eval_in_cells(points, cells)
 

@@ -28,9 +28,10 @@ Lattice nodes are addressed by integer index pairs (k1, k2), located at
 lo + h (k1, k2) and read or written through ``mesh.lattice_ids``.
 
 Inputs may be analytic callables on (n, 2) point arrays (integrated by
-Gauss rules of degree CALLABLE_DEGREE) or FE functions; for FE inputs
-the standard rules are exact whenever the input mesh is the same
-lattice or a nested refinement of double resolution.
+Gauss rules of degree CALLABLE_DEGREE) or FE functions.  The projection
+of an FE input on a quad, boxslash or alternating-kuhn mesh whose lattice
+refines the projector's r-fold is a nodal stencil on its lattice values,
+read off the pointwise pairings of unit nodal functions.
 """
 
 import numpy as np
@@ -115,12 +116,6 @@ def _interior_pairs(mesh):
     return np.stack(np.nonzero(~mesh.boundary[mesh.lattice_ids]), axis=1)
 
 
-def _exact_cell_means(w):
-    """Per-cell integral means of an FE function (exact for P1 and Q1)."""
-    mesh = w.space.mesh
-    return w.coeffs[mesh.cells].mean(axis=1)
-
-
 class AveragedInterpolant:
     """Box-average quasi-interpolant onto a Q1 or lattice P1 space."""
 
@@ -151,7 +146,8 @@ class AveragedInterpolant:
         # lattice node nearest to its centroid
         centroids = source.nodes[source.cells].mean(axis=1)
         k = np.rint((centroids - mesh.bounds[0]) / mesh.h).astype(np.int64)
-        integrals = np.abs(source.cell_areas()) * _exact_cell_means(w)
+        # the vertex mean is the exact cell mean of a P1 or Q1 function
+        integrals = np.abs(source.cell_areas()) * w.coeffs[source.cells].mean(axis=1)
         sums = np.bincount(mesh.lattice_ids[k[:, 0], k[:, 1]], weights=integrals,
                            minlength=mesh.num_nodes)
         return sums[mesh.lattice_ids] / mesh.h ** 2
@@ -208,7 +204,7 @@ class DualBasisProjector:
         (cubic); fixes the lattice, spacing, and bounds.
 
     Analytic inputs are integrated with Gauss rules of degree
-    CALLABLE_DEGREE, FE inputs with the exact degree-4 rules.
+    CALLABLE_DEGREE, FE inputs with degree-4 rules (see ``apply``).
     """
 
     def __init__(self, kind, mesh):
@@ -314,17 +310,47 @@ class DualBasisProjector:
         return float(self._pairings(w, kk)[0])
 
     def apply(self, w, target_space):
-        """Project onto the target space; zero trace by construction."""
+        """Project onto the target space; zero trace by construction.
+
+        FE inputs on a quad, boxslash or alternating-kuhn mesh on the same
+        bounds, with n a multiple of the projector's, go through a nodal
+        stencil; other inputs are paired pointwise node by node."""
         target = target_space.mesh
         if target.bounds != self.mesh.bounds or target.n != self.mesh.n:
             raise ValueError("target lattice does not match the projector")
         _require_lattice(target, "the dual-basis projection target")
         if self.kind == "cubic" and target_space.kind != "Q1":
             raise ValueError("cubic dual tables are biorthogonal to Q1 targets only")
-        kk = _interior_pairs(target)
+        n = self.mesh.n
+        source = w.space.mesh if isinstance(w, FeFunction) else None
+        if (source is not None and source.bounds == self.mesh.bounds and source.n % n == 0
+                and source.pattern in (None, "boxslash", "alternating-kuhn")):  # None: quad
+            values = self._stencil_pairings(w)
+        else:
+            values = self._pairings(w, _interior_pairs(target)).reshape(n - 1, n - 1)
         coeffs = np.zeros(target_space.ndofs)
-        coeffs[target.lattice_ids[kk[:, 0], kk[:, 1]]] = self._pairings(w, kk)
+        coeffs[target.lattice_ids[1:n, 1:n]] = values
         return FeFunction(target_space, coeffs)
+
+    def _stencil_pairings(self, w):
+        """Interior pairings [k1 - 1, k2 - 1] of an FE input on an r-fold refined
+        lattice.  Node k's patch lies in the domain and meets the input's nodes
+        r k + d, |d1|, |d2| <= r, only: its pairing is a stencil on their values,
+        read off the pointwise pairings of unit nodal functions at node (1, 1)
+        and (1, 2): at odd r, alternating-kuhn diagonals alternate with k1 + k2."""
+        n, space = self.mesh.n, w.space
+        r, unit = space.mesh.n // n, np.zeros(space.ndofs)
+        stencils = np.empty((1 + (n > 2), 2 * r + 1, 2 * r + 1))
+        for p, d1, d2 in np.ndindex(stencils.shape):
+            node = space.mesh.lattice_ids[d1, r * p + d2]
+            unit[node] = 1.0
+            stencils[p, d1, d2] = self._pairings(FeFunction(space, unit),
+                                                 np.array([(1, 1 + p)]))[0]
+            unit[node] = 0.0
+        windows = np.lib.stride_tricks.sliding_window_view(
+            w.coeffs[space.mesh.lattice_ids], stencils.shape[1:])[::r, ::r]
+        values = np.einsum("abij,pij->pab", windows, stencils)
+        return np.where(np.indices((n - 1, n - 1)).sum(axis=0) % 2, values[-1], values[0])
 
 
 def build_dual_table(kind, mesh):

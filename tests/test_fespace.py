@@ -189,6 +189,18 @@ class TestEvaluate:
         # bilinear is reproduced exactly on every (axis aligned) cell
         assert np.allclose(each_cell_exact, pts[:, 0] * pts[:, 1], atol=1e-13)
 
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (-1.0, 2.0)])
+    def test_points_off_the_square_rejected(self, bounds):
+        lo, hi = bounds
+        u = interpolate_nodal(FeSpace(build_quad(4, bounds)), lambda x: x[:, 0] ** 2)
+        # corners and points within roundoff of the square are accepted
+        edge = np.array([[lo, lo], [hi, hi], [hi + 1e-14, lo - 1e-14]])
+        assert np.allclose(u.evaluate(edge), [lo ** 2, hi ** 2, hi ** 2], atol=1e-12)
+        mid = (lo + hi) / 2
+        for point in ([hi + 0.5, mid], [lo - 1e-9, mid], [3.0, 3.0], [mid, np.nan]):
+            with pytest.raises(ValueError):
+                u.evaluate(np.array([[mid, mid], point]))
+
 
 class TestPolygonTools:
     def test_area_centroid_square(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthofem.fespace import (FeFunction, FeSpace, abs_partial_integral,
                               interpolate_nodal, locate)
@@ -297,6 +298,14 @@ class TestProjection:
         with pytest.raises(ValueError):
             proj.apply(lambda x: x[:, 0], FeSpace(build_quad(8)))
 
+    def test_fe_input_on_another_domain_rejected(self):
+        # the input lives on (0, 1)^2, the patches cover (-1, 1)^2
+        proj = build_dual_table("cubic", build_quad(4, (-1.0, 1.0)))
+        source = FeSpace(build_quad(4))
+        w = interpolate_nodal(source, lambda x: x[:, 0] ** 2)
+        with pytest.raises(ValueError):
+            proj.apply(w, FeSpace(build_quad(4, (-1.0, 1.0))))
+
     @pytest.mark.parametrize("kind,target_kind,seed", [
         ("simplicial", "P1", 101),
         ("simplicial", "Q1", 102),
@@ -362,6 +371,87 @@ class TestProjection:
                 if denom > 1e-13:
                     worst = max(worst, sup / denom)
         assert worst == pytest.approx(LOCALITY_FIXTURES[(kind, target_kind)], rel=1e-6)
+
+
+def _space(n, pattern, bounds=(0.0, 1.0)):
+    return FeSpace(build_quad(n, bounds) if pattern == "quad"
+                   else build_tri(n, pattern, bounds))
+
+
+# (dual kind, target pattern): the simplicial dual pairs with Q1 and P1
+# targets, the cubic dual with Q1 targets only
+PROJECTIONS = [("simplicial", "alternating-kuhn"), ("simplicial", "boxslash"),
+               ("simplicial", "quad"), ("cubic", "quad")]
+
+
+def _projector(kind, n, bounds):
+    base = build_quad(n, bounds) if kind == "cubic" else build_tri(n, "alternating-kuhn", bounds)
+    return build_dual_table(kind, base)
+
+
+def _pointwise(proj, w, target):
+    """Oracle: the pointwise pairing at every interior node, in node order."""
+    kk = np.argwhere(~target.mesh.boundary[target.mesh.lattice_ids])
+    coeffs = np.zeros(target.ndofs)
+    coeffs[target.mesh.lattice_ids[kk[:, 0], kk[:, 1]]] = proj._pairings(w, kk)
+    return coeffs
+
+
+class TestNestedStencil:
+    """``apply`` on nested FE inputs goes through a nodal stencil; the
+    pointwise pairings stay the definition it must reproduce."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(projection=st.sampled_from(PROJECTIONS),
+           pattern=st.sampled_from(["quad", "boxslash", "alternating-kuhn"]),
+           n=st.integers(2, 8), r=st.integers(1, 3),
+           bounds=st.sampled_from([(0.0, 1.0), (-1.0, 1.0)]),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2 ** 16))
+    def test_agrees_with_pointwise_pairings(self, projection, pattern, n, r, bounds,
+                                            scale, seed):
+        kind, target_pattern = projection
+        source = _space(r * n, pattern, bounds)
+        target = _space(n, target_pattern, bounds)
+        w = FeFunction(source, scale * np.random.default_rng(seed).standard_normal(
+            source.ndofs))
+        proj = _projector(kind, n, bounds)
+        got = proj.apply(w, target).coeffs
+        expected = _pointwise(proj, w, target)
+        assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(w.coeffs).max())
+
+    @pytest.mark.parametrize("kind,target_pattern", PROJECTIONS)
+    @pytest.mark.parametrize("pattern,source_n,bounds", [
+        ("cross", 8, (0.0, 1.0)), ("unionjack", 4, (0.0, 1.0)), ("quad", 6, (0.0, 1.0)),
+        ("alternating-kuhn", 10, (0.0, 1.0)), ("quad", 8, (-1.0, 1.0))])
+    def test_other_inputs_stay_pointwise(self, kind, target_pattern, pattern, source_n,
+                                         bounds):
+        # non-lattice meshes, lattices that do not refine n = 4 and inputs on
+        # a larger square stay on the pointwise path, bit for bit
+        source = _space(source_n, pattern, bounds)
+        target = _space(4, target_pattern)
+        w = FeFunction(source, np.random.default_rng(10).standard_normal(source.ndofs))
+        proj = _projector(kind, 4, (0.0, 1.0))
+        assert np.array_equal(proj.apply(w, target).coeffs, _pointwise(proj, w, target))
+
+    @pytest.mark.parametrize("kind,target_pattern", PROJECTIONS)
+    def test_evaluated_points_do_not_grow_with_n(self, kind, target_pattern,
+                                                 monkeypatch):
+        counted = []
+        evaluate = FeFunction.evaluate
+
+        def counting(self, points):
+            counted.append(len(points))
+            return evaluate(self, points)
+
+        monkeypatch.setattr(FeFunction, "evaluate", counting)
+        totals = []
+        for n in (8, 32):
+            source = _space(2 * n, "quad")
+            w = FeFunction(source, np.ones(source.ndofs))
+            counted.clear()
+            _projector(kind, n, (0.0, 1.0)).apply(w, _space(n, target_pattern))
+            totals.append(sum(counted))
+        assert totals[0] == totals[1]
 
 
 class TestTransfer:
