@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import locate
+
 __all__ = [
     "FeSpace",
     "FeFunction",
@@ -97,10 +99,8 @@ class FeSpace:
         self._geom = {}
         if self.kind == "P1":
             v = mesh.nodes[mesh.cells]
-            e1 = v[:, 1] - v[:, 0]
-            e2 = v[:, 2] - v[:, 0]
-            det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-            self.areas = det / 2
+            self.areas = mesh.cell_areas()
+            det = 2 * self.areas
             grads = np.empty((mesh.num_cells, 3, 2))
             for i in range(3):
                 edge = v[:, (i + 2) % 3] - v[:, (i + 1) % 3]
@@ -221,34 +221,6 @@ class FeFunction:
         return np.einsum("pa,pa->p", vals, uc)
 
 
-def _cells_per_square(mesh):
-    """Cells per lattice square: every builder numbers cells square by square."""
-    per = {None: 1, "boxslash": 2, "alternating-kuhn": 2, "cross": 4,
-           "unionjack": 8}.get(mesh.pattern)
-    if per is None:
-        raise NotImplementedError(f"lattice cell search on pattern {mesh.pattern!r}")
-    return per
-
-
-def locate(mesh, points):
-    """Cell ids containing the given points (boundary ties arbitrary)."""
-    per, n = _cells_per_square(mesh), mesh.n
-    s = (points - mesh.bounds[0]) / mesh.h
-    a = np.clip(np.floor(s[:, 0]).astype(np.int64), 0, n - 1)
-    b = np.clip(np.floor(s[:, 1]).astype(np.int64), 0, n - 1)
-    f1, f2 = s[:, 0] - a, s[:, 1] - b
-    square = b * n + a
-    if per == 1:
-        return square
-    if per == 2:  # one diagonal per square, northeast or alternating
-        ne = mesh.pattern == "boxslash" or (a + b) % 2 == 0
-        return 2 * square + np.where(ne, f1 < f2, f1 + f2 > 1)
-    # cross and unionjack: equal sectors around the square's center
-    theta = np.degrees(np.arctan2(f2 - 0.5, f1 - 0.5))
-    sector = np.floor(((theta - 225.0) % 360.0) / (360.0 / per)).astype(np.int64)
-    return per * square + np.clip(sector, 0, per - 1)
-
-
 def interpolate_nodal(space, f):
     """FeFunction with coefficients f(v(k)) at every node."""
     vals = np.asarray(f(space.mesh.nodes), dtype=float)
@@ -331,13 +303,13 @@ def abs_partial_integral(u, region, i):
     region = np.asarray(region, dtype=float).tolist()
     planes = _halfplanes(region)
     mesh = u.space.mesh
-    per, lo, h, last = _cells_per_square(mesh), mesh.bounds[0], mesh.h, mesh.n - 1
+    lo, hi = mesh.bounds
+    width = (hi - lo) / mesh.squares
     (x0, x1), (y0, y1) = [(min(t), max(t)) for t in zip(*region)]
-    a0, b0 = (min(max(math.floor((t - lo) / h), 0), last) for t in (x0, y0))
-    a1, b1 = (min(max(math.ceil((t - lo) / h) - 1, 0), last) for t in (x1, y1))
-    cells = [(b * mesh.n + a) * per + k for b in range(b0, b1 + 1)
-             for a in range(a0, a1 + 1) for k in range(per)]
-    tol = 1e-12 * h
+    a0, b0 = (math.floor((t - lo) / width) for t in (x0, y0))
+    a1, b1 = (math.ceil((t - lo) / width) - 1 for t in (x1, y1))
+    cells = mesh.square_cells(a0, a1, b0, b1)
+    tol = 1e-12 * mesh.h
     total = 0.0
     for poly, (a, bx, by) in zip(mesh.nodes[mesh.cells[cells]].tolist(),
                                  _partial_affine(u, cells, i)):

@@ -1,22 +1,31 @@
 """Structured meshes on a square domain.
 
 Builders produce uniform quadrilateral meshes and four triangle
-patterns on the N x N lattice:
+patterns on the N x N lattice.  Each is one template on the half
+lattice (index pairs j in 0..2N at lo + j h/2): a table of the cells of
+one lattice square, each vertex an offset 0..2 from the square's corner
+2 (a, b); a pattern that alternates has a second table for odd a + b.
+Cells are numbered square by square, lexicographically by (b, a), then
+in table order.  Nodes are the half-lattice points the cells touch:
 
-* ``boxslash``          all diagonals northeast,
-* ``alternating-kuhn``  diagonal orientation alternating checkerboard
-  fashion (the pattern the dual-basis machinery requires),
-* ``unionjack``         eight triangles per square (both diagonals plus
-  midlines, adds midpoint/center nodes),
-* ``cross``             four triangles per square (both diagonals, adds
-  center nodes).
+* the lattice points, lexicographically by (k2, k1), for ``quad``,
+  ``boxslash`` (all diagonals northeast) and ``alternating-kuhn``
+  (diagonals alternating checkerboard fashion, the pattern the
+  dual-basis machinery requires);
+* every half-lattice point, lexicographically by (j2, j1), for
+  ``unionjack`` (both diagonals plus midlines, eight triangles per
+  square) and the half refinement of alternating-kuhn;
+* the corners first, then the square centres, each lexicographically,
+  for ``cross`` (both diagonals, four triangles per square).
 
-Lattice nodes v(k) = h k are numbered lexicographically by (k2, k1).
 Extra nodes of the unionjack/cross patterns are flagged as non-lattice
 so operators defined only on lattice meshes can reject those meshes.
 The default domain is the unit square; an affine rescaling to any
 square ``bounds = (lo, hi)`` is supported for experiment setups.
 """
+
+import math
+import operator
 
 import numpy as np
 
@@ -27,6 +36,7 @@ __all__ = [
     "build_tri",
     "refine_kuhn_half",
     "element_patch",
+    "locate",
 ]
 
 TRIANGLE_PATTERNS = ("boxslash", "alternating-kuhn", "unionjack", "cross")
@@ -69,7 +79,6 @@ class StructuredMesh:
         self.bounds = bounds
         self.h = (bounds[1] - bounds[0]) / n
         self.lattice_ids = lattice_ids
-        self._node_cells = None
         for arr in (nodes, cells, boundary, lattice, lattice_ids):
             arr.setflags(write=False)
 
@@ -86,13 +95,27 @@ class StructuredMesh:
         """True when every node is a lattice node."""
         return bool(np.all(self.lattice))
 
+    @property
+    def squares(self):
+        """Lattice squares per side: n, or the parent's n for a half refinement."""
+        return len(self.lattice_ids) - 1
+
+    def square_cells(self, a0, a1, b0, b1):
+        """Ids of the cells of the lattice squares (a, b), a0 <= a <= a1 and
+        b0 <= b <= b1, clipped to the mesh, in increasing order."""
+        side = self.squares
+        per = self.num_cells // side ** 2
+        a0, a1, b0, b1 = max(a0, 0), min(a1, side - 1), max(b0, 0), min(b1, side - 1)
+        rows = np.arange(b0, b1 + 1)[:, None] * (side * per)
+        return (rows + np.arange(a0 * per, (a1 + 1) * per)).ravel()
+
     def lattice_node(self, k1, k2):
         """Global node id of lattice node v(k1, k2)."""
         return int(self.lattice_ids[k1, k2])
 
     def interior_lattice_indices(self):
         """Integer index pairs (k1, k2) of interior lattice nodes."""
-        n = self.n
+        n = self.squares
         return [(a, b) for b in range(1, n) for a in range(1, n)]
 
     def cell_areas(self):
@@ -105,116 +128,106 @@ class StructuredMesh:
         e2 = v[:, 2] - v[:, 0]
         return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
-    def node_cells(self):
-        """List of cell-id arrays, one per node (cached incidence)."""
-        if self._node_cells is None:
-            flat = self.cells.ravel()
-            order = np.argsort(flat, kind="stable")
-            sorted_nodes = flat[order]
-            cell_of = order // self.cells.shape[1]
-            starts = np.searchsorted(sorted_nodes, np.arange(self.num_nodes + 1))
-            self._node_cells = [
-                cell_of[starts[i]:starts[i + 1]] for i in range(self.num_nodes)
-            ]
-        return self._node_cells
+
+# --- per-square cell tables ------------------------------------------------
+
+def _sectors(per, odd_start=225.0):
+    """Rule of equal sectors around the square's centre, the first starting
+    southwest (225 degrees), or at ``odd_start`` in squares with odd a + b."""
+    def local(f1, f2, odd):
+        theta = np.degrees(np.arctan2(f2 - 0.5, f1 - 0.5))
+        start = np.where(odd, odd_start, 225.0)
+        sector = np.floor(((theta - start) % 360.0) / (360.0 / per)).astype(np.int64)
+        return np.clip(sector, 0, per - 1)
+    return local
 
 
-def _lattice_arrays(n, bounds):
-    lo, hi = bounds
-    h = (hi - lo) / n
-    k = np.arange(n + 1)
-    K1, K2 = np.meshgrid(k, k, indexing="xy")  # row index = k2
-    nodes = np.stack([lo + K1.ravel() * h, lo + K2.ravel() * h], axis=1)
-    boundary = ((K1 == 0) | (K1 == n) | (K2 == 0) | (K2 == n)).ravel()
-    ids = np.arange((n + 1) ** 2).reshape(n + 1, n + 1).T  # [k1, k2]
-    return nodes, boundary, ids
+def _fan(ring):
+    """Triangles from each edge of a closed ring to the square's centre."""
+    return tuple((p, q, (1, 1)) for p, q in zip(ring, ring[1:] + ring[:1]))
+
+
+# cell vertices as half-lattice offsets (d1, d2) from the square's corner
+_SW, _SE, _NE, _NW = (0, 0), (2, 0), (2, 2), (0, 2)
+_RING = (_SW, (1, 0), _SE, (2, 1), _NE, (1, 2), _NW, (0, 1))
+_QUAD = ((_SW, _SE, _NE, _NW),)
+_SLASH = ((_SW, _SE, _NE), (_SW, _NE, _NW))
+_UNIONJACK = _fan(_RING)
+_CROSS = _fan(_QUAD[0])
+
+# pattern: (cells of a square with even a + b, of one with odd a + b, and
+# the rule (f1, f2, odd) -> index of the cell holding the point at f in
+# [0, 1]^2 of its square; diagonal ties go to cell 0).  The half refinement
+# bisects each Kuhn triangle at its hypotenuse, then both halves at theirs:
+# with the northeast diagonal that is the unionjack fan, with the northwest
+# one the same fan started from NW.
+_TEMPLATES = {
+    None: (_QUAD, _QUAD, lambda f1, f2, odd: 0),
+    "boxslash": (_SLASH, _SLASH, lambda f1, f2, odd: f1 < f2),
+    "alternating-kuhn": (_SLASH, ((_SW, _SE, _NW), (_SE, _NE, _NW)),
+                         lambda f1, f2, odd: np.where(odd, f1 + f2 > 1, f1 < f2)),
+    "unionjack": (_UNIONJACK, _UNIONJACK, _sectors(8)),
+    "cross": (_CROSS, _CROSS, _sectors(4)),
+    "half-kuhn": (_UNIONJACK, _fan(_RING[6:] + _RING[:6]), _sectors(8, 135.0)),
+}
+
+
+def _build(pattern, squares, bounds, n=None):
+    """Mesh of squares x squares lattice squares, each holding its table's cells."""
+    squares = operator.index(squares)
+    if squares < 2:
+        raise ValueError("need n >= 2 so that interior nodes exist")
+    lo, hi = map(float, bounds)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"bounds must be finite with lo < hi, got {tuple(bounds)}")
+    m = 2 * squares
+    tables = np.array(_TEMPLATES[pattern][:2])  # (2, per, nv, 2)
+    # every cell vertex as its flat half-lattice index j2 (m + 1) + j1
+    b, a = np.divmod(np.arange(squares ** 2), squares)
+    key = 2 * (b * (m + 1) + a)[:, None, None] + (tables @ (1, m + 1))[(a + b) % 2]
+    # nodes: the half-lattice points the cells touch, by (j2, j1); unless
+    # that is all of them, the square centres (odd j1) after the corners
+    used = np.zeros((m + 1) ** 2, dtype=bool)
+    used[key] = True
+    points = np.flatnonzero(used)
+    if not used.all():
+        points = points[np.argsort(points % (m + 1) % 2, kind="stable")]
+    ids = np.full((m + 1) ** 2, -1)
+    ids[points] = np.arange(len(points))
+
+    j2, j1 = np.divmod(points, m + 1)
+    step = (hi - lo) / m
+    nodes = np.stack([lo + j1 * step, lo + j2 * step], axis=1)
+    boundary = (j1 == 0) | (j1 == m) | (j2 == 0) | (j2 == m)
+    lattice = (j1 % 2 == 0) & (j2 % 2 == 0)
+    kind = "quad" if tables.shape[2] == 4 else "triangle"
+    return StructuredMesh(squares if n is None else n, kind, pattern, nodes,
+                          ids[key].reshape(-1, tables.shape[2]), boundary, lattice,
+                          (lo, hi), ids.reshape(m + 1, m + 1)[::2, ::2].T)
 
 
 def build_quad(n, bounds=(0.0, 1.0)):
     """Uniform quadrilateral mesh with n x n cells."""
-    if n < 2:
-        raise ValueError("need n >= 2 so that interior nodes exist")
-    nodes, boundary, ids = _lattice_arrays(n, bounds)
-    cells = []
-    for b in range(n):
-        for a in range(n):
-            cells.append((ids[a, b], ids[a + 1, b], ids[a + 1, b + 1], ids[a, b + 1]))
-    cells = np.asarray(cells, dtype=np.int64)
-    lattice = np.ones(len(nodes), dtype=bool)
-    return StructuredMesh(n, "quad", None, nodes, cells, boundary, lattice,
-                          tuple(map(float, bounds)), ids)
-
-
-def _tri_cells_lattice(n, ids, pattern):
-    cells = []
-    for b in range(n):
-        for a in range(n):
-            sw, se = ids[a, b], ids[a + 1, b]
-            ne, nw = ids[a + 1, b + 1], ids[a, b + 1]
-            northeast = pattern == "boxslash" or (a + b) % 2 == 0
-            if northeast:
-                cells.append((sw, se, ne))
-                cells.append((sw, ne, nw))
-            else:
-                cells.append((sw, se, nw))
-                cells.append((se, ne, nw))
-    return cells
+    return _build(None, n, bounds)
 
 
 def build_tri(n, pattern, bounds=(0.0, 1.0)):
     """Structured triangle mesh with the given pattern."""
-    if n < 2:
-        raise ValueError("need n >= 2 so that interior nodes exist")
     if pattern not in TRIANGLE_PATTERNS:
         raise ValueError(f"unknown triangle pattern {pattern!r}")
-    lo, hi = bounds
-    h = (hi - lo) / n
+    return _build(pattern, n, bounds)
 
-    if pattern in ("boxslash", "alternating-kuhn"):
-        nodes, boundary, ids = _lattice_arrays(n, bounds)
-        cells = _tri_cells_lattice(n, ids, pattern)
-        lattice = np.ones(len(nodes), dtype=bool)
-        lattice_ids = ids
-    elif pattern == "unionjack":
-        # all nodes of the half lattice: corners, edge midpoints, centers
-        nodes, boundary, half_ids = _lattice_arrays(2 * n, bounds)
-        lattice_ids = half_ids[::2, ::2]
-        lattice = np.isin(np.arange(len(nodes)), lattice_ids)
-        cells = []
-        for b in range(n):
-            for a in range(n):
-                x0, y0 = 2 * a, 2 * b
-                c = half_ids[x0 + 1, y0 + 1]
-                ring = [(x0, y0), (x0 + 1, y0), (x0 + 2, y0), (x0 + 2, y0 + 1),
-                        (x0 + 2, y0 + 2), (x0 + 1, y0 + 2), (x0, y0 + 2), (x0, y0 + 1)]
-                for i in range(8):
-                    p = half_ids[ring[i]]
-                    q = half_ids[ring[(i + 1) % 8]]
-                    cells.append((p, q, c))
-    else:  # cross
-        nodes_l, boundary_l, ids = _lattice_arrays(n, bounds)
-        ncorner = (n + 1) ** 2
-        centers = []
-        for b in range(n):
-            for a in range(n):
-                centers.append((lo + (a + 0.5) * h, lo + (b + 0.5) * h))
-        nodes = np.vstack([nodes_l, np.asarray(centers)])
-        boundary = np.concatenate([boundary_l, np.zeros(n * n, dtype=bool)])
-        lattice = np.concatenate([np.ones(ncorner, dtype=bool),
-                                  np.zeros(n * n, dtype=bool)])
-        lattice_ids = ids
-        cells = []
-        for b in range(n):
-            for a in range(n):
-                c = ncorner + b * n + a
-                sw, se = ids[a, b], ids[a + 1, b]
-                ne, nw = ids[a + 1, b + 1], ids[a, b + 1]
-                cells.extend([(sw, se, c), (se, ne, c), (ne, nw, c), (nw, sw, c)])
 
-    cells = np.asarray(cells, dtype=np.int64)
-    return StructuredMesh(n, "triangle", pattern, np.asarray(nodes, dtype=float),
-                          cells, np.asarray(boundary), np.asarray(lattice),
-                          tuple(map(float, bounds)), np.asarray(lattice_ids))
+def locate(mesh, points):
+    """Cell ids containing the given points (boundary ties arbitrary): the
+    lattice square by floor, clipped to the mesh, then its table's rule."""
+    even, _, rule = _TEMPLATES[mesh.pattern]
+    side, (lo, hi) = mesh.squares, mesh.bounds
+    s = (points - lo) / ((hi - lo) / side)
+    a = np.clip(np.floor(s[:, 0]).astype(np.int64), 0, side - 1)
+    b = np.clip(np.floor(s[:, 1]).astype(np.int64), 0, side - 1)
+    local = rule(s[:, 0] - a, s[:, 1] - b, (a + b) % 2 == 1)
+    return len(even) * (b * side + a) + local
 
 
 class HalfRefinement:
@@ -242,53 +255,25 @@ def refine_kuhn_half(mesh):
     """Bisect every Kuhn triangle twice and collect the node patches."""
     if mesh.kind != "triangle" or mesh.pattern != "alternating-kuhn":
         raise ValueError("half refinement requires the alternating-kuhn pattern")
-    m = 2 * mesh.n
-    child_nodes, child_boundary, half_ids = _lattice_arrays(m, mesh.bounds)
-    child_lattice = np.isin(np.arange(len(child_nodes)), half_ids[::2, ::2])
-
-    # integer (k1, k2) of every parent node
-    pk = np.round((mesh.nodes - mesh.bounds[0]) / mesh.h).astype(np.int64)
-
-    child_cells = []
-    for tri in mesh.cells:
-        kk = 2 * pk[tri]  # doubled integer coordinates
-        # right-angle vertex shares one coordinate with each neighbor
-        apex_local = next(
-            i for i in range(3)
-            if np.any(kk[i] == kk[(i + 1) % 3]) and np.any(kk[i] == kk[(i + 2) % 3])
-        )
-        va = kk[(apex_local + 2) % 3]
-        apex = kk[apex_local]
-        vb = kk[(apex_local + 1) % 3]
-        center = (va + vb) // 2
-        ma = (va + apex) // 2
-        mb = (apex + vb) // 2
-        for tri_k in ((va, ma, center), (ma, apex, center),
-                      (apex, mb, center), (mb, vb, center)):
-            child_cells.append(tuple(half_ids[p[0], p[1]] for p in tri_k))
-    child_cells = np.asarray(child_cells, dtype=np.int64)
-
-    child = StructuredMesh(m, "triangle", "half-kuhn", child_nodes, child_cells,
-                           child_boundary, child_lattice,
-                           tuple(map(float, mesh.bounds)), half_ids[::2, ::2])
-
-    node_patches = {}
-    node_cells = child.node_cells()
-    for (a, b) in mesh.interior_lattice_indices():
-        nid = half_ids[2 * a, 2 * b]
-        patch = np.sort(node_cells[nid])
-        if len(patch) != 8:
-            raise AssertionError(
-                f"node patch at ({a},{b}) has {len(patch)} simplices, expected 8"
-            )
-        node_patches[(a, b)] = patch
-    return HalfRefinement(mesh, child, node_patches)
+    n = mesh.n
+    child = _build("half-kuhn", n, mesh.bounds, n=2 * n)
+    interior = child.lattice_ids[1:n, 1:n]  # ids increase in (b, a) order
+    flat = child.cells.ravel()
+    if np.any(np.bincount(flat)[interior] != 8):
+        raise AssertionError("a half-refinement node patch does not have 8 simplices")
+    # incidence sorted by node; the stable sort keeps each node's cells in order
+    order = np.argsort(flat, kind="stable")
+    patches = (order[np.isin(flat[order], interior)] // 3).reshape(-1, 8)
+    return HalfRefinement(mesh, child, dict(zip(mesh.interior_lattice_indices(), patches)))
 
 
 def element_patch(mesh, cell):
-    """Ids of all cells sharing at least one vertex with the given cell."""
+    """Ids of all cells sharing at least one vertex with the given cell; they
+    lie in its lattice square or the eight around it."""
     if not 0 <= cell < mesh.num_cells:
         raise IndexError(f"cell id {cell} out of range")
-    node_cells = mesh.node_cells()
-    ids = np.unique(np.concatenate([node_cells[v] for v in mesh.cells[cell]]))
-    return ids
+    side = mesh.squares
+    b, a = divmod(int(cell) // (mesh.num_cells // side ** 2), side)
+    near = mesh.square_cells(a - 1, a + 1, b - 1, b + 1)
+    shares = (mesh.cells[near][:, :, None] == mesh.cells[cell]).any(axis=(1, 2))
+    return near[shares]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from orthofem.fespace import (FeFunction, FeSpace, _p1_shapes, _q1_shapes,
                               abs_partial_integral, interpolate_nodal,
                               quadrature_rule)
-from orthofem.mesh import build_quad, build_tri
+from orthofem.mesh import build_quad, build_tri, refine_kuhn_half
 from orthofem.nfunc import GrowthLaw
 from orthofem.solver import assemble_stiffness
 
@@ -277,7 +277,9 @@ class TestPolygonTools:
 
 FAMILIES = [("quad", lambda n, bounds: build_quad(n, bounds))] + [
     (pattern, lambda n, bounds, pattern=pattern: build_tri(n, pattern, bounds))
-    for pattern in ("boxslash", "alternating-kuhn", "cross", "unionjack")]
+    for pattern in ("boxslash", "alternating-kuhn", "cross", "unionjack")] + [
+    ("half-kuhn", lambda n, bounds: refine_kuhn_half(build_tri(n, "alternating-kuhn",
+                                                               bounds)).child)]
 
 
 @st.composite

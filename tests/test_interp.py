@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orthofem.fespace import (FeFunction, FeSpace, abs_partial_integral,
-                              interpolate_nodal, locate)
+                              interpolate_nodal)
 from orthofem.interp import AveragedInterpolant, build_dual_table, transfer
-from orthofem.mesh import build_quad, build_tri, element_patch
+from orthofem.mesh import build_quad, build_tri, element_patch, locate
 
 from oracles import integrate
 

@@ -1,14 +1,55 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from orthofem.mesh import (HalfRefinement, build_quad, build_tri,
-                           element_patch, refine_kuhn_half)
+                           element_patch, locate, refine_kuhn_half)
 
 QUAD2_DUMP = (
     "n 0 0 1\nn 0.5 0 1\nn 1 0 1\nn 0 0.5 1\nn 0.5 0.5 0\nn 1 0.5 1\n"
     "n 0 1 1\nn 0.5 1 1\nn 1 1 1\n"
     "c 0 1 4 3\nc 1 2 5 4\nc 3 4 7 6\nc 4 5 8 7\n"
 )
+
+
+# sha256 of dump(mesh) at n = 3 on (-0.3, 2.2), recorded from the per-family
+# builders the template builder replaced: node and cell numbering are pinned
+NUMBERING_SHA256 = {
+    "quad": "86bd1a21f38451948cac13734828c15d0ee66b9fd822b117af01ef2a87fcf69a",
+    "boxslash": "2145e10512b0020b9f7863d99ea309b8c0527e97b1c71a403d7b57a46cdb3b3d",
+    "alternating-kuhn": "0b6c551d4cd3579ac7a10f0b838748d17b1a9c386ce9e9e44e7d99e01ef04bbd",
+    "unionjack": "1d3fc8416a8bb58d2f29aae80f39bbbe23e293d79aa3048d5b62a3c060af8b4c",
+    "cross": "d5a0df3dc7ed5628fedf06267f5d4bd16e9c5134ab38a8b14e877e027ecd7b00",
+    "half-kuhn": "e2ed6b7fdc4336307fce5474ba9369a5ca74f433979a18b8c941281644547e98",
+}
+
+# sha256 of the int64 bytes of locate(mesh, half_lattice_points(3, bounds)) on
+# the same meshes, recorded from the per-pattern rules locate replaced: the
+# points where cells meet, so these pin its tie conventions
+LOCATE_TIES_SHA256 = {
+    "quad": "047f2fe373a861a4ab1247ea509b013b29dbecc7fd5144c77c64478ee4ef53f9",
+    "boxslash": "ac95b2fdc5a6dd98b2c67e75864dee1200d82bd3177e71eb2d4eb89020ba19ef",
+    "alternating-kuhn": "c920e360f6ecd71663d3ab01ea582dc8cdc09b32746d9091a68e13d68662c200",
+    "unionjack": "7a4ea46fa017172867261fe09d32a15e8efe53f5cd3a6d1e7931e5207ef6fd91",
+    "cross": "e7ade82bb0f64a10cc2ad0f80767839496accc857c9a28aabe9b5bdeaa17ad53",
+}
+
+
+def half_lattice_points(n, bounds):
+    """Every point lo + j h/2, j in 0..2n, ordered by (j2, j1)."""
+    lo, hi = bounds
+    half = lo + (hi - lo) * np.arange(2 * n + 1) / (2 * n)
+    return np.stack(np.meshgrid(half, half), axis=-1).reshape(-1, 2)
+
+
+def family_mesh(family, n, bounds=(0.0, 1.0)):
+    """Mesh of one of the five families, or the half-refinement child."""
+    if family == "quad":
+        return build_quad(n, bounds)
+    if family == "half-kuhn":
+        return refine_kuhn_half(build_tri(n, "alternating-kuhn", bounds)).child
+    return build_tri(n, family, bounds)
 
 
 def dump(mesh):
@@ -52,6 +93,19 @@ class TestQuadBuilder:
     def test_too_coarse_rejected(self):
         with pytest.raises(ValueError):
             build_quad(1)
+
+
+@pytest.mark.parametrize("builder,args", [(build_quad, ()), (build_tri, ("cross",))])
+def test_builder_input_checks(builder, args):
+    for bounds in [(1.0, 0.0), (0.5, 0.5), (0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)]:
+        with pytest.raises(ValueError, match="bounds"):
+            builder(4, *args, bounds=bounds)
+    for n in (2.0, 2.5, "4"):
+        with pytest.raises(TypeError):
+            builder(n, *args)
+    mesh = builder(np.int64(4), *args)
+    assert mesh.n == 4 and mesh.h == 0.25
+    assert np.array_equal(mesh.cells, builder(4, *args).cells)
 
 
 class TestTriBuilders:
@@ -164,6 +218,15 @@ class TestHalfRefinement:
         refined = refine_kuhn_half(build_tri(2, "alternating-kuhn"))
         assert len(refined.node_patches[(1, 1)]) == 8
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_node_patches_match_brute_force_scan(self, n):
+        refined = refine_kuhn_half(build_tri(n, "alternating-kuhn"))
+        child = refined.child
+        assert list(refined.node_patches) == child.interior_lattice_indices()
+        for (k1, k2), patch in refined.node_patches.items():
+            node = child.lattice_node(k1, k2)
+            assert np.array_equal(patch, np.flatnonzero((child.cells == node).any(axis=1)))
+
     def test_node_patch_area_is_h_squared(self):
         mesh = build_tri(4, "alternating-kuhn")
         refined = refine_kuhn_half(mesh)
@@ -225,8 +288,9 @@ class TestElementPatch:
         mesh = build_quad(4)
         assert len(element_patch(mesh, 5)) == 9
 
-    def test_matches_brute_force_scan(self):
-        mesh = build_tri(4, "boxslash")
+    @pytest.mark.parametrize("family", list(NUMBERING_SHA256))
+    def test_matches_brute_force_scan(self, family):
+        mesh = family_mesh(family, 4)
         for cell in range(mesh.num_cells):
             assert np.array_equal(element_patch(mesh, cell),
                                   brute_force_patch(mesh, cell))
@@ -244,6 +308,43 @@ class TestElementPatch:
 
 def test_dump_golden():
     assert dump(build_quad(2)) == QUAD2_DUMP
+
+
+@pytest.mark.parametrize("family", list(NUMBERING_SHA256))
+def test_numbering_golden(family):
+    text = dump(family_mesh(family, 3, (-0.3, 2.2)))
+    assert hashlib.sha256(text.encode()).hexdigest() == NUMBERING_SHA256[family]
+
+
+@pytest.mark.parametrize("family", list(LOCATE_TIES_SHA256))
+def test_locate_ties_golden(family):
+    bounds = (-0.3, 2.2)
+    cells = locate(family_mesh(family, 3, bounds), half_lattice_points(3, bounds))
+    assert hashlib.sha256(cells.astype("<i8").tobytes()).hexdigest() \
+        == LOCATE_TIES_SHA256[family]
+
+
+@pytest.mark.parametrize("family", list(NUMBERING_SHA256))
+@pytest.mark.parametrize("n,bounds", [(3, (0.0, 1.0)), (4, (-0.3, 2.2))])
+def test_located_cell_contains_the_point(family, n, bounds):
+    # random points, and every half-lattice point: the vertices, edge
+    # midpoints and centres where the cells of a square meet
+    mesh = family_mesh(family, n, bounds)
+    lo, hi = bounds
+    points = np.vstack([lo + (hi - lo) * np.random.default_rng(n).random((400, 2)),
+                        half_lattice_points(n, bounds)])
+    v = mesh.nodes[mesh.cells[locate(mesh, points)]]
+    tol = 1e-12 * mesh.h
+    if mesh.kind == "quad":
+        assert np.all((points >= v[:, 0] - tol) & (points <= v[:, 2] + tol))
+        return
+    e1, e2, d = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0], points - v[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    x = (d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]) / det
+    y = (e1[:, 0] * d[:, 1] - e1[:, 1] * d[:, 0]) / det
+    # signed distance to the edge opposite each vertex: barycentric times height
+    edges = np.linalg.norm(v[:, [2, 0, 1]] - v[:, [1, 2, 0]], axis=2)
+    assert np.all(np.stack([1 - x - y, x, y], axis=1) * det[:, None] / edges >= -tol)
 
 
 def test_dump_roundtrip_counts():
