@@ -28,6 +28,7 @@ __all__ = [
     "quadrature_rule",
     "interpolate_nodal",
     "abs_partial_integral",
+    "contract",
 ]
 
 MAX_DEGREE = 7
@@ -69,6 +70,14 @@ def quadrature_rule(kind, degree):
     raise ValueError(f"unknown reference element {kind!r}")
 
 
+def contract(x, m):
+    """sum_j x[c, j] m[c, j, ...] over cells c; an m shared by all cells
+    (length 1) keeps the sum one BLAS product."""
+    if len(m) == 1:
+        return (x @ m[0].reshape(len(m[0]), -1)).reshape(len(x), *m.shape[2:])
+    return np.einsum("cj,cj...->c...", x, m)
+
+
 def _q1_shapes(pts):
     x, y = pts[:, 0], pts[:, 1]
     vals = np.stack([(1 - x) * (1 - y), x * (1 - y), x * y, (1 - x) * y], axis=1)
@@ -97,9 +106,9 @@ class FeSpace:
         self.ndofs = mesh.num_nodes
         self.interior = ~mesh.boundary
         self._geom = {}
+        self.areas = mesh.cell_areas()
         if self.kind == "P1":
             v = mesh.nodes[mesh.cells]
-            self.areas = mesh.cell_areas()
             det = 2 * self.areas
             grads = np.empty((mesh.num_cells, 3, 2))
             for i in range(3):
@@ -107,8 +116,6 @@ class FeSpace:
                 grads[:, i, 0] = -edge[:, 1] / det
                 grads[:, i, 1] = edge[:, 0] / det
             self.cell_basis_grads = grads
-        else:
-            self.areas = np.full(mesh.num_cells, mesh.h ** 2)
 
     @property
     def interior_dofs(self):
@@ -157,6 +164,21 @@ class FeSpace:
             self._geom[key] = shapes
         return self._geom[key]
 
+    def gradient_rule(self, degree):
+        """Physical basis gradients G, shaped (C, nloc, nq, 2), and weights W,
+        shaped (C, nq), of the rule for integrals of gradients: Q1 cells share
+        the tensor Gauss rule of the degree (C = 1); a P1 gradient is constant
+        on its cell, so one point of weight |cell| is exact (C = cells)."""
+        key = ("gradient rule", degree)
+        if key not in self._geom:
+            if self.kind == "Q1":
+                h = self.mesh.h
+                grads = np.ascontiguousarray(self.ref_shapes(degree)[1].transpose(1, 0, 2))
+                self._geom[key] = grads[None] / h, (self.rule(degree).weights * h ** 2)[None]
+            else:
+                self._geom[key] = self.cell_basis_grads[:, :, None, :], self.areas[:, None]
+        return self._geom[key]
+
 
 class FeFunction:
     """Nodal coefficient vector over a FeSpace (boundary values included)."""
@@ -171,28 +193,14 @@ class FeFunction:
     def copy(self):
         return FeFunction(self.space, self.coeffs.copy())
 
-    def cell_gradients(self):
-        """(nc, 2) gradients; exact for P1, cell averages for Q1."""
-        space = self.space
-        uc = self.coeffs[space.mesh.cells]
-        if space.kind == "P1":
-            return np.einsum("ca,cai->ci", uc, space.cell_basis_grads)
-        c0, c1, c2, c3 = uc.T
-        h = space.mesh.h
-        return np.stack([((c1 - c0) + (c2 - c3)) / (2 * h),
-                         ((c3 - c0) + (c2 - c1)) / (2 * h)], axis=1)
-
     def gradients_on_rule(self, degree, cells=slice(None)):
-        """(nc, npts, 2) physical gradients at the quadrature points of
-        the given cells (a slice or index array; all by default)."""
+        """(nc, nq, 2) physical gradients at the points of
+        ``space.gradient_rule(degree)`` in the given cells (a slice or index
+        array; all by default); nq = 1 for P1, whose gradient is constant."""
         space = self.space
-        uc = self.coeffs[space.mesh.cells[cells]]
-        if space.kind == "Q1":
-            _, ref_grads = space.ref_shapes(degree)
-            return np.tensordot(uc, ref_grads, axes=(1, 1)) / space.mesh.h
-        g = np.einsum("ca,cai->ci", uc, space.cell_basis_grads[cells])
-        npts = len(space.rule(degree).points)
-        return np.broadcast_to(g[:, None, :], (len(uc), npts, 2))
+        grads, _ = space.gradient_rule(degree)
+        return contract(self.coeffs[space.mesh.cells[cells]],
+                        grads if len(grads) == 1 else grads[cells])
 
     def evaluate(self, points):
         """Pointwise values, located on the lattice; ValueError off the mesh's square."""

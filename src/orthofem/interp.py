@@ -312,7 +312,7 @@ class DualBasisProjector:
     def apply(self, w, target_space):
         """Project onto the target space; zero trace by construction.
 
-        FE inputs on a quad, boxslash or alternating-kuhn mesh on the same
+        FE inputs on a lattice mesh (every node a lattice node) on the same
         bounds, with n a multiple of the projector's, go through a nodal
         stencil; other inputs are paired pointwise node by node."""
         target = target_space.mesh
@@ -323,8 +323,8 @@ class DualBasisProjector:
             raise ValueError("cubic dual tables are biorthogonal to Q1 targets only")
         n = self.mesh.n
         source = w.space.mesh if isinstance(w, FeFunction) else None
-        if (source is not None and source.bounds == self.mesh.bounds and source.n % n == 0
-                and source.pattern in (None, "boxslash", "alternating-kuhn")):  # None: quad
+        if (source is not None and source.is_lattice_mesh
+                and source.bounds == self.mesh.bounds and source.n % n == 0):
             values = self._stencil_pairings(w)
         else:
             values = self._pairings(w, _interior_pairs(target)).reshape(n - 1, n - 1)

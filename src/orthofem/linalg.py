@@ -160,13 +160,15 @@ def cg_solve(a, b, cfg=None, x0=None, callback=None):
 
     Returns ``(x, iterations)``; raises IterativeSolveError when the
     iteration budget is exhausted before the relative residual drops
-    below the configured tolerance.  ``callback``, if given, receives
-    the current iterate after every iteration.  A call costs one matvec
-    per iteration and one more only for a start iterate ``x0``.
+    below the configured tolerance, and ValueError for a non-finite b.
+    ``callback``, if given, receives x after every iteration.  A call
+    costs one matvec per iteration and one more only for a start ``x0``.
     """
     cfg = cfg or CgConfig()
     _check_symmetric(a)
     b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side is not finite")
     max_iter = cfg.max_iter if cfg.max_iter is not None else 10 * a.dim
     diag = a.diagonal()
     if np.any(diag <= 0):

@@ -16,6 +16,12 @@ interior-only pattern.  For P1, K_B(u) u - F = r(u), so the step is
 residual uses a finer rule than K_B, and the flow stops at a zero of
 that residual.
 
+K, K_B, r and J are integrals of basis gradients, all taken on the rule
+of ``FeSpace.gradient_rule`` through one code path.  P1 uses one point
+of weight |cell|, because its gradient is constant on the cell; Q1 uses
+tensor Gauss of degree ASSEMBLY_DEGREE = 2 for K and K_B and of degree
+RESIDUAL_DEGREE = 4 for r and J.
+
 A step only has to reduce the current residual, so CG solves for the
 correction from zero to the relative tolerance FORCING on |r_I| (a
 constant forcing term of an inexact Newton method, in the sense of
@@ -32,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fespace import FeFunction
+from .fespace import FeFunction, contract
 from .linalg import CgConfig, CsrMatrix, CsrPattern, cg_solve
 
 __all__ = [
@@ -114,20 +120,11 @@ class _Assembler:
         target[kept] = self.interior_pattern.target
         self.interior_pattern.target = target
         self._full_pattern = None
-        if space.kind == "P1":
-            g, areas = space.cell_basis_grads, space.areas[:, None]
-            # per direction i, rows c: |c| d_i phi_a d_i phi_b on cell c
-            self.cell_products = [
-                (g[:, :, None, i] * g[:, None, :, i]).reshape(len(g), -1) * areas
-                for i in range(2)]
-        else:
-            weights = space.rule(ASSEMBLY_DEGREE).weights
-            _, self.ref_grads = space.ref_shapes(ASSEMBLY_DEGREE)
-            # per direction i, rows q: w_q d_i phi_a d_i phi_b at point q
-            self.ref_products = [
-                np.einsum("q,qa,qb->qab", weights, self.ref_grads[:, :, i],
-                          self.ref_grads[:, :, i]).reshape(len(weights), -1)
-                for i in range(2)]
+        grads, weights = space.gradient_rule(ASSEMBLY_DEGREE)
+        # per direction i, rows (c, q): d_i phi_a d_i phi_b W at point q of cell c
+        self.products = [
+            np.einsum("caq,cbq,cq->cqab", grads[..., i], grads[..., i], weights, order="C")
+            .reshape(*weights.shape, -1) for i in range(2)]
 
     def _triplets(self):
         """Row and column of each local matrix entry, cell by cell."""
@@ -143,32 +140,6 @@ class _Assembler:
             self._full_pattern = CsrPattern(self.space.ndofs, *self._triplets())
         return self._full_pattern.assemble(vals)
 
-    def stiffness_values(self):
-        space = self.space
-        if space.kind == "P1":
-            local = self.cell_products[0] + self.cell_products[1]
-        else:
-            # physical grads carry 1/h each, the cell measure h^2: h cancels
-            local_ref = (self.ref_products[0] + self.ref_products[1]).sum(axis=0)
-            local = np.broadcast_to(local_ref, (space.mesh.num_cells, 16))
-        return local.ravel()
-
-    def weighted_values(self, coeffs, law, clamp):
-        space = self.space
-        if space.kind == "P1":
-            gu = np.einsum("ca,cai->ci", coeffs[space.mesh.cells], space.cell_basis_grads)
-            w1 = law.weight(0, gu[:, 0], clamp)
-            w2 = law.weight(1, gu[:, 1], clamp)
-            local = (w1[:, None] * self.cell_products[0]
-                     + w2[:, None] * self.cell_products[1])
-        else:
-            h = space.mesh.h
-            gq = np.tensordot(coeffs[space.mesh.cells], self.ref_grads, axes=(1, 1)) / h
-            w1 = law.weight(0, gq[:, :, 0], clamp)
-            w2 = law.weight(1, gq[:, :, 1], clamp)
-            local = w1 @ self.ref_products[0] + w2 @ self.ref_products[1]
-        return local.ravel()
-
 
 def _assembler(space):
     if "assembler" not in space._geom:
@@ -179,27 +150,35 @@ def _assembler(space):
 def assemble_stiffness(space, interior_only=False):
     """Laplacian stiffness over all nodes, or its interior block K_II."""
     asm = _assembler(space)
-    return asm.assemble(asm.stiffness_values(), interior_only)
+    local = (asm.products[0] + asm.products[1]).sum(axis=1)
+    return asm.assemble(np.broadcast_to(local, (space.mesh.num_cells, local.shape[1])),
+                        interior_only)
 
 
 def assemble_weighted_stiffness(space, u_k, law, clamp=1e-10, interior_only=False):
     """Stiffness weighted per direction by B_i at the gradient of u_k,
     over all nodes or as its interior block."""
-    coeffs = u_k.coeffs if isinstance(u_k, FeFunction) else np.asarray(u_k, float)
+    u = u_k if isinstance(u_k, FeFunction) else FeFunction(space, u_k)
     asm = _assembler(space)
-    vals = asm.weighted_values(coeffs, law, clamp)
+    g = u.gradients_on_rule(ASSEMBLY_DEGREE)
+    vals = (contract(law.weight(0, g[..., 0], clamp), asm.products[0])
+            + contract(law.weight(1, g[..., 1], clamp), asm.products[1]))
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("non-finite weight in the weighted stiffness")
     return asm.assemble(vals, interior_only)
 
 
 def assemble_load(space, f):
-    """Load vector for a source field; zero vector when f is None."""
+    """Load vector for a source field, which may return one scalar; zero
+    vector when f is None.  ValueError where the field is not finite."""
     if f is None:
         return np.zeros(space.ndofs)
     pts, wts = space.rule_geometry(RESIDUAL_DEGREE)
     shapes, _ = space.ref_shapes(RESIDUAL_DEGREE)
-    fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
+    fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float)
+    fv = np.full(pts.shape[:2], fv) if fv.ndim == 0 else fv.reshape(pts.shape[:2])
+    if not np.all(np.isfinite(fv)):
+        raise ValueError("source is not finite at some quadrature point")
     contrib = np.einsum("cq,qa->ca", wts * fv, shapes)
     return np.bincount(space.mesh.cells.ravel(), weights=contrib.ravel(),
                        minlength=space.ndofs)
@@ -210,45 +189,33 @@ def energy(space, w, law):
 
     Subtracting phi_i(0) removes the constant delta-contribution, so
     the value is zero for w = 0 also in the regularized case.  Exact
-    for P1 (cellwise constant gradients); Gauss of degree
-    RESIDUAL_DEGREE for Q1.
+    for P1: one point of weight |cell|, the gradient being constant on
+    it; Gauss of degree RESIDUAL_DEGREE for Q1.
     """
     u = w if isinstance(w, FeFunction) else FeFunction(space, w)
     phi1, phi2 = law.phi(0), law.phi(1)
     zero = phi1.value(0.0) + phi2.value(0.0)
-    if space.kind == "P1":
-        g = u.cell_gradients()
-        dens = phi1.value(np.abs(g[:, 0])) + phi2.value(np.abs(g[:, 1])) - zero
-        return float(np.sum(space.areas * dens))
     g = u.gradients_on_rule(RESIDUAL_DEGREE)
-    _, wts = space.rule_geometry(RESIDUAL_DEGREE)
-    dens = phi1.value(np.abs(g[:, :, 0])) + phi2.value(np.abs(g[:, :, 1])) - zero
-    return float(np.sum(wts * dens))
+    _, weights = space.gradient_rule(RESIDUAL_DEGREE)
+    dens = phi1.value(np.abs(g[..., 0])) + phi2.value(np.abs(g[..., 1])) - zero
+    return float(np.sum(weights * dens))
 
 
 def galerkin_residual(space, u, law, f=None):
     """Residual vector of the discrete nonlinear system at u.
 
-    Entry a is  int of sum_i A_i(d_i u) d_i phi_a  -  int of f phi_a,
-    computed exactly for P1 and with Gauss quadrature of degree
-    RESIDUAL_DEGREE for Q1.  The caller restricts to interior nodes.
+    Entry a is  int of sum_i A_i(d_i u) d_i phi_a  -  int of f phi_a: exact
+    for P1, one point of weight |cell| as the gradient is constant there, and
+    Gauss of degree RESIDUAL_DEGREE for Q1.  The caller restricts to interior nodes.
     """
     uf = u if isinstance(u, FeFunction) else FeFunction(space, u)
-    mesh = space.mesh
-    if space.kind == "P1":
-        g = space.cell_basis_grads
-        gu = uf.cell_gradients()
-        a1 = law.flux(0, gu[:, 0]) * space.areas
-        a2 = law.flux(1, gu[:, 1]) * space.areas
-        contrib = a1[:, None] * g[:, :, 0] + a2[:, None] * g[:, :, 1]
-    else:
-        _, wts = space.rule_geometry(RESIDUAL_DEGREE)
-        _, ref_grads = space.ref_shapes(RESIDUAL_DEGREE)
-        gq = uf.gradients_on_rule(RESIDUAL_DEGREE)
-        h = mesh.h
-        contrib = ((wts * law.flux(0, gq[:, :, 0])) @ ref_grads[:, :, 0]
-                   + (wts * law.flux(1, gq[:, :, 1])) @ ref_grads[:, :, 1]) / h
-    res = np.bincount(mesh.cells.ravel(), weights=contrib.ravel(), minlength=space.ndofs)
+    g = uf.gradients_on_rule(RESIDUAL_DEGREE)
+    grads, weights = space.gradient_rule(RESIDUAL_DEGREE)
+    # per direction i: sum_q W A_i(d_i u) d_i phi_a, G's axes swapped to (c, q, a)
+    contrib = (contract(weights * law.flux(0, g[..., 0]), grads[..., 0].swapaxes(1, 2))
+               + contract(weights * law.flux(1, g[..., 1]), grads[..., 1].swapaxes(1, 2)))
+    res = np.bincount(space.mesh.cells.ravel(), weights=contrib.ravel(),
+                      minlength=space.ndofs)
     return res - assemble_load(space, f)
 
 

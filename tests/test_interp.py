@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from orthofem.fespace import (FeFunction, FeSpace, abs_partial_integral,
                               interpolate_nodal)
 from orthofem.interp import AveragedInterpolant, build_dual_table, transfer
-from orthofem.mesh import build_quad, build_tri, element_patch, locate
+from orthofem.mesh import build_quad, build_tri, element_patch, locate, refine_kuhn_half
 
 from oracles import integrate
 
@@ -422,12 +422,15 @@ class TestNestedStencil:
     @pytest.mark.parametrize("kind,target_pattern", PROJECTIONS)
     @pytest.mark.parametrize("pattern,source_n,bounds", [
         ("cross", 8, (0.0, 1.0)), ("unionjack", 4, (0.0, 1.0)), ("quad", 6, (0.0, 1.0)),
-        ("alternating-kuhn", 10, (0.0, 1.0)), ("quad", 8, (-1.0, 1.0))])
+        ("alternating-kuhn", 10, (0.0, 1.0)), ("quad", 8, (-1.0, 1.0)),
+        ("half-kuhn", 8, (0.0, 1.0))])
     def test_other_inputs_stay_pointwise(self, kind, target_pattern, pattern, source_n,
                                          bounds):
-        # non-lattice meshes, lattices that do not refine n = 4 and inputs on
-        # a larger square stay on the pointwise path, bit for bit
-        source = _space(source_n, pattern, bounds)
+        # non-lattice meshes, the half-refinement child among them, lattices
+        # that do not refine n = 4 and inputs on a larger square stay on the
+        # pointwise path, bit for bit
+        source = (FeSpace(refine_kuhn_half(build_tri(source_n // 2, "alternating-kuhn")).child)
+                  if pattern == "half-kuhn" else _space(source_n, pattern, bounds))
         target = _space(4, target_pattern)
         w = FeFunction(source, np.random.default_rng(10).standard_normal(source.ndofs))
         proj = _projector(kind, 4, (0.0, 1.0))

@@ -219,6 +219,15 @@ class TestCg:
         assert err.value.iterations == 2
         assert np.isfinite(err.value.residual) and err.value.residual > 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rhs_rejected(self, bad):
+        # a NaN makes the stopping test rr > tol^2 bb False, so it would
+        # pass as convergence after zero iterations
+        b = np.ones(8)
+        b[3] = bad
+        with pytest.raises(ValueError):
+            cg_solve(laplacian_1d(8), b)
+
     def test_symmetry_check(self):
         a = CsrPattern(3, [0, 1], [1, 2]).assemble([1.0, 3.0])
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthofem import linalg, solver
 from orthofem.analysis import ManufacturedSolution
@@ -121,6 +122,10 @@ class TestWeightedStiffness:
     @pytest.mark.parametrize("make_space", [
         lambda: FeSpace(build_tri(4, "boxslash")),
         lambda: FeSpace(build_quad(4)),
+        lambda: FeSpace(build_tri(4, "alternating-kuhn")),
+        lambda: FeSpace(build_tri(4, "unionjack")),
+        lambda: FeSpace(build_tri(4, "cross")),
+        lambda: FeSpace(build_quad(5)),  # h = 1/5 is not a power of two
     ])
     def test_matches_dense_quadrature_reference(self, make_space):
         space = make_space()
@@ -163,6 +168,34 @@ class TestEnergy:
         space = FeSpace(build_quad(3))
         law = GrowthLaw((2.0, 2.0), deltas=(0.5, 0.5))
         assert energy(space, np.zeros(space.ndofs), law) == pytest.approx(0.0, abs=1e-15)
+
+
+FAMILIES = ["quad", "boxslash", "alternating-kuhn", "unionjack", "cross"]
+
+
+def family_space(family, n):
+    return FeSpace(build_quad(n) if family == "quad" else build_tri(n, family))
+
+
+class TestGradientIntegrals:
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(FAMILIES), n=st.integers(2, 5),
+           p1=st.floats(1.5, 6.0), p2=st.floats(1.5, 6.0), seed=st.integers(0, 2 ** 16))
+    def test_residual_is_the_energy_derivative(self, family, n, p1, p2, seed):
+        # r(u).v is the derivative of J along v: both integrate on the rule
+        # of degree RESIDUAL_DEGREE, so only the central difference errs
+        space = family_space(family, n)
+        law = GrowthLaw((p1, p2))
+        rng = np.random.default_rng(seed)
+        u, v = rng.standard_normal((2, space.ndofs))
+        r = galerkin_residual(space, u, law)
+        eps = 1e-6
+        slope = (energy(space, u + eps * v, law) - energy(space, u - eps * v, law)) / (2 * eps)
+        assert abs(slope - r @ v) <= 1e-6 * (np.abs(r) @ np.abs(v))
+        if space.kind == "P1":
+            # one point per cell for K_B and r alike: K_B(u) u = r(u) at f = 0
+            kb_u = assemble_weighted_stiffness(space, u, law).matvec(u)
+            assert np.abs(kb_u - r).max() <= 1e-12 * np.abs(r).max()
 
 
 class TestInteriorAssembly:
@@ -408,6 +441,24 @@ class TestSolve:
         for clamp in (0.0, -1e-10):
             with pytest.raises(ValueError):
                 FlowConfig(clamp=clamp)
+
+
+def test_scalar_source_is_a_constant_field():
+    for space in (FeSpace(build_quad(4)), FeSpace(build_tri(4, "cross"))):
+        expected = assemble_load(space, lambda x: np.full(len(x), 2.5))
+        assert np.array_equal(assemble_load(space, lambda x: 2.5), expected)
+
+
+def test_nonfinite_source_rejected():
+    # a NaN load would stop CG at once, as NaN compares False, and the flow
+    # would report convergence with a NaN residual
+    law = GrowthLaw((3.0, 1.5))
+    space = FeSpace(build_tri(4, "boxslash"))
+    ms = ManufacturedSolution(law)
+    spec = ProblemSpec(law=law, space=space, dirichlet=ms.value,
+                       source=lambda x: np.where(x[:, 0] > 0.5, np.nan, 1.0))
+    with pytest.raises(ValueError):
+        solve(spec, FlowConfig(max_iter=3))
 
 
 def test_source_term_load_vector():
