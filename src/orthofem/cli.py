@@ -65,25 +65,28 @@ def _n_list(text):
     return sizes
 
 
-@dataclass
+@dataclass(kw_only=True, frozen=True)
 class StudyConfig:
     """One refinement study.  Each field is also a flag (``--max-iter``
     for ``max_iter``) and a config-file key, except for the spellings
-    listed in FLAG_SPELLINGS and FILE_KEY_SPELLINGS."""
+    listed in FLAG_SPELLINGS and FILE_KEY_SPELLINGS, and a key of the CSV
+    header (see ``_metadata_header``).  ``law`` and ``flow`` are built
+    once and check the ranges of their settings; the fields are frozen,
+    so they cannot go stale."""
 
     mesh: str
+    domain: str = "symmetric"     # experiments ran on (-1,1)^2
     p1: float
     p2: float
-    n0: int | None = None
-    levels: int | None = None
-    n_list: tuple | None = None
     delta: float = 0.0
     tau: float = 1.0
     tol: float = 1e-10
     max_iter: int = 5000
     clamp: float = 1e-10
     quad_degree: int = 5
-    domain: str = "symmetric"     # experiments ran on (-1,1)^2
+    n0: int | None = None
+    levels: int | None = None
+    n_list: tuple | None = None
     residual_target: float | None = None
     cg_tol: float = 1e-12
     out: str | None = None
@@ -95,8 +98,6 @@ class StudyConfig:
             value = getattr(self, name)
             if value is not None and value not in allowed:
                 raise UsageError(f"unknown {name} {value!r}")
-        if not (self.p1 > 1 and self.p2 > 1):
-            raise UsageError("growth exponents must exceed 1")
         if self.n_list is None and (self.n0 is None or self.levels is None):
             raise UsageError("need either an N list or N0 plus a level count")
         if self.n_list is None and self.levels < 1:
@@ -105,18 +106,17 @@ class StudyConfig:
         if sizes[0] < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise UsageError(f"level sizes {sizes} must be at least 2 and "
                              "strictly increasing")
-        for name in ("tau", "tol", "clamp", "residual_target"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise UsageError(f"{name} must be positive")
-        if not self.max_iter >= 1:
-            raise UsageError("max_iter must be at least 1")
-        if not 0 < self.cg_tol < 1:
-            raise UsageError("cg_tol must lie in (0, 1)")
         if not 1 <= self.quad_degree <= MAX_DEGREE:
             raise UsageError(f"quad_degree must lie in 1..{MAX_DEGREE}")
-        if not self.delta >= 0:
-            raise UsageError("delta must be non-negative")
+        try:
+            law = GrowthLaw((self.p1, self.p2), (self.delta, self.delta))
+            flow = FlowConfig(tau=self.tau, tol=self.tol, max_iter=self.max_iter,
+                              clamp=self.clamp, residual_target=self.residual_target,
+                              cg=CgConfig(tol=self.cg_tol))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        object.__setattr__(self, "law", law)
+        object.__setattr__(self, "flow", flow)
 
     def level_sizes(self):
         if self.n_list is not None:
@@ -218,12 +218,9 @@ def run_study(cfg):
     incomplete and stops the sweep; already computed rows are kept.  A
     failed solve leaves no report.
     """
-    law = GrowthLaw((cfg.p1, cfg.p2), (cfg.delta, cfg.delta))
+    law, flow = cfg.law, cfg.flow
     ms = ManufacturedSolution(law)
     table = ConvergenceTable(cfg.mesh, cfg.p1, cfg.p2)
-    flow = FlowConfig(tau=cfg.tau, tol=cfg.tol, max_iter=cfg.max_iter,
-                      clamp=cfg.clamp, residual_target=cfg.residual_target,
-                      cg=CgConfig(tol=cfg.cg_tol))
     reports = []
     solution = None
     for n in cfg.level_sizes():
@@ -337,16 +334,22 @@ def diff_paper(table, name):
 
 
 def _metadata_header(cfg, reports):
-    schedule = []
-    for report in reports:
-        schedule.append(";".join(f"{k}:{tau:g}" for k, tau in report.tau_schedule))
-    keys = [
-        f"mesh={cfg.mesh}", f"domain={cfg.domain}", f"p1={cfg.p1:g}",
-        f"p2={cfg.p2:g}", f"delta={cfg.delta:g}", f"tau={cfg.tau:g}",
-        f"tol={cfg.tol:g}", f"max_iter={cfg.max_iter}", f"clamp={cfg.clamp:g}",
-        f"quad_degree={cfg.quad_degree}",
-        "tau_schedule=" + "|".join(schedule),
-    ]
+    """The settings that shape the table's cells, in field order (None
+    omitted, floats as ``:g``, the N list comma separated), then the
+    pseudo-time-step schedule of every level."""
+    keys = []
+    for f in fields(StudyConfig):
+        value = getattr(cfg, f.name)
+        if value is None or f.name in ("out", "format", "diff_paper"):
+            continue
+        if isinstance(value, float):
+            value = f"{value:g}"
+        elif isinstance(value, (tuple, list)):
+            value = ",".join(map(str, value))
+        keys.append(f"{f.name}={value}")
+    schedule = (";".join(f"{k}:{tau:g}" for k, tau in report.tau_schedule)
+                for report in reports)
+    keys.append("tau_schedule=" + "|".join(schedule))
     return "# " + " ".join(keys) + "\n"
 
 

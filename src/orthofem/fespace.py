@@ -3,7 +3,9 @@
 Quadrature rules are generated by tensor Gauss-Legendre on the
 reference square and by the collapsed (Duffy) transform on the
 reference triangle; both have positive weights and are exact for
-polynomials up to the requested total degree (1..7).
+polynomials up to the requested total degree (1..7).  ``map_rule``
+takes a rule onto affine pieces, given by the images of (0, 0), (1, 0)
+and (0, 1): the FE cells here and the dual pieces and boxes of ``interp``.
 
 Besides pointwise evaluation this module provides exact integrals of
 |partial_i u| over convex polygonal regions, used to measure the
@@ -26,6 +28,7 @@ __all__ = [
     "FeFunction",
     "QuadratureRule",
     "quadrature_rule",
+    "map_rule",
     "interpolate_nodal",
     "abs_partial_integral",
     "contract",
@@ -68,6 +71,18 @@ def quadrature_rule(kind, degree):
         pts = np.stack([XI.ravel(), (ETA * (1 - XI)).ravel()], axis=1)
         return QuadratureRule(kind, degree, pts, (W * (1 - XI)).ravel())
     raise ValueError(f"unknown reference element {kind!r}")
+
+
+def map_rule(rule, corners):
+    """A reference rule on affine pieces, given per piece the images of
+    (0, 0), (1, 0) and (0, 1), shaped (P, 3, 2): points (P, npts, 2) and
+    weights (P, npts) scaled by |det J|, positive on reflected pieces too."""
+    origin = corners[:, 0]
+    e1, e2 = corners[:, 1] - origin, corners[:, 2] - origin
+    s, t = rule.points[:, 0, None], rule.points[:, 1, None]
+    pts = origin[:, None] + s * e1[:, None] + t * e2[:, None]
+    det = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    return pts, rule.weights[None, :] * det[:, None]
 
 
 def contract(x, m):
@@ -124,8 +139,7 @@ class FeSpace:
     def rule(self, degree):
         key = ("rule", degree)
         if key not in self._geom:
-            kind = "quad" if self.kind == "Q1" else "triangle"
-            self._geom[key] = quadrature_rule(kind, degree)
+            self._geom[key] = quadrature_rule(self.mesh.kind, degree)
         return self._geom[key]
 
     def rule_geometry(self, degree, cells=None):
@@ -142,18 +156,9 @@ class FeSpace:
         return self._geom[key]
 
     def _rule_geometry(self, degree, cells):
-        rule = self.rule(degree)
-        v = self.mesh.nodes[self.mesh.cells[cells]]
-        if self.kind == "Q1":
-            pts = v[:, None, 0, :] + rule.points[None, :, :] * self.mesh.h
-            wts = np.broadcast_to(rule.weights * self.mesh.h ** 2,
-                                  (len(v), len(rule.weights)))
-        else:
-            pts = (v[:, None, 0, :]
-                   + rule.points[None, :, 0, None] * (v[:, None, 1, :] - v[:, None, 0, :])
-                   + rule.points[None, :, 1, None] * (v[:, None, 2, :] - v[:, None, 0, :]))
-            wts = rule.weights[None, :] * (2 * self.areas[cells])[:, None]
-        return pts, wts
+        # cell vertices 0, 1 and the last are the images of (0, 0), (1, 0), (0, 1)
+        corners = self.mesh.nodes[self.mesh.cells[cells][:, [0, 1, -1]]]
+        return map_rule(self.rule(degree), corners)
 
     def ref_shapes(self, degree):
         """Shape values/ref-gradients at the rule points of the given degree."""
@@ -189,9 +194,6 @@ class FeFunction:
             raise ValueError(f"expected {space.ndofs} coefficients, got {coeffs.shape}")
         self.space = space
         self.coeffs = coeffs
-
-    def copy(self):
-        return FeFunction(self.space, self.coeffs.copy())
 
     def gradients_on_rule(self, degree, cells=slice(None)):
         """(nc, nq, 2) physical gradients at the points of

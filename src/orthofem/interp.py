@@ -21,8 +21,11 @@ Two families are provided:
   reflected into the domain and the value sign is flipped once per
   reflection.
 
-The dual coefficient tables are validated at construction by solving
-the local patch mass system and comparing.
+``fespace.map_rule`` takes every rule here onto the pieces around a node:
+eight triangles, or four reflected squares (side h for the cubic dual,
+h/2 for the averaging box).  ``_dual_family`` declares how the dual
+families differ; the rules and the check of the table against the local
+mass solve run one path on it.
 
 Lattice nodes are addressed by integer index pairs (k1, k2), located at
 lo + h (k1, k2) and read or written through ``mesh.lattice_ids``.
@@ -34,9 +37,11 @@ refines the projector's r-fold is a nodal stencil on its lattice values,
 read off the pointwise pairings of unit nodal functions.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
-from .fespace import FeFunction, _q1_shapes, quadrature_rule
+from .fespace import FeFunction, _q1_shapes, map_rule, quadrature_rule
 from .mesh import build_tri, refine_kuhn_half
 
 __all__ = [
@@ -123,16 +128,11 @@ class AveragedInterpolant:
         _require_lattice(space.mesh, "the averaged interpolant")
         self.space = space
         h = space.mesh.h
-        rule = quadrature_rule("quad", CALLABLE_DEGREE)
         # quadrant-wise tensor rule on the averaging box, so inputs that
         # are piecewise polynomial on the half lattice integrate exactly
-        pts, wts = [], []
-        for qx in (-1.0, 1.0):
-            for qy in (-1.0, 1.0):
-                pts.append(rule.points * np.array([qx, qy]) * (h / 2))
-                wts.append(rule.weights / 4.0)
-        self._box_points = np.concatenate(pts)     # offsets from the node
-        self._box_weights = np.concatenate(wts)    # sums to 1
+        pts, wts = map_rule(quadrature_rule("quad", CALLABLE_DEGREE), _quadrants(h / 2))
+        self._box_points = pts.reshape(-1, 2)     # offsets from the node
+        self._box_weights = wts.ravel() / h ** 2  # sums to 1
 
     def _averages_exact(self, w):
         """Box means of an FE input at every lattice node, indexed [k1, k2]."""
@@ -190,6 +190,48 @@ def _classify_dual_coeff(offset, h):
     return _SIMPLICIAL_DUAL_CLASSES[key] / h ** 2
 
 
+def _quadrants(side):
+    """Per quadrant around the origin, the images of (0, 0), (1, 0) and (0, 1)
+    under the reflection of the reference square onto the quadrant's square
+    of the given side, shaped (4, 3, 2)."""
+    signs = np.array([(qx, qy) for qx in (-1.0, 1.0) for qy in (-1.0, 1.0)])
+    return np.stack([0 * signs, signs * (side, 0), signs * (0, side)], axis=1)
+
+
+# reference element and shape values of the pieces; per piece the images of
+# (0, 0), (1, 0), (0, 1) (P, 3, 2), the shape nodes (P, nloc, 2) and their dual
+# coefficients (P, nloc), as offsets from the node; the admissible target kinds
+_DualFamily = namedtuple("_DualFamily", "element shapes corners nodes table targets")
+
+
+def _dual_family(kind, mesh):
+    """The one declaration of how the two dual families differ."""
+    h = mesh.h
+    if kind == "simplicial":
+        if mesh.pattern != "alternating-kuhn":
+            raise ValueError("simplicial dual tables need an alternating-kuhn mesh")
+        # the node patch of the half-refined Kuhn mesh: the center node of a
+        # 2 x 2 mesh on (-h, h)^2; P2 nodes are the vertices, then the midpoints
+        refined = refine_kuhn_half(build_tri(2, "alternating-kuhn", bounds=(-h, h)))
+        child = refined.child
+        tris = child.nodes[child.cells[refined.node_patches[(1, 1)]]]  # (8, 3, 2)
+        nodes = np.concatenate([tris, (tris[:, [1, 2, 0]] + tris[:, [2, 0, 1]]) / 2], axis=1)
+        table = np.array([[_classify_dual_coeff(p, h) for p in tri] for tri in nodes])
+        return _DualFamily("triangle", _p2_shapes, tris, nodes, table, ("Q1", "P1"))
+    if kind == "cubic":
+        if mesh.kind != "quad":
+            raise ValueError("cubic dual tables need a quad mesh")
+        # the four adjacent squares, each reflected so that its Q1 vertex
+        # order reads node, x-neighbor, diagonal, y-neighbor
+        corners = _quadrants(h)
+        nodes = np.stack([corners[:, 0], corners[:, 1], corners[:, 1] + corners[:, 2],
+                          corners[:, 2]], axis=1)
+        table = np.tile([4.0, -2.0, 1.0, -2.0], (4, 1)) / h ** 2
+        return _DualFamily("quad", lambda pts: _q1_shapes(pts)[0], corners, nodes,
+                           table, ("Q1",))
+    raise ValueError(f"unknown dual table kind {kind!r}")
+
+
 class DualBasisProjector:
     """Projection onto Q1/P1 lattice spaces via a biorthogonal dual basis.
 
@@ -208,82 +250,33 @@ class DualBasisProjector:
     """
 
     def __init__(self, kind, mesh):
-        if kind == "simplicial":
-            if mesh.kind != "triangle" or mesh.pattern != "alternating-kuhn":
-                raise ValueError("simplicial dual tables need an alternating-kuhn mesh")
-        elif kind == "cubic":
-            if mesh.kind != "quad":
-                raise ValueError("cubic dual tables need a quad mesh")
-        else:
-            raise ValueError(f"unknown dual table kind {kind!r}")
+        family = self._family = _dual_family(kind, mesh)
         _require_lattice(mesh, "the dual-basis projector")
-        self.kind = kind
-        self.mesh = mesh
-        h = mesh.h
-        if kind == "simplicial":
-            # the node patch of the half-refined Kuhn mesh, as offsets
-            # from the node: the center node of a 2 x 2 mesh on (-h, h)^2
-            refined = refine_kuhn_half(build_tri(2, "alternating-kuhn", bounds=(-h, h)))
-            child = refined.child
-            tris = child.nodes[child.cells[refined.node_patches[(1, 1)]]]  # (8, 3, 2)
-            mids = np.stack([(tris[:, 1] + tris[:, 2]) / 2,
-                             (tris[:, 2] + tris[:, 0]) / 2,
-                             (tris[:, 0] + tris[:, 1]) / 2], axis=1)
-            self._tri_nodes = np.concatenate([tris, mids], axis=1)  # (8, 6, 2)
-            self.table = np.array([[_classify_dual_coeff(p, h) for p in tri]
-                                   for tri in self._tri_nodes])
-            self._rules = {}
-            for label, degree in (("fe", FE_PAIRING_DEGREE), ("callable", CALLABLE_DEGREE)):
-                rule = quadrature_rule("triangle", degree)
-                shapes = _p2_shapes(rule.points)
-                pts = (tris[:, None, 0, :]
-                       + rule.points[None, :, 0, None] * (tris[:, None, 1, :] - tris[:, None, 0, :])
-                       + rule.points[None, :, 1, None] * (tris[:, None, 2, :] - tris[:, None, 0, :]))
-                wts = np.broadcast_to(rule.weights * 2 * (h ** 2 / 8), pts.shape[:2])
-                dual = np.einsum("qa,ta->tq", shapes, self.table)
-                self._rules[label] = (pts.reshape(-1, 2), (wts * dual).ravel())
-        else:
-            # corner values of the dual function on each adjacent square,
-            # in Q1 vertex order: node, x-neighbor, diagonal, y-neighbor
-            self.table = np.array([4.0, -2.0, 1.0, -2.0]) / h ** 2
-            self._rules = {}
-            for label, degree in (("fe", FE_PAIRING_DEGREE), ("callable", CALLABLE_DEGREE)):
-                rule = quadrature_rule("quad", degree)
-                dual = _q1_shapes(rule.points)[0] @ self.table
-                pts = [rule.points * (qx, qy) * h for qx in (-1.0, 1.0) for qy in (-1.0, 1.0)]
-                self._rules[label] = (np.concatenate(pts),
-                                      np.tile(rule.weights * h ** 2 * dual, 4))
+        self.kind, self.mesh, self.table = kind, mesh, family.table
+        self._rules = {}
+        for label, degree in (("fe", FE_PAIRING_DEGREE), ("callable", CALLABLE_DEGREE)):
+            rule = quadrature_rule(family.element, degree)
+            pts, wts = map_rule(rule, family.corners)
+            dual = np.einsum("qa,pa->pq", family.shapes(rule.points), family.table)
+            self._rules[label] = (pts.reshape(-1, 2), (wts * dual).ravel())
         self._validate_against_mass_solve()
 
     # -- build-time oracle -------------------------------------------------
 
     def _validate_against_mass_solve(self):
-        h = self.mesh.h
-        if self.kind == "simplicial":
-            elements = self._tri_nodes  # P2 nodes of the eight triangles
-            rule = quadrature_rule("triangle", 4)
-            shapes = _p2_shapes(rule.points)
-            e1, e2 = (elements[:, i] - elements[:, 0] for i in (1, 2))
-            jacobians = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-            tabulated = self.table
-        else:
-            rule = quadrature_rule("quad", 2)
-            shapes = _q1_shapes(rule.points)[0]
-            corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) * h
-            elements = np.array([corners * (qx, qy) for qx in (-1, 1) for qy in (-1, 1)])
-            jacobians = np.full(4, h ** 2)
-            tabulated = np.broadcast_to(self.table, (4, 4))
-        local = np.einsum("e,q,qa,qb->eab", jacobians, rule.weights, shapes, shapes)
+        family = self._family
+        rule = quadrature_rule(family.element, 4)  # exact on products of two shapes
+        shapes = family.shapes(rule.points)
+        local = np.einsum("pq,qa,qb->pab", map_rule(rule, family.corners)[1], shapes, shapes)
         # number the patch nodes by their position on the quarter lattice
-        keys = np.rint(elements.reshape(-1, 2) * (4 / h)).astype(np.int64)
+        keys = np.rint(family.nodes.reshape(-1, 2) * (4 / self.mesh.h)).astype(np.int64)
         keys, ids = np.unique(keys, axis=0, return_inverse=True)
-        ids = ids.reshape(elements.shape[:2])
+        ids = ids.reshape(family.nodes.shape[:2])
         mass = np.zeros((len(keys), len(keys)))
         np.add.at(mass, (ids[:, :, None], ids[:, None, :]), local)
         rhs = np.all(keys == 0, axis=1).astype(float)
         solved = np.linalg.solve(mass, rhs)[ids]
-        scale = np.abs(tabulated).max()
-        if np.abs(solved - tabulated).max() > 1e-9 * scale:
+        if np.abs(solved - self.table).max() > 1e-9 * np.abs(self.table).max():
             raise AssertionError(
                 "dual coefficient table disagrees with the local mass solve")
 
@@ -319,8 +312,9 @@ class DualBasisProjector:
         if target.bounds != self.mesh.bounds or target.n != self.mesh.n:
             raise ValueError("target lattice does not match the projector")
         _require_lattice(target, "the dual-basis projection target")
-        if self.kind == "cubic" and target_space.kind != "Q1":
-            raise ValueError("cubic dual tables are biorthogonal to Q1 targets only")
+        if target_space.kind not in self._family.targets:
+            raise ValueError(f"{self.kind} dual tables are biorthogonal to "
+                             f"{' and '.join(self._family.targets)} targets only")
         n = self.mesh.n
         source = w.space.mesh if isinstance(w, FeFunction) else None
         if (source is not None and source.is_lattice_mesh

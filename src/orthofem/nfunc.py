@@ -39,8 +39,8 @@ class PowerNFunction:
     def __post_init__(self):
         if not self.p > 1:
             raise ValueError(f"exponent must satisfy p > 1, got {self.p}")
-        if self.delta < 0:
-            raise ValueError(f"regularization shift must be >= 0, got {self.delta}")
+        if not self.delta >= 0:  # NaN fails too
+            raise ValueError(f"regularization shift delta must be >= 0, got {self.delta}")
 
     def value(self, t):
         _check_nonnegative(t)
@@ -137,7 +137,3 @@ class GrowthLaw:
         t = np.asarray(t, dtype=float)
         out = np.sign(t) * np.abs(t) ** (p / 2)
         return out if out.ndim else float(out)
-
-    def conjugates(self):
-        """Conjugate exponents (q_1, q_2) of the growth exponents."""
-        return tuple(conjugate_exponent(p) for p in self.exponents)

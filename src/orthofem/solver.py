@@ -81,10 +81,12 @@ class FlowConfig:
     residual_target: float | None = None
 
     def __post_init__(self):
-        if self.tau <= 0 or self.tol <= 0 or self.clamp <= 0:
-            raise ValueError("flow parameters must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        for name in ("tau", "tol", "clamp", "residual_target"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:  # NaN fails too
+                raise ValueError(f"{name} must be positive")
+        if not self.max_iter >= 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass

@@ -1,5 +1,5 @@
 import os
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -20,18 +20,18 @@ BASE_FLAGS = {"mesh": ["--mesh", "quad"], "p1": ["--p1", "2"], "p2": ["--p2", "2
 # valid value, and a malformed value
 FIELD_CASES = [
     ("mesh", "--mesh", "mesh", "cross", "cross", "boxslash", "hexagon"),
+    ("domain", "--domain", "domain", "unit", "unit", "symmetric", "disk"),
     ("p1", "--p1", "p1", "3", 3.0, "2.5", "two"),
     ("p2", "--p2", "p2", "1.5", 1.5, "3", "1,5"),
-    ("n0", "--N0", "n0", "8", 8, "2", "4.5"),
-    ("levels", "--levels", "levels", "3", 3, "2", "three"),
-    ("n_list", "--N", "n", "4, 8", (4, 8), "6,12", "4,x"),
     ("delta", "--delta", "delta", "0.1", 0.1, "0.2", "small"),
     ("tau", "--tau", "tau", "0.5", 0.5, "0.25", "fast"),
     ("tol", "--tol", "tol", "1e-9", 1e-9, "1e-8", "tight"),
     ("max_iter", "--max-iter", "max_iter", "7", 7, "9", "1e3"),
     ("clamp", "--clamp", "clamp", "1e-8", 1e-8, "1e-6", "none"),
     ("quad_degree", "--quad-degree", "quad_degree", "3", 3, "4", "3.0"),
-    ("domain", "--domain", "domain", "unit", "unit", "symmetric", "disk"),
+    ("n0", "--N0", "n0", "8", 8, "2", "4.5"),
+    ("levels", "--levels", "levels", "3", 3, "2", "three"),
+    ("n_list", "--N", "n", "4, 8", (4, 8), "6,12", "4,x"),
     ("residual_target", "--residual-target", "residual_target", "1e-6", 1e-6,
      "1e-5", "low"),
     ("cg_tol", "--cg-tol", "cg_tol", "1e-5", 1e-5, "1e-4", "loose"),
@@ -97,6 +97,26 @@ class TestEveryField:
 
 def test_field_cases_cover_every_field():
     assert [case[0] for case in FIELD_CASES] == [f.name for f in fields(StudyConfig)]
+
+
+def test_metadata_header_records_every_cell_affecting_field():
+    base = cli._metadata_header(parse_config(base_flags(None)), [])
+    for name, flag, _, text, *_ in FIELD_CASES:
+        header = cli._metadata_header(parse_config(base_flags(name) + [flag, text]), [])
+        if name in ("out", "format", "diff_paper"):  # they leave the cells as they are
+            assert header == base, name
+        else:
+            assert header != base and f" {name}=" in header, name
+
+
+def test_metadata_header_keys_and_format():
+    cfg = parse_config(["--mesh", "boxslash", "--p1", "3", "--p2", "1.5",
+                        "--N", "10,20", "--residual-target", "5e-7",
+                        "--cg-tol", "5e-14", "--diff-paper", "table3"])
+    assert cli._metadata_header(cfg, []) == (
+        "# mesh=boxslash domain=symmetric p1=3 p2=1.5 delta=0 tau=1 tol=1e-10 "
+        "max_iter=5000 clamp=1e-10 quad_degree=5 n_list=10,20 "
+        "residual_target=5e-07 cg_tol=5e-14 tau_schedule=\n")
 
 
 class TestParseConfig:
@@ -195,9 +215,18 @@ class TestParseConfig:
                     dict(residual_target=-1.0), dict(residual_target=0.0),
                     dict(max_iter=0), dict(cg_tol=0.0), dict(cg_tol=1.0),
                     dict(quad_degree=0), dict(quad_degree=9), dict(delta=-1.0),
-                    dict(tau=float("nan"))):
+                    dict(tau=float("nan")), dict(tol=float("nan")),
+                    dict(clamp=float("nan")), dict(residual_target=float("nan")),
+                    dict(delta=float("nan")), dict(cg_tol=float("nan"))):
             with pytest.raises(UsageError):
                 StudyConfig(mesh="quad", p1=2.0, p2=2.0, n0=4, levels=1, **bad)
+
+    def test_fields_are_frozen(self):
+        # the growth law and flow configuration are built from them once
+        cfg = StudyConfig(mesh="quad", p1=3.0, p2=1.5, n0=4, levels=1)
+        with pytest.raises(FrozenInstanceError):
+            cfg.tau = 0.5
+        assert cfg.flow.tau == 1.0 and cfg.law.exponents == (3.0, 1.5)
 
 
 class TestEmitTable:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from orthofem.fespace import (FeFunction, FeSpace, _p1_shapes, _q1_shapes,
                               abs_partial_integral, interpolate_nodal,
-                              quadrature_rule)
+                              map_rule, quadrature_rule)
 from orthofem.mesh import build_quad, build_tri, refine_kuhn_half
 from orthofem.nfunc import GrowthLaw
 from orthofem.solver import assemble_stiffness
@@ -49,6 +49,28 @@ def reference_monomial_integral(kind, a, b):
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
 
 
+def mapped_monomial_integral(kind, corners, a, b):
+    """Exact integral of x^a y^b over the affine image of the reference element
+    with (0, 0), (1, 0), (0, 1) sent to the corners: x and y expanded as
+    polynomials in the reference coordinates, coefficient [i, j] of s^i t^j."""
+    (x0, y0), (x1, y1), (x2, y2) = corners
+    poly = np.ones((1, 1))
+    xs, ys = [[x0, x2 - x0], [x1 - x0, 0.0]], [[y0, y2 - y0], [y1 - y0, 0.0]]
+    for factor in [xs] * a + [ys] * b:
+        grown = np.zeros((len(poly) + 1, len(poly) + 1))
+        for (i, j), c in np.ndenumerate(factor):
+            grown[i:i + len(poly), j:j + len(poly)] += c * poly
+        poly = grown
+    det = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+    return det * sum(c * reference_monomial_integral(kind, i, j)
+                     for (i, j), c in np.ndenumerate(poly))
+
+
+# a reflected piece (negative orientation) and a sheared one
+MAPPED_PIECES = (((0.3, -0.2), (-0.9, -0.2), (0.3, 0.5)),
+                 ((0.1, 0.2), (0.9, 0.5), (-0.3, 1.1)))
+
+
 @pytest.mark.parametrize("kind", ["quad", "triangle"])
 @pytest.mark.parametrize("degree", range(1, 8))
 def test_quadrature_exactness(kind, degree):
@@ -62,6 +84,17 @@ def test_quadrature_exactness(kind, degree):
                                * rule.points[:, 1] ** b))
             assert val == pytest.approx(reference_monomial_integral(kind, a, b),
                                         abs=1e-13)
+    pts, wts = map_rule(rule, np.array(MAPPED_PIECES))
+    assert np.all(wts > 0)
+    for corners, p, w in zip(MAPPED_PIECES, pts, wts):
+        area = mapped_monomial_integral(kind, corners, 0, 0)
+        assert area == pytest.approx(0.84 * measure, rel=1e-14)
+        assert float(w.sum()) == pytest.approx(area, rel=1e-14)
+        for a in range(degree + 1):
+            for b in range(degree + 1 - a):
+                val = float(np.sum(w * p[:, 0] ** a * p[:, 1] ** b))
+                assert val == pytest.approx(mapped_monomial_integral(kind, corners, a, b),
+                                            abs=1e-13)
 
 
 def test_unsupported_degree():

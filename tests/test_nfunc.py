@@ -141,8 +141,15 @@ class TestPowerNFunction:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             PowerNFunction(1.0)
-        with pytest.raises(ValueError):
-            PowerNFunction(2.0, delta=-0.1)
+        nan = float("nan")
+        for delta in (-0.1, nan):
+            with pytest.raises(ValueError, match="delta"):
+                PowerNFunction(2.0, delta=delta)
+            with pytest.raises(ValueError, match="delta"):
+                GrowthLaw((2.0, 3.0), (0.0, delta))
+        for p in (nan, 0.5):
+            with pytest.raises(ValueError):
+                PowerNFunction(p)
         with pytest.raises(ValueError):
             PowerNFunction(2.0).value(-1.0)
 

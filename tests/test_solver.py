@@ -441,6 +441,14 @@ class TestSolve:
         for clamp in (0.0, -1e-10):
             with pytest.raises(ValueError):
                 FlowConfig(clamp=clamp)
+        # NaN compares False with every bound, so it must fail each check too
+        nan = float("nan")
+        for name in ("tau", "tol", "clamp", "residual_target"):
+            for value in (nan, -1.0, 0.0):
+                with pytest.raises(ValueError, match=name):
+                    FlowConfig(**{name: value})
+        with pytest.raises(ValueError, match="max_iter"):
+            FlowConfig(max_iter=nan)
 
 
 def test_scalar_source_is_a_constant_field():
