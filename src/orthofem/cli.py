@@ -101,13 +101,15 @@ class StudyConfig:
         if self.n_list is None and (self.n0 is None or self.levels is None):
             raise UsageError("need either an N list or N0 plus a level count")
         if self.n_list is None and self.levels < 1:
-            raise UsageError("need at least one refinement level")
+            raise UsageError(f"levels must be at least 1, got {self.levels}")
         sizes = self.level_sizes()
         if sizes[0] < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise UsageError(f"level sizes {sizes} must be at least 2 and "
                              "strictly increasing")
         if not 1 <= self.quad_degree <= MAX_DEGREE:
             raise UsageError(f"quad_degree must lie in 1..{MAX_DEGREE}")
+        if not 0 < self.cg_tol < 1:  # NaN fails too
+            raise UsageError(f"cg_tol must lie in (0, 1), got {self.cg_tol}")
         try:
             law = GrowthLaw((self.p1, self.p2), (self.delta, self.delta))
             flow = FlowConfig(tau=self.tau, tol=self.tol, max_iter=self.max_iter,
@@ -231,6 +233,7 @@ def run_study(cfg):
         space = FeSpace(mesh)
         spec = ProblemSpec(law=law, space=space, dirichlet=ms.value)
         start = None if solution is None else solution.evaluate(mesh.nodes)
+        solution = None  # frees the previous level's space during this solve
         try:
             solution, report = solve(spec, flow, start)
         except (IterativeSolveError, FloatingPointError):

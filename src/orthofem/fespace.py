@@ -7,6 +7,11 @@ polynomials up to the requested total degree (1..7).  ``map_rule``
 takes a rule onto affine pieces, given by the images of (0, 0), (1, 0)
 and (0, 1): the FE cells here and the dual pieces and boxes of ``interp``.
 
+Every cell of a mesh is a translate of one cell of its per-square
+template, so ``FeSpace.gradient_rule`` holds basis gradients and weights
+once per template cell, and ``contract`` applies such data to all cells,
+viewed square by square.  The rule is all that differs between P1 and Q1.
+
 Besides pointwise evaluation this module provides exact integrals of
 |partial_i u| over convex polygonal regions, used to measure the
 orthotropic stability of interpolation operators: on every cell the
@@ -35,8 +40,6 @@ __all__ = [
 ]
 
 MAX_DEGREE = 7
-
-_P1_REF_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def _gauss01(m):
@@ -77,20 +80,30 @@ def map_rule(rule, corners):
     """A reference rule on affine pieces, given per piece the images of
     (0, 0), (1, 0) and (0, 1), shaped (P, 3, 2): points (P, npts, 2) and
     weights (P, npts) scaled by |det J|, positive on reflected pieces too."""
-    origin = corners[:, 0]
-    e1, e2 = corners[:, 1] - origin, corners[:, 2] - origin
-    s, t = rule.points[:, 0, None], rule.points[:, 1, None]
-    pts = origin[:, None] + s * e1[:, None] + t * e2[:, None]
-    det = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    return pts, rule.weights[None, :] * det[:, None]
+    # computed (npts, 2, P), so that every operation runs along the pieces
+    origin, e1, e2 = np.ascontiguousarray(corners.transpose(1, 2, 0))
+    e1, e2 = e1 - origin, e2 - origin
+    s, t = rule.points.T[:, :, None, None]
+    pts = origin + s * e1 + t * e2
+    det = np.abs(e1[0] * e2[1] - e1[1] * e2[0])
+    return np.ascontiguousarray(pts.transpose(2, 0, 1)), rule.weights[None, :] * det[:, None]
 
 
-def contract(x, m):
-    """sum_j x[c, j] m[c, j, ...] over cells c; an m shared by all cells
-    (length 1) keeps the sum one BLAS product."""
-    if len(m) == 1:
-        return (x @ m[0].reshape(len(m[0]), -1)).reshape(len(x), *m.shape[2:])
-    return np.einsum("cj,cj...->c...", x, m)
+def contract(x, m, mesh, cells=slice(None)):
+    """sum over j (all trailing axes of x) of x[c, j] m[t, k, j, ...] for the
+    cells c of the mesh (whole lattice squares), c in slot k of its square s:
+    m has one entry per template cell (``FeSpace.gradient_rule``), t = 1 where
+    it has two tables (an alternating pattern) and s = (a, b) has odd a + b."""
+    per, j = m.shape[1], math.prod(x.shape[1:])
+    slots = x.reshape(-1, per, j).swapaxes(0, 1)   # (per, squares, j)
+    tables = m.reshape(len(m), per, j, -1)
+    out = np.empty((len(x) // per, per, tables.shape[-1]))
+    np.matmul(slots, tables[0], out=out.swapaxes(0, 1))
+    for table in tables[1:]:
+        b, a = np.divmod(np.arange(mesh.num_cells)[cells][::per] // per, mesh.squares)
+        odd = (a + b) % 2 == 1
+        out[odd] = np.matmul(slots[:, odd], table).swapaxes(0, 1)
+    return out.reshape(len(x), *m.shape[x.ndim + 1:])
 
 
 def _q1_shapes(pts):
@@ -104,7 +117,7 @@ def _q1_shapes(pts):
 def _p1_shapes(pts):
     x, y = pts[:, 0], pts[:, 1]
     vals = np.stack([1 - x - y, x, y], axis=1)
-    grads = np.broadcast_to(_P1_REF_GRADS, (len(pts), 3, 2))
+    grads = np.broadcast_to([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], (len(pts), 3, 2))
     return vals, grads
 
 
@@ -117,30 +130,25 @@ class FeSpace:
 
     def __init__(self, mesh):
         self.mesh = mesh
-        self.kind = "Q1" if mesh.kind == "quad" else "P1"
         self.ndofs = mesh.num_nodes
         self.interior = ~mesh.boundary
         self._geom = {}
-        self.areas = mesh.cell_areas()
-        if self.kind == "P1":
-            v = mesh.nodes[mesh.cells]
-            det = 2 * self.areas
-            grads = np.empty((mesh.num_cells, 3, 2))
-            for i in range(3):
-                edge = v[:, (i + 2) % 3] - v[:, (i + 1) % 3]
-                grads[:, i, 0] = -edge[:, 1] / det
-                grads[:, i, 1] = edge[:, 0] / det
-            self.cell_basis_grads = grads
+        # how the elements differ: shape functions and the rule for gradient
+        # integrals; a P1 gradient is constant on its cell: one point, |cell|
+        if mesh.kind == "quad":
+            self.kind, self.shapes, self._gradient_points = "Q1", _q1_shapes, self.rule
+        else:
+            point = QuadratureRule("triangle", 1, np.full((1, 2), 1 / 3), np.array([0.5]))
+            self.kind, self.shapes, self._gradient_points = "P1", _p1_shapes, lambda _: point
+        corners = mesh.template[:, :, [0, 1, -1]]  # images of (0, 0), (1, 0), (0, 1)
+        self._jacobians = corners[:, :, 1:] - corners[:, :, :1]
 
     @property
     def interior_dofs(self):
         return np.flatnonzero(self.interior)
 
     def rule(self, degree):
-        key = ("rule", degree)
-        if key not in self._geom:
-            self._geom[key] = quadrature_rule(self.mesh.kind, degree)
-        return self._geom[key]
+        return quadrature_rule(self.mesh.kind, degree)
 
     def rule_geometry(self, degree, cells=None):
         """Physical quadrature points and weights, shaped (nc, npts, ...).
@@ -160,29 +168,29 @@ class FeSpace:
         corners = self.mesh.nodes[self.mesh.cells[cells][:, [0, 1, -1]]]
         return map_rule(self.rule(degree), corners)
 
-    def ref_shapes(self, degree):
-        """Shape values/ref-gradients at the rule points of the given degree."""
-        key = ("shapes", degree)
-        if key not in self._geom:
-            rule = self.rule(degree)
-            shapes = _q1_shapes(rule.points) if self.kind == "Q1" else _p1_shapes(rule.points)
-            self._geom[key] = shapes
-        return self._geom[key]
-
     def gradient_rule(self, degree):
-        """Physical basis gradients G, shaped (C, nloc, nq, 2), and weights W,
-        shaped (C, nq), of the rule for integrals of gradients: Q1 cells share
-        the tensor Gauss rule of the degree (C = 1); a P1 gradient is constant
-        on its cell, so one point of weight |cell| is exact (C = cells)."""
+        """Physical basis gradients G (T, per, nloc, nq, 2) and weights W
+        (T, per, nq) of the rule for integrals of gradients, one entry per
+        cell of the per-square template (``StructuredMesh.template``), of
+        which every cell is a translate; so their sizes do not depend on n.
+        Only the rule depends on the element: tensor Gauss of the degree on
+        the one Q1 cell, one point of weight |cell| for P1."""
         key = ("gradient rule", degree)
         if key not in self._geom:
-            if self.kind == "Q1":
-                h = self.mesh.h
-                grads = np.ascontiguousarray(self.ref_shapes(degree)[1].transpose(1, 0, 2))
-                self._geom[key] = grads[None] / h, (self.rule(degree).weights * h ** 2)[None]
-            else:
-                self._geom[key] = self.cell_basis_grads[:, :, None, :], self.areas[:, None]
+            rule = self._gradient_points(degree)
+            (a, b), (c, d) = self._jacobians.transpose(2, 3, 0, 1)
+            det = a * d - b * c
+            self._geom[key] = (self._template_grads(rule.points),
+                               rule.weights * np.abs(det)[..., None])
         return self._geom[key]
+
+    def _template_grads(self, points):
+        """Physical basis gradients g at reference points on each template
+        cell, shaped (T, per, nloc, npts, 2): g_ref = J^T g, J the Jacobian of
+        the cell's map from the reference element."""
+        ref = self.shapes(points)[1].T                     # (2, nloc, npts)
+        g = np.linalg.solve(self._jacobians, ref.reshape(2, -1))
+        return np.ascontiguousarray(np.moveaxis(g.reshape(*g.shape[:3], *ref.shape[1:]), 2, -1))
 
 
 class FeFunction:
@@ -197,38 +205,28 @@ class FeFunction:
 
     def gradients_on_rule(self, degree, cells=slice(None)):
         """(nc, nq, 2) physical gradients at the points of
-        ``space.gradient_rule(degree)`` in the given cells (a slice or index
-        array; all by default); nq = 1 for P1, whose gradient is constant."""
-        space = self.space
-        grads, _ = space.gradient_rule(degree)
-        return contract(self.coeffs[space.mesh.cells[cells]],
-                        grads if len(grads) == 1 else grads[cells])
+        ``space.gradient_rule(degree)`` in the given cells (whole lattice
+        squares: a slice or index array; all by default)."""
+        mesh = self.space.mesh
+        grads, _ = self.space.gradient_rule(degree)
+        return contract(self.coeffs[mesh.cells[cells]], grads, mesh, cells)
 
     def evaluate(self, points):
         """Pointwise values, located on the lattice; ValueError off the mesh's square."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        lo, hi = self.space.mesh.bounds
+        mesh = self.space.mesh
+        lo, hi = mesh.bounds
         if not np.all(np.abs(points - (lo + hi) / 2) <= (hi - lo) * (0.5 + 1e-12)):
             raise ValueError(f"evaluation point outside the mesh's square [{lo}, {hi}]^2")
-        cells = locate(self.space.mesh, points)
-        return self._eval_in_cells(points, cells)
-
-    def _eval_in_cells(self, points, cells):
-        mesh = self.space.mesh
-        v = mesh.nodes[mesh.cells[cells]]
-        uc = self.coeffs[mesh.cells[cells]]
-        if self.space.kind == "Q1":
-            s = (points - v[:, 0, :]) / mesh.h
-            vals, _ = _q1_shapes(s)
-        else:
-            e1 = v[:, 1] - v[:, 0]
-            e2 = v[:, 2] - v[:, 0]
-            det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-            d = points - v[:, 0, :]
-            x = (d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]) / det
-            y = (e1[:, 0] * d[:, 1] - e1[:, 1] * d[:, 0]) / det
-            vals = np.stack([1 - x - y, x, y], axis=1)
-        return np.einsum("pa,pa->p", vals, uc)
+        ids = mesh.cells[locate(mesh, points)]
+        # reference coordinates on the map taking (0, 0), (1, 0), (0, 1) to
+        # the cell's vertices 0, 1 and the last
+        v0 = mesh.nodes[ids[:, 0]]
+        (ax, ay), (bx, by) = (np.subtract(mesh.nodes[ids[:, k]], v0).T for k in (1, -1))
+        dx, dy = np.subtract(points, v0).T
+        det = ax * by - ay * bx
+        ref = np.stack([dx * by - dy * bx, ax * dy - ay * dx], axis=1) / det[:, None]
+        return np.einsum("pa,pa->p", self.space.shapes(ref)[0], self.coeffs[ids])
 
 
 def interpolate_nodal(space, f):
@@ -287,24 +285,19 @@ def _moment(poly, a, bx, by):
     return abs(area * (a + bx * (sx / (6 * area)) + by * (sy / (6 * area))))
 
 
-def _partial_affine(u, cells, i):
-    """Per cell, the floats (a, bx, by) of partial_i u = a + bx*x + by*y."""
+def _partial_affine(u, cells, ids, i):
+    """Per cell (whole lattice squares, ``ids`` their vertices), the floats
+    (a, bx, by) of partial_i u = a + bx (x - x0) + by (y - y0), (x0, y0) the
+    cell's vertex 0."""
     space = u.space
-    ids = space.mesh.cells[cells]
-    uc = u.coeffs[ids].tolist()
-    if space.kind == "P1":
-        grads = space.cell_basis_grads[cells, :, i].tolist()
-        return [(c0 * g0 + c1 * g1 + c2 * g2, 0.0, 0.0)
-                for (c0, c1, c2), (g0, g1, g2) in zip(uc, grads)]
-    h = space.mesh.h
-    out = []
-    for (c0, c1, c2, c3), corner in zip(uc, space.mesh.nodes[ids[:, 0]].tolist()):
-        if i == 1:
-            c1, c3 = c3, c1  # the same bilinear form with the axes swapped
-        slope = ((c2 - c3) - (c1 - c0)) / h ** 2
-        base = (c1 - c0) / h - slope * corner[1 - i]
-        out.append((base, 0.0, slope) if i == 0 else (base, slope, 0.0))
-    return out
+    key = ("partial", i)
+    if key not in space._geom:
+        # partial_i phi_a is affine on a cell: its value at vertex 0 and its
+        # gradient, from its values there and at the images of (1, 0), (0, 1)
+        at = space._template_grads(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))[..., i]
+        slope = np.linalg.solve(space._jacobians, (at[..., 1:] - at[..., :1]).swapaxes(-1, -2))
+        space._geom[key] = np.concatenate([at[..., :1], slope.swapaxes(-1, -2)], axis=-1)
+    return contract(u.coeffs[ids], space._geom[key], space.mesh, cells).tolist()
 
 
 def abs_partial_integral(u, region, i):
@@ -319,10 +312,11 @@ def abs_partial_integral(u, region, i):
     a0, b0 = (math.floor((t - lo) / width) for t in (x0, y0))
     a1, b1 = (math.ceil((t - lo) / width) - 1 for t in (x1, y1))
     cells = mesh.square_cells(a0, a1, b0, b1)
+    ids = mesh.cells[cells]
     tol = 1e-12 * mesh.h
     total = 0.0
-    for poly, (a, bx, by) in zip(mesh.nodes[mesh.cells[cells]].tolist(),
-                                 _partial_affine(u, cells, i)):
+    for poly, (a, bx, by) in zip(mesh.nodes[ids].tolist(), _partial_affine(u, cells, ids, i)):
+        a -= bx * poly[0][0] + by * poly[0][1]
         px, py = zip(*poly)  # skip cells whose box overlaps the region's by <= tol
         if not (min(px) < x1 - tol and max(px) > x0 + tol
                 and min(py) < y1 - tol and max(py) > y0 + tol):

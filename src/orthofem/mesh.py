@@ -109,6 +109,15 @@ class StructuredMesh:
         rows = np.arange(b0, b1 + 1)[:, None] * (side * per)
         return (rows + np.arange(a0 * per, (a1 + 1) * per)).ravel()
 
+    @property
+    def template(self):
+        """Vertex offsets of each template cell from its square's corner,
+        (T, per, nv, 2): cell c is slot c % per of table 0 translated, or of
+        table 1 where the pattern alternates and its square has odd a + b."""
+        even, odd, _ = _TEMPLATES[self.pattern]
+        tables = np.array((even,) if even == odd else (even, odd))
+        return tables * ((self.bounds[1] - self.bounds[0]) / (2 * self.squares))
+
     def lattice_node(self, k1, k2):
         """Global node id of lattice node v(k1, k2)."""
         return int(self.lattice_ids[k1, k2])
@@ -119,14 +128,10 @@ class StructuredMesh:
         return [(a, b) for b in range(1, n) for a in range(1, n)]
 
     def cell_areas(self):
+        """Half the cross product of v2 - v0 and v_last - v1: a quad's diagonals."""
         v = self.nodes[self.cells]
-        if self.kind == "quad":
-            d1 = v[:, 2] - v[:, 0]
-            d2 = v[:, 3] - v[:, 1]
-            return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        e1 = v[:, 1] - v[:, 0]
-        e2 = v[:, 2] - v[:, 0]
-        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        d1, d2 = v[:, 2] - v[:, 0], v[:, -1] - v[:, 1]
+        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 # --- per-square cell tables ------------------------------------------------

@@ -86,6 +86,9 @@ class GrowthLaw:
         deltas = tuple(float(d) for d in deltas)
         if len(exponents) != 2 or len(deltas) != 2:
             raise ValueError("growth law is two-dimensional: need two exponents/deltas")
+        for i, p in enumerate(exponents, 1):
+            if not p > 1:  # NaN fails too
+                raise ValueError(f"exponent p{i} must satisfy p{i} > 1, got {p}")
         self.phis = tuple(PowerNFunction(p, d) for p, d in zip(exponents, deltas))
         self.exponents = exponents
         self.deltas = deltas

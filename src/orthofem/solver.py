@@ -16,11 +16,12 @@ interior-only pattern.  For P1, K_B(u) u - F = r(u), so the step is
 residual uses a finer rule than K_B, and the flow stops at a zero of
 that residual.
 
-K, K_B, r and J are integrals of basis gradients, all taken on the rule
-of ``FeSpace.gradient_rule`` through one code path.  P1 uses one point
-of weight |cell|, because its gradient is constant on the cell; Q1 uses
-tensor Gauss of degree ASSEMBLY_DEGREE = 2 for K and K_B and of degree
-RESIDUAL_DEGREE = 4 for r and J.
+K, K_B, r and J integrate basis gradients on ``FeSpace.gradient_rule``,
+stored once per cell of the per-square mesh template, each in one
+``fespace.contract`` over all cells, points and both directions: one
+point of weight |cell| for P1, whose gradient is constant on the cell;
+tensor Gauss of degree ASSEMBLY_DEGREE = 2 (K, K_B) or RESIDUAL_DEGREE
+= 4 (r, J) for Q1.
 
 A step only has to reduce the current residual, so CG solves for the
 correction from zero to the relative tolerance FORCING on |r_I| (a
@@ -123,10 +124,8 @@ class _Assembler:
         self.interior_pattern.target = target
         self._full_pattern = None
         grads, weights = space.gradient_rule(ASSEMBLY_DEGREE)
-        # per direction i, rows (c, q): d_i phi_a d_i phi_b W at point q of cell c
-        self.products = [
-            np.einsum("caq,cbq,cq->cqab", grads[..., i], grads[..., i], weights, order="C")
-            .reshape(*weights.shape, -1) for i in range(2)]
+        # per template cell: d_i phi_a d_i phi_b W at point q, by (q, i, a, b)
+        self.products = np.einsum("tpaqi,tpbqi,tpq->tpqiab", grads, grads, weights)
 
     def _triplets(self):
         """Row and column of each local matrix entry, cell by cell."""
@@ -152,9 +151,8 @@ def _assembler(space):
 def assemble_stiffness(space, interior_only=False):
     """Laplacian stiffness over all nodes, or its interior block K_II."""
     asm = _assembler(space)
-    local = (asm.products[0] + asm.products[1]).sum(axis=1)
-    return asm.assemble(np.broadcast_to(local, (space.mesh.num_cells, local.shape[1])),
-                        interior_only)
+    ones = np.ones((space.mesh.num_cells, *asm.products.shape[2:4]))
+    return asm.assemble(contract(ones, asm.products, space.mesh), interior_only)
 
 
 def assemble_weighted_stiffness(space, u_k, law, clamp=1e-10, interior_only=False):
@@ -163,8 +161,8 @@ def assemble_weighted_stiffness(space, u_k, law, clamp=1e-10, interior_only=Fals
     u = u_k if isinstance(u_k, FeFunction) else FeFunction(space, u_k)
     asm = _assembler(space)
     g = u.gradients_on_rule(ASSEMBLY_DEGREE)
-    vals = (contract(law.weight(0, g[..., 0], clamp), asm.products[0])
-            + contract(law.weight(1, g[..., 1], clamp), asm.products[1]))
+    weights = np.stack([law.weight(i, g[..., i], clamp) for i in range(2)], axis=-1)
+    vals = contract(weights, asm.products, space.mesh)
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("non-finite weight in the weighted stiffness")
     return asm.assemble(vals, interior_only)
@@ -176,7 +174,7 @@ def assemble_load(space, f):
     if f is None:
         return np.zeros(space.ndofs)
     pts, wts = space.rule_geometry(RESIDUAL_DEGREE)
-    shapes, _ = space.ref_shapes(RESIDUAL_DEGREE)
+    shapes, _ = space.shapes(space.rule(RESIDUAL_DEGREE).points)
     fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float)
     fv = np.full(pts.shape[:2], fv) if fv.ndim == 0 else fv.reshape(pts.shape[:2])
     if not np.all(np.isfinite(fv)):
@@ -190,9 +188,7 @@ def energy(space, w, law):
     """J(w) = sum_i int of phi_i(|d_i w|) - phi_i(0).
 
     Subtracting phi_i(0) removes the constant delta-contribution, so
-    the value is zero for w = 0 also in the regularized case.  Exact
-    for P1: one point of weight |cell|, the gradient being constant on
-    it; Gauss of degree RESIDUAL_DEGREE for Q1.
+    the value is zero for w = 0 also in the regularized case.
     """
     u = w if isinstance(w, FeFunction) else FeFunction(space, w)
     phi1, phi2 = law.phi(0), law.phi(1)
@@ -200,22 +196,21 @@ def energy(space, w, law):
     g = u.gradients_on_rule(RESIDUAL_DEGREE)
     _, weights = space.gradient_rule(RESIDUAL_DEGREE)
     dens = phi1.value(np.abs(g[..., 0])) + phi2.value(np.abs(g[..., 1])) - zero
-    return float(np.sum(weights * dens))
+    return float(np.sum(contract(dens, weights, space.mesh)))
 
 
 def galerkin_residual(space, u, law, f=None):
     """Residual vector of the discrete nonlinear system at u.
 
-    Entry a is  int of sum_i A_i(d_i u) d_i phi_a  -  int of f phi_a: exact
-    for P1, one point of weight |cell| as the gradient is constant there, and
-    Gauss of degree RESIDUAL_DEGREE for Q1.  The caller restricts to interior nodes.
+    Entry a is  int of sum_i A_i(d_i u) d_i phi_a  -  int of f phi_a.  The
+    caller restricts to interior nodes.
     """
     uf = u if isinstance(u, FeFunction) else FeFunction(space, u)
     g = uf.gradients_on_rule(RESIDUAL_DEGREE)
     grads, weights = space.gradient_rule(RESIDUAL_DEGREE)
-    # per direction i: sum_q W A_i(d_i u) d_i phi_a, G's axes swapped to (c, q, a)
-    contrib = (contract(weights * law.flux(0, g[..., 0]), grads[..., 0].swapaxes(1, 2))
-               + contract(weights * law.flux(1, g[..., 1]), grads[..., 1].swapaxes(1, 2)))
+    flux = np.stack([law.flux(i, g[..., i]) for i in range(2)], axis=-1)
+    # sum over points q and directions i of A_i(d_i u) W d_i phi_a
+    contrib = contract(flux, np.einsum("tpaqi,tpq->tpqia", grads, weights), space.mesh)
     res = np.bincount(space.mesh.cells.ravel(), weights=contrib.ravel(),
                       minlength=space.ndofs)
     return res - assemble_load(space, f)

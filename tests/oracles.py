@@ -9,6 +9,22 @@ def integrate(space, cell, integrand, degree):
     return float(np.sum(wts[cell] * np.asarray(integrand(pts[cell]))))
 
 
+def p1_basis_grads(mesh, cells=slice(None)):
+    """Physical P1 basis gradients of the given cells (all by default), shaped
+    (nc, 3, 2), from their vertex coordinates: the gradient of the function
+    that is 1 at vertex i and 0 at the others is the opposite edge turned by
+    90 degrees, over 2|T|."""
+    v = mesh.nodes[mesh.cells[cells]]
+    e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    grads = np.empty((len(v), 3, 2))
+    for i in range(3):
+        edge = v[:, (i + 2) % 3] - v[:, (i + 1) % 3]
+        grads[:, i, 0] = -edge[:, 1] / det
+        grads[:, i, 1] = edge[:, 0] / det
+    return grads
+
+
 # --- numpy reference for fespace.abs_partial_integral ----------------------
 
 def polygon_area_centroid(poly):
@@ -63,7 +79,7 @@ def _partial_affine(u, cell, i):
     mesh = space.mesh
     uc = u.coeffs[mesh.cells[cell]]
     if space.kind == "P1":
-        g = space.cell_basis_grads[cell]
+        g = p1_basis_grads(mesh, [cell])[0]
         return float(uc @ g[:, i]), 0.0, 0.0
     h = mesh.h
     x0, y0 = mesh.nodes[mesh.cells[cell, 0]]

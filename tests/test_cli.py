@@ -1,4 +1,6 @@
+import gc
 import os
+import weakref
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
@@ -198,28 +200,26 @@ class TestParseConfig:
                 parse_config(["--mesh", "quad", "--p1", "2", "--p2", "2"] + flag)
 
     def test_validation_errors(self):
-        with pytest.raises(UsageError):
-            StudyConfig(mesh="quad", p1=0.9, p2=2.0, n0=4, levels=1)
-        with pytest.raises(UsageError):
+        # every message names the setting at fault
+        with pytest.raises(UsageError, match=r"\blevels\b"):
             StudyConfig(mesh="quad", p1=2.0, p2=2.0, n0=4, levels=0)
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="N list"):
             StudyConfig(mesh="quad", p1=2.0, p2=2.0)
-        for clamp in (0.0, -1.0):
-            with pytest.raises(UsageError):
-                StudyConfig(mesh="quad", p1=1.5, p2=2.0, n0=4, levels=1, clamp=clamp)
         for sizes in (dict(n_list=(1,)), dict(n0=1, levels=2),
                       dict(n_list=(8, 4)), dict(n_list=(4, 4))):
-            with pytest.raises(UsageError):
+            with pytest.raises(UsageError, match="level sizes"):
                 StudyConfig(mesh="quad", p1=2.0, p2=2.0, **sizes)
-        for bad in (dict(tau=0.0), dict(tau=-1.0), dict(tol=0.0),
-                    dict(residual_target=-1.0), dict(residual_target=0.0),
-                    dict(max_iter=0), dict(cg_tol=0.0), dict(cg_tol=1.0),
-                    dict(quad_degree=0), dict(quad_degree=9), dict(delta=-1.0),
-                    dict(tau=float("nan")), dict(tol=float("nan")),
-                    dict(clamp=float("nan")), dict(residual_target=float("nan")),
-                    dict(delta=float("nan")), dict(cg_tol=float("nan"))):
-            with pytest.raises(UsageError):
-                StudyConfig(mesh="quad", p1=2.0, p2=2.0, n0=4, levels=1, **bad)
+        nan = float("nan")
+        for name, value in (("p1", 0.9), ("p2", 1.0), ("p1", nan), ("tau", 0.0),
+                            ("tau", -1.0), ("tol", 0.0), ("clamp", 0.0), ("clamp", -1.0),
+                            ("residual_target", -1.0), ("residual_target", 0.0),
+                            ("max_iter", 0), ("cg_tol", 0.0), ("cg_tol", 1.0),
+                            ("cg_tol", 2.0), ("quad_degree", 0), ("quad_degree", 9),
+                            ("delta", -1.0), ("tau", nan), ("tol", nan), ("clamp", nan),
+                            ("residual_target", nan), ("delta", nan), ("cg_tol", nan)):
+            settings = dict(dict(p1=1.5, p2=2.0, n0=4, levels=1), **{name: value})
+            with pytest.raises(UsageError, match=rf"\b{name}\b"):
+                StudyConfig(mesh="quad", **settings)
 
     def test_fields_are_frozen(self):
         # the growth law and flow configuration are built from them once
@@ -305,6 +305,22 @@ class TestRunStudy:
         first = emit_table(run_study(cfg)[0])
         second = emit_table(run_study(cfg)[0])
         assert first == second
+
+    def test_previous_level_released_before_solve(self, monkeypatch):
+        # the start vector is all a level needs of the one before it, so that
+        # level's space, assembler and sparsity patterns are freed for the solve
+        spaces = []
+
+        def solve_checked(spec, flow, start):
+            gc.collect()
+            assert [space() for space in spaces] == [None] * len(spaces)
+            spaces.append(weakref.ref(spec.space))
+            return solver.solve(spec, flow, start)
+
+        monkeypatch.setattr(cli, "solve", solve_checked)
+        table, _ = run_study(StudyConfig(mesh="boxslash", p1=3.0, p2=1.5,
+                                         n_list=(4, 6, 8), tol=1e-10))
+        assert table.complete and len(spaces) == 3
 
     def test_incomplete_run_flagged(self):
         cfg = StudyConfig(mesh="boxslash", p1=3.0, p2=1.5, n0=8, levels=2,

@@ -9,7 +9,7 @@ from orthofem.fespace import (FeFunction, FeSpace, _p1_shapes, _q1_shapes,
                               map_rule, quadrature_rule)
 from orthofem.mesh import build_quad, build_tri, refine_kuhn_half
 from orthofem.nfunc import GrowthLaw
-from orthofem.solver import assemble_stiffness
+from orthofem.solver import _assembler, assemble_stiffness
 
 import oracles
 from oracles import clip_convex, integrate, polygon_area_centroid
@@ -40,7 +40,7 @@ def basis_grad(space, cell, local, xref):
     if space.kind == "Q1":
         g = _q1_shapes(pts)[1][0, local] / space.mesh.h
         return np.asarray(g)
-    return space.cell_basis_grads[cell, local].copy()
+    return oracles.p1_basis_grads(space.mesh, [cell])[0, local]
 
 
 def reference_monomial_integral(kind, a, b):
@@ -375,3 +375,51 @@ class TestExactIntegralOracle:
         for i in (0, 1):
             cells = sum(abs_partial_integral(u, cell, i) for cell in mesh.nodes[mesh.cells])
             assert cells == pytest.approx(abs_partial_integral(u, domain, i), rel=1e-12)
+
+
+def oracle_gradients(space, degree):
+    """(nc, nq, 2) gradients of a space's functions' basis at the points of its
+    gradient rule, cell by cell from the vertex coordinates: P1 through
+    oracles.p1_basis_grads (nq = 1), Q1 as reference gradients over the side."""
+    mesh = space.mesh
+    if space.kind == "P1":
+        return oracles.p1_basis_grads(mesh)[:, :, None, :]
+    side = mesh.nodes[mesh.cells[:, 1], 0] - mesh.nodes[mesh.cells[:, 0], 0]
+    ref = _q1_shapes(quadrature_rule("quad", degree).points)[1]   # (nq, 4, 2)
+    return ref.transpose(1, 0, 2)[None] / side[:, None, None, None]
+
+
+class TestGradientRule:
+    """One gradient-rule entry per template cell, checked against gradients
+    from each cell's own vertex coordinates."""
+
+    TEMPLATE_CELLS = {"quad": 1, "boxslash": 2, "alternating-kuhn": 4, "cross": 4,
+                      "unionjack": 8, "half-kuhn": 16}
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=[name for name, _ in FAMILIES])
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (-1.0, 1.0), (-2.5, 4.0)])
+    def test_template_entries_match_vertex_oracle(self, family, n, bounds):
+        name, build = family
+        mesh = build(n, bounds)
+        space = FeSpace(mesh)
+        degree = 4
+        grads, weights = space.gradient_rule(degree)
+        assert grads.shape[:2] == weights.shape[:2]
+        assert grads.shape[0] * grads.shape[1] == self.TEMPLATE_CELLS[name] <= 16
+        assert _assembler(space).products.shape[:2] == grads.shape[:2]
+        # the T tables each cover one square
+        assert weights.sum() / len(weights) * mesh.squares ** 2 == pytest.approx(
+            (bounds[1] - bounds[0]) ** 2, rel=1e-13)
+        u = FeFunction(space, np.random.default_rng(n).standard_normal(space.ndofs))
+        expected = np.einsum("ca,caqk->cqk", u.coeffs[mesh.cells],
+                             oracle_gradients(space, degree))
+        scale = np.abs(expected).max()
+        got = u.gradients_on_rule(degree)
+        assert np.abs(got - expected).max() <= 1e-13 * scale
+        side = mesh.squares
+        for block in [(0, 0, 0, 0), (1, 2, 2, 4), (side - 3, side - 1, 0, side - 1),
+                      (0, side - 1, 1, 1)]:
+            cells = mesh.square_cells(*block)
+            got = u.gradients_on_rule(degree, cells)
+            assert np.abs(got - expected[cells]).max() <= 1e-13 * scale
