@@ -17,7 +17,7 @@ which is about -1/2 for first-order convergence in two dimensions.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class ErrorReport:
     e_p2: float
     e_V: float
     e_comb: float | None   # only for p1 == p2
-    degree: int
 
 
 def error_norms(u_h, ms, law, degree=5):
@@ -86,8 +85,7 @@ def error_norms(u_h, ms, law, degree=5):
         v2 = law.natural(1, ge[..., 1]) - law.natural(1, gu[..., 1])
         sum_v += float(np.sum(wts * (v1 ** 2 + v2 ** 2)))
     e_comb = (sum_p1 + sum_p2) ** (1 / p1) if p1 == p2 else None
-    return ErrorReport(sum_p1 ** (1 / p1), sum_p2 ** (1 / p2), math.sqrt(sum_v),
-                       e_comb, degree)
+    return ErrorReport(sum_p1 ** (1 / p1), sum_p2 ** (1 / p2), math.sqrt(sum_v), e_comb)
 
 
 def eoc(dim_prev, e_prev, dim_curr, e_curr):
@@ -109,10 +107,7 @@ class TableRow:
 class ConvergenceTable:
     """Rows of (dim V_h, errors, rates) for one refinement study."""
 
-    def __init__(self, pattern, p1, p2, complete=True):
-        self.pattern = pattern
-        self.p1 = p1
-        self.p2 = p2
+    def __init__(self, complete=True):
         self.rows = []
         self.complete = complete
 
@@ -130,12 +125,7 @@ class ConvergenceTable:
         self.rows.append(TableRow(dim, errors, rates))
 
     def add_report(self, dim, report):
-        self.add_row(dim, {
-            "e_p1": report.e_p1,
-            "e_p2": report.e_p2,
-            "e_V": report.e_V,
-            "e_comb": report.e_comb,
-        })
+        self.add_row(dim, asdict(report))
 
     def column(self, name):
         """(dim, value) pairs for an error column."""

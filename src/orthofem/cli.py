@@ -222,7 +222,7 @@ def run_study(cfg):
     """
     law, flow = cfg.law, cfg.flow
     ms = ManufacturedSolution(law)
-    table = ConvergenceTable(cfg.mesh, cfg.p1, cfg.p2)
+    table = ConvergenceTable()
     reports = []
     solution = None
     for n in cfg.level_sizes():
@@ -289,12 +289,12 @@ def emit_table(table, fmt="csv"):
     return "\n".join([fmt_line(header), rule] + [fmt_line(c) for c in body]) + "\n"
 
 
-def load_table(text, pattern="", p1=0.0, p2=0.0):
+def load_table(text):
     """Parse a CSV convergence table (inverse of emit_table)."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("unrecognized table header")
-    table = ConvergenceTable(pattern, p1, p2)
+    table = ConvergenceTable()
     for line in lines[1:]:
         cells = line.split(",")
         if len(cells) != 9:

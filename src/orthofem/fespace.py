@@ -5,12 +5,15 @@ reference square and by the collapsed (Duffy) transform on the
 reference triangle; both have positive weights and are exact for
 polynomials up to the requested total degree (1..7).  ``map_rule``
 takes a rule onto affine pieces, given by the images of (0, 0), (1, 0)
-and (0, 1): the FE cells here and the dual pieces and boxes of ``interp``.
+and (0, 1): the template cells here and the dual pieces and boxes of
+``interp``.
 
 Every cell of a mesh is a translate of one cell of its per-square
 template, so ``FeSpace.gradient_rule`` holds basis gradients and weights
 once per template cell, and ``contract`` applies such data to all cells,
 viewed square by square.  The rule is all that differs between P1 and Q1.
+Quadrature points and point evaluation read a cell as its square's
+corner plus its template cell (``StructuredMesh.decode``).
 
 Besides pointwise evaluation this module provides exact integrals of
 |partial_i u| over convex polygonal regions, used to measure the
@@ -100,8 +103,7 @@ def contract(x, m, mesh, cells=slice(None)):
     out = np.empty((len(x) // per, per, tables.shape[-1]))
     np.matmul(slots, tables[0], out=out.swapaxes(0, 1))
     for table in tables[1:]:
-        b, a = np.divmod(np.arange(mesh.num_cells)[cells][::per] // per, mesh.squares)
-        odd = (a + b) % 2 == 1
+        odd = mesh.decode(np.arange(mesh.num_cells)[cells][::per])[2] == 1
         out[odd] = np.matmul(slots[:, odd], table).swapaxes(0, 1)
     return out.reshape(len(x), *m.shape[x.ndim + 1:])
 
@@ -142,6 +144,9 @@ class FeSpace:
             self.kind, self.shapes, self._gradient_points = "P1", _p1_shapes, lambda _: point
         corners = mesh.template[:, :, [0, 1, -1]]  # images of (0, 0), (1, 0), (0, 1)
         self._jacobians = corners[:, :, 1:] - corners[:, :, :1]
+        # flattened to the template index t per + k of ``_placement``
+        self._corners = corners.reshape(-1, 3, 2)
+        self._inverse = np.linalg.inv(self._jacobians).swapaxes(-1, -2).reshape(-1, 2, 2)
 
     @property
     def interior_dofs(self):
@@ -150,23 +155,21 @@ class FeSpace:
     def rule(self, degree):
         return quadrature_rule(self.mesh.kind, degree)
 
-    def rule_geometry(self, degree, cells=None):
-        """Physical quadrature points and weights, shaped (nc, npts, ...).
+    def rule_geometry(self, degree, cells=slice(None)):
+        """Physical quadrature points (nc, npts, 2) and weights (nc, npts) on
+        the given cells (a slice or index array; all by default): the rule
+        on each cell's template cell, translated to its square's corner."""
+        corner, j = self._placement(np.arange(self.mesh.num_cells)[cells])
+        pts, wts = map_rule(self.rule(degree), self._corners)
+        pts = pts.take(j, axis=0)
+        pts += corner.repeat(pts.shape[1], axis=0).reshape(pts.shape)  # unbroadcast: faster
+        return pts, wts.take(j, axis=0)
 
-        With ``cells`` (a slice or index array) only those cells are
-        computed, and the result is not cached.
-        """
-        if cells is not None:
-            return self._rule_geometry(degree, cells)
-        key = ("geom", degree)
-        if key not in self._geom:
-            self._geom[key] = self._rule_geometry(degree, slice(None))
-        return self._geom[key]
-
-    def _rule_geometry(self, degree, cells):
-        # cell vertices 0, 1 and the last are the images of (0, 0), (1, 0), (0, 1)
-        corners = self.mesh.nodes[self.mesh.cells[cells][:, [0, 1, -1]]]
-        return map_rule(self.rule(degree), corners)
+    def _placement(self, cells):
+        """The corners (nc, 2) of the cells' squares and the flat indices
+        t per + k of their template cells."""
+        a, b, t, k = self.mesh.decode(cells)
+        return self.mesh.corners(a, b), t * self._jacobians.shape[1] + k
 
     def gradient_rule(self, degree):
         """Physical basis gradients G (T, per, nloc, nq, 2) and weights W
@@ -178,10 +181,9 @@ class FeSpace:
         key = ("gradient rule", degree)
         if key not in self._geom:
             rule = self._gradient_points(degree)
-            (a, b), (c, d) = self._jacobians.transpose(2, 3, 0, 1)
-            det = a * d - b * c
+            weights = map_rule(rule, self._corners)[1]
             self._geom[key] = (self._template_grads(rule.points),
-                               rule.weights * np.abs(det)[..., None])
+                               weights.reshape(*self._jacobians.shape[:2], -1))
         return self._geom[key]
 
     def _template_grads(self, points):
@@ -218,15 +220,12 @@ class FeFunction:
         lo, hi = mesh.bounds
         if not np.all(np.abs(points - (lo + hi) / 2) <= (hi - lo) * (0.5 + 1e-12)):
             raise ValueError(f"evaluation point outside the mesh's square [{lo}, {hi}]^2")
-        ids = mesh.cells[locate(mesh, points)]
-        # reference coordinates on the map taking (0, 0), (1, 0), (0, 1) to
-        # the cell's vertices 0, 1 and the last
-        v0 = mesh.nodes[ids[:, 0]]
-        (ax, ay), (bx, by) = (np.subtract(mesh.nodes[ids[:, k]], v0).T for k in (1, -1))
-        dx, dy = np.subtract(points, v0).T
-        det = ax * by - ay * bx
-        ref = np.stack([dx * by - dy * bx, ax * dy - ay * dx], axis=1) / det[:, None]
-        return np.einsum("pa,pa->p", self.space.shapes(ref)[0], self.coeffs[ids])
+        space, cells = self.space, locate(mesh, points)
+        corner, j = space._placement(cells)
+        # reference coordinates: the inverse map of the point's template cell
+        offsets = points - corner - space._corners[:, 0].take(j, axis=0)
+        ref = np.einsum("pij,pj->pi", space._inverse.take(j, axis=0), offsets)
+        return np.einsum("pa,pa->p", space.shapes(ref)[0], self.coeffs[mesh.cells[cells]])
 
 
 def interpolate_nodal(space, f):

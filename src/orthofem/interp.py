@@ -6,9 +6,9 @@ Two families are provided:
   means of the input over the box v(k) + (-h/2, h/2)^2, summed against
   the interior Lagrange basis.  Stable per cell and direction with
   constant one.  For FE inputs on a nested mesh of double resolution
-  the box means are exact: every source cell lies in the box of its
-  nearest lattice node, so one binned sum of the cell integrals gives
-  all boxes at once.
+  the box means are exact: every source cell lies in the box of the
+  lattice node nearest its centroid (read off the template), so one
+  binned sum of the cell integrals gives all boxes at once.
 
 * ``DualBasisProjector``: a genuine projection.  The node functionals
   pair the input with a dual function supported on the patch of the
@@ -31,7 +31,8 @@ Lattice nodes are addressed by integer index pairs (k1, k2), located at
 lo + h (k1, k2) and read or written through ``mesh.lattice_ids``.
 
 Inputs may be analytic callables on (n, 2) point arrays (integrated by
-Gauss rules of degree CALLABLE_DEGREE) or FE functions.  The projection
+Gauss rules of degree CALLABLE_DEGREE) or FE functions, evaluated
+NODE_BLOCK nodes at a time.  The projection
 of an FE input on a quad, boxslash or alternating-kuhn mesh whose lattice
 refines the projector's r-fold is a nodal stencil on its lattice values,
 read off the pointwise pairings of unit nodal functions.
@@ -53,6 +54,7 @@ __all__ = [
 
 FE_PAIRING_DEGREE = 4
 CALLABLE_DEGREE = 6    # Gauss degree for analytic (callable) inputs
+NODE_BLOCK = 512       # nodes per pointwise evaluation of an input
 
 # dual coefficients on the simplicial patch by node class: the key is
 # the sorted pair (|x|, |y|) in units of h, the value is in units of
@@ -97,6 +99,14 @@ def _odd_reflection(ev, bounds):
         return sign * ev(pts)
 
     return reflected
+
+
+def _node_integrals(ev, mesh, kk, offsets, weights):
+    """Per lattice node k, the sum over q of ev(v(k) + offsets[q]) weights[q],
+    evaluated NODE_BLOCK nodes at a time to bound the temporaries."""
+    blocks = np.split(mesh.bounds[0] + mesh.h * kk, range(NODE_BLOCK, len(kk), NODE_BLOCK))
+    return np.concatenate([ev((v[:, None] + offsets).reshape(-1, 2)).reshape(len(v), -1) @ weights
+                           for v in blocks])
 
 
 def _require_lattice(mesh, what):
@@ -144,7 +154,8 @@ class AveragedInterpolant:
                 "resolution; pass a callable otherwise")
         # nesting keeps every source cell inside one box: bin it by the
         # lattice node nearest to its centroid
-        centroids = source.nodes[source.cells].mean(axis=1)
+        a, b, t, slot = source.decode(np.arange(source.num_cells))
+        centroids = source.corners(a, b) + source.template.mean(axis=2)[t, slot]
         k = np.rint((centroids - mesh.bounds[0]) / mesh.h).astype(np.int64)
         # the vertex mean is the exact cell mean of a P1 or Q1 function
         integrals = np.abs(source.cell_areas()) * w.coeffs[source.cells].mean(axis=1)
@@ -155,10 +166,8 @@ class AveragedInterpolant:
     def _averages(self, w, kk):
         if isinstance(w, FeFunction):
             return self._averages_exact(w)[kk[:, 0], kk[:, 1]]
-        mesh = self.space.mesh
-        pts = (mesh.bounds[0] + mesh.h * kk)[:, None, :] + self._box_points
-        vals = _point_evaluator(w)(pts.reshape(-1, 2)).reshape(len(kk), -1)
-        return vals @ self._box_weights
+        return _node_integrals(_point_evaluator(w), self.space.mesh, kk,
+                               self._box_points, self._box_weights)
 
     def box_average(self, w, k):
         """Mean of the input over the box centered at interior node k."""
@@ -213,8 +222,8 @@ def _dual_family(kind, mesh):
         # the node patch of the half-refined Kuhn mesh: the center node of a
         # 2 x 2 mesh on (-h, h)^2; P2 nodes are the vertices, then the midpoints
         refined = refine_kuhn_half(build_tri(2, "alternating-kuhn", bounds=(-h, h)))
-        child = refined.child
-        tris = child.nodes[child.cells[refined.node_patches[(1, 1)]]]  # (8, 3, 2)
+        a, b, t, k = refined.child.decode(refined.node_patches[(1, 1)])
+        tris = refined.child.corners(a, b)[:, None] + refined.child.template[t, k]  # (8, 3, 2)
         nodes = np.concatenate([tris, (tris[:, [1, 2, 0]] + tris[:, [2, 0, 1]]) / 2], axis=1)
         table = np.array([[_classify_dual_coeff(p, h) for p in tri] for tri in nodes])
         return _DualFamily("triangle", _p2_shapes, tris, nodes, table, ("Q1", "P1"))
@@ -285,11 +294,7 @@ class DualBasisProjector:
     def _pairings(self, w, kk):
         ev = _odd_reflection(_point_evaluator(w), self.mesh.bounds)
         label = "fe" if isinstance(w, FeFunction) else "callable"
-        offsets, weighted_dual = self._rules[label]
-        positions = self.mesh.bounds[0] + self.mesh.h * kk
-        pts = positions[:, None, :] + offsets[None, :, :]
-        vals = ev(pts.reshape(-1, 2)).reshape(len(kk), -1)
-        return vals @ weighted_dual
+        return _node_integrals(ev, self.mesh, kk, *self._rules[label])
 
     def pairing(self, w, j):
         """Pairing of the input with the node dual function.

@@ -6,7 +6,9 @@ lattice (index pairs j in 0..2N at lo + j h/2): a table of the cells of
 one lattice square, each vertex an offset 0..2 from the square's corner
 2 (a, b); a pattern that alternates has a second table for odd a + b.
 Cells are numbered square by square, lexicographically by (b, a), then
-in table order.  Nodes are the half-lattice points the cells touch:
+in table order; ``StructuredMesh.decode`` inverts that numbering, so a
+cell is its square's corner plus a template entry.  Nodes are the
+half-lattice points the cells touch:
 
 * the lattice points, lexicographically by (k2, k1), for ``quad``,
   ``boxslash`` (all diagonals northeast) and ``alternating-kuhn``
@@ -26,6 +28,7 @@ square ``bounds = (lo, hi)`` is supported for experiment setups.
 
 import math
 import operator
+from collections import namedtuple
 
 import numpy as np
 
@@ -112,11 +115,26 @@ class StructuredMesh:
     @property
     def template(self):
         """Vertex offsets of each template cell from its square's corner,
-        (T, per, nv, 2): cell c is slot c % per of table 0 translated, or of
-        table 1 where the pattern alternates and its square has odd a + b."""
+        (T, per, nv, 2): T = 2 tables where the pattern alternates."""
         even, odd, _ = _TEMPLATES[self.pattern]
         tables = np.array((even,) if even == odd else (even, odd))
         return tables * ((self.bounds[1] - self.bounds[0]) / (2 * self.squares))
+
+    def decode(self, cells):
+        """Lattice square (a, b), template table t and slot k of cell ids (an
+        int or an int array), the inverse of the numbering of ``_build``: the
+        cell is ``template[t, k]`` translated to ``corners(a, b)``; t = 1 where
+        the pattern alternates and a + b is odd."""
+        side = self.squares
+        square, slot = divmod(cells, self.num_cells // side ** 2)
+        b, a = divmod(square, side)
+        even, odd, _ = _TEMPLATES[self.pattern]
+        return a, b, (a + b) % 2 * (even != odd), slot
+
+    def corners(self, a, b):
+        """Lower left corners of the lattice squares (a, b), shaped (..., 2)."""
+        lo, hi = self.bounds
+        return lo + (hi - lo) / self.squares * np.stack([a, b], axis=-1)
 
     def lattice_node(self, k1, k2):
         """Global node id of lattice node v(k1, k2)."""
@@ -128,10 +146,12 @@ class StructuredMesh:
         return [(a, b) for b in range(1, n) for a in range(1, n)]
 
     def cell_areas(self):
-        """Half the cross product of v2 - v0 and v_last - v1: a quad's diagonals."""
-        v = self.nodes[self.cells]
-        d1, d2 = v[:, 2] - v[:, 0], v[:, -1] - v[:, 1]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        """Half the cross product of v2 - v0 and v_last - v1 (a quad's
+        diagonals) of each cell's template cell."""
+        v = self.template
+        d1, d2 = v[..., 2, :] - v[..., 0, :], v[..., -1, :] - v[..., 1, :]
+        _, _, t, k = self.decode(np.arange(self.num_cells))
+        return 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])[t, k]
 
 
 # --- per-square cell tables ------------------------------------------------
@@ -235,25 +255,11 @@ def locate(mesh, points):
     return len(even) * (b * side + a) + local
 
 
-class HalfRefinement:
-    """Full (two-fold bisection) refinement of an alternating Kuhn mesh.
-
-    Attributes
-    ----------
-    parent : StructuredMesh
-        The coarse alternating-kuhn mesh.
-    child : StructuredMesh
-        The refined triangulation; children of parent cell t occupy
-        slots 4t..4t+3 of ``child.cells``.
-    node_patches : dict
-        Maps each interior lattice index pair (k1, k2) to the array of
-        the 8 child cell ids whose closure contains v(k1, k2).
-    """
-
-    def __init__(self, parent, child, node_patches):
-        self.parent = parent
-        self.child = child
-        self.node_patches = node_patches
+# Full (two-fold bisection) refinement of an alternating Kuhn mesh: the
+# coarse mesh, the refined triangulation (children of parent cell t in slots
+# 4t..4t+3) and a dict from each interior lattice index pair (k1, k2) to the
+# ids of the 8 child cells whose closure contains v(k1, k2).
+HalfRefinement = namedtuple("HalfRefinement", "parent child node_patches")
 
 
 def refine_kuhn_half(mesh):
@@ -277,8 +283,7 @@ def element_patch(mesh, cell):
     lie in its lattice square or the eight around it."""
     if not 0 <= cell < mesh.num_cells:
         raise IndexError(f"cell id {cell} out of range")
-    side = mesh.squares
-    b, a = divmod(int(cell) // (mesh.num_cells // side ** 2), side)
+    a, b, _, _ = mesh.decode(int(cell))
     near = mesh.square_cells(a - 1, a + 1, b - 1, b + 1)
     shares = (mesh.cells[near][:, :, None] == mesh.cells[cell]).any(axis=(1, 2))
     return near[shares]

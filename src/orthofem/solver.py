@@ -95,7 +95,6 @@ class SolveReport:
     converged: bool
     iterations: int
     increments: list
-    final_increment: float
     final_residual: float
     cg_iterations: int
     tau_schedule: list     # (outer iteration, tau) pairs, first entry at 0
@@ -309,7 +308,6 @@ def solve(spec, cfg=None, start=None):
         converged=converged,
         iterations=len(increments),
         increments=increments,
-        final_increment=increments[-1] if increments else 0.0,
         final_residual=residual_norm,
         cg_iterations=cg_total,
         tau_schedule=tau_schedule,

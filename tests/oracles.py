@@ -2,11 +2,34 @@
 
 import numpy as np
 
+from orthofem.fespace import map_rule
+from orthofem.mesh import locate
+
 
 def integrate(space, cell, integrand, degree):
     """Gauss integral of a pointwise integrand over one cell."""
-    pts, wts = space.rule_geometry(degree)
-    return float(np.sum(wts[cell] * np.asarray(integrand(pts[cell]))))
+    pts, wts = space.rule_geometry(degree, [cell])
+    return float(np.sum(wts[0] * np.asarray(integrand(pts[0]))))
+
+
+def vertex_rule_geometry(space, degree, cells=slice(None)):
+    """Quadrature points and weights of the given cells, each mapped from its
+    own vertices 0, 1 and the last, the images of (0, 0), (1, 0), (0, 1)."""
+    mesh = space.mesh
+    return map_rule(space.rule(degree), mesh.nodes[mesh.cells[cells][:, [0, 1, -1]]])
+
+
+def vertex_evaluate(u, points):
+    """Values of an FE function at points, each inverted by hand on the map
+    of its located cell's vertices 0, 1 and the last."""
+    mesh = u.space.mesh
+    ids = mesh.cells[locate(mesh, points)]
+    v0 = mesh.nodes[ids[:, 0]]
+    (ax, ay), (bx, by) = ((mesh.nodes[ids[:, k]] - v0).T for k in (1, -1))
+    dx, dy = (points - v0).T
+    det = ax * by - ay * bx
+    ref = np.stack([dx * by - dy * bx, ax * dy - ay * dx], axis=1) / det[:, None]
+    return np.einsum("pa,pa->p", u.space.shapes(ref)[0], u.coeffs[ids])
 
 
 def p1_basis_grads(mesh, cells=slice(None)):

@@ -164,20 +164,20 @@ class TestEoc:
 
 class TestConvergenceTable:
     def test_rates_computed_between_rows(self):
-        table = ConvergenceTable("boxslash", 1.5, 1.5)
+        table = ConvergenceTable()
         table.add_row(100, {"e_V": 1e-1})
         table.add_row(400, {"e_V": 5e-2})
         assert table.rows[0].rates == {}
         assert table.rows[1].rates["e_V"] == pytest.approx(-0.5)
 
     def test_dims_must_increase(self):
-        table = ConvergenceTable("quad", 2.0, 2.0)
+        table = ConvergenceTable()
         table.add_row(100, {"e_V": 1.0})
         with pytest.raises(ValueError):
             table.add_row(100, {"e_V": 0.5})
 
     def test_column_access(self):
-        table = ConvergenceTable("cross", 3.0, 1.5)
+        table = ConvergenceTable()
         table.add_row(10, {"e_p1": 1.0, "e_V": 2.0})
         table.add_row(40, {"e_p1": 0.5, "e_V": 1.0})
         assert table.column("e_p1") == [(10, 1.0), (40, 0.5)]

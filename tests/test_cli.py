@@ -231,7 +231,7 @@ class TestParseConfig:
 
 class TestEmitTable:
     def test_single_row_has_empty_rate_cells(self):
-        table = ConvergenceTable("boxslash", 1.5, 1.5)
+        table = ConvergenceTable()
         table.add_row(121, {"e_V": 0.17311, "e_comb": 0.23505})
         text = emit_table(table)
         lines = text.splitlines()
@@ -239,7 +239,7 @@ class TestEmitTable:
         assert lines[1] == "121,,,,,1.7311E-01,,2.3505E-01,"
 
     def test_halved_errors_give_minus_half(self):
-        table = ConvergenceTable("quad", 2.0, 2.0)
+        table = ConvergenceTable()
         table.add_row(100, {"e_V": 2e-1})
         table.add_row(400, {"e_V": 1e-1})
         assert ",-0.50," in emit_table(table).splitlines()[2] + ","
@@ -252,7 +252,7 @@ class TestEmitTable:
             assert emit_table(load_table(raw)) == raw
 
     def test_markdown_layout(self):
-        table = ConvergenceTable("boxslash", 3.0, 1.5)
+        table = ConvergenceTable()
         table.add_row(121, {"e_p1": 0.12032, "e_p2": 0.14809, "e_V": 0.16893})
         table.add_row(441, {"e_p1": 0.068595, "e_p2": 0.074169, "e_V": 0.085105})
         text = emit_table(table, "markdown")
@@ -264,7 +264,7 @@ class TestEmitTable:
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
-            emit_table(ConvergenceTable("quad", 2.0, 2.0))
+            emit_table(ConvergenceTable())
 
 
 class TestPaperTables:

@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orthofem.analysis import ManufacturedSolution, error_norms
 from orthofem.fespace import (FeFunction, FeSpace, _p1_shapes, _q1_shapes,
                               abs_partial_integral, interpolate_nodal,
                               map_rule, quadrature_rule)
 from orthofem.mesh import build_quad, build_tri, refine_kuhn_half
 from orthofem.nfunc import GrowthLaw
-from orthofem.solver import _assembler, assemble_stiffness
+from orthofem.solver import _assembler, assemble_load, assemble_stiffness
 
 import oracles
 from oracles import clip_convex, integrate, polygon_area_centroid
@@ -423,3 +425,58 @@ class TestGradientRule:
             cells = mesh.square_cells(*block)
             got = u.gradients_on_rule(degree, cells)
             assert np.abs(got - expected[cells]).max() <= 1e-13 * scale
+
+
+class TestTemplateGeometry:
+    """Quadrature points and point evaluation read each cell as its square's
+    corner plus a template cell; checked against maps from the cell's own
+    vertex coordinates."""
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=[name for name, _ in FAMILIES])
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (-1.0, 1.0), (-2.5, 4.0)])
+    def test_rule_geometry_matches_vertex_oracle(self, family, n, bounds):
+        mesh = family[1](n, bounds)
+        space = FeSpace(mesh)
+        rng = np.random.default_rng(n)
+        # all cells, a run that splits squares, and scattered cells in any order
+        for cells in (slice(None), slice(3, 3 + 2 * n + 1),
+                      rng.permutation(mesh.num_cells)[:2 * n + 1]):
+            for degree in (1, 4, 5):
+                pts, wts = space.rule_geometry(degree, cells)
+                expected_pts, expected_wts = oracles.vertex_rule_geometry(space, degree, cells)
+                assert pts.shape == expected_pts.shape and wts.shape == expected_wts.shape
+                assert np.abs(pts - expected_pts).max() <= 1e-14 * np.abs(expected_pts).max()
+                assert np.abs(wts - expected_wts).max() <= 1e-14 * expected_wts.max()
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=[name for name, _ in FAMILIES])
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (-1.0, 1.0), (-2.5, 4.0)])
+    def test_evaluate_matches_vertex_oracle(self, family, n, bounds):
+        mesh = family[1](n, bounds)
+        space = FeSpace(mesh)
+        rng = np.random.default_rng(n)
+        u = FeFunction(space, rng.standard_normal(space.ndofs))
+        lo, hi = bounds
+        # random points, every node and the quadrature points of every cell
+        points = np.concatenate([lo + (hi - lo) * rng.random((500, 2)), mesh.nodes,
+                                 space.rule_geometry(3)[0].reshape(-1, 2)])
+        expected = oracles.vertex_evaluate(u, points)
+        assert np.abs(u.evaluate(points) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_space_keeps_no_per_cell_array(self):
+        law = GrowthLaw((3.0, 3.0))
+        ms = ManufacturedSolution(law)
+        mesh = build_tri(160, "boxslash", (-1.0, 1.0))
+        u = FeFunction(FeSpace(mesh), ms.value(mesh.nodes))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            load = assemble_load(u.space, lambda x: x[:, 0] * x[:, 1])
+            error_norms(u, ms, law)
+            del load
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # one float per cell would be 0.4 MB; the template data are a few kB
+        assert kept < 0.1e6

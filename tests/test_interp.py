@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orthofem.fespace import (FeFunction, FeSpace, abs_partial_integral,
                               interpolate_nodal)
-from orthofem.interp import AveragedInterpolant, build_dual_table, transfer
+from orthofem.interp import NODE_BLOCK, AveragedInterpolant, build_dual_table, transfer
 from orthofem.mesh import build_quad, build_tri, element_patch, locate, refine_kuhn_half
 
 import oracles
@@ -456,6 +458,57 @@ class TestNestedStencil:
             _projector(kind, n, (0.0, 1.0)).apply(w, _space(n, target_pattern))
             totals.append(sum(counted))
         assert totals[0] == totals[1]
+
+
+class TestBlockedEvaluation:
+    """Callable inputs are evaluated NODE_BLOCK nodes at a time."""
+
+    @staticmethod
+    def _wave(x):
+        return np.sin(1.0 + 5.0 * x[:, 0]) * np.cos(0.3 + 7.0 * x[:, 1])
+
+    @staticmethod
+    def _at_once(f, space, offsets, weights):
+        """Per interior lattice node (k1, k2) of the space, the weighted sum of
+        f at its offsets, from one evaluation at all points; indexed like
+        ``space.mesh.lattice_ids[1:n, 1:n]``."""
+        mesh = space.mesh
+        kk = np.stack(np.nonzero(~mesh.boundary[mesh.lattice_ids]), axis=1)
+        points = (mesh.bounds[0] + mesh.h * kk)[:, None, :] + offsets
+        values = f(points.reshape(-1, 2)).reshape(len(kk), -1) @ weights
+        return values.reshape(mesh.n - 1, mesh.n - 1)
+
+    @pytest.mark.parametrize("pattern", ["quad", "boxslash"])
+    def test_averaged_interpolant_agrees_with_one_evaluation(self, pattern):
+        space = _space(40, pattern, (-1.0, 1.0))
+        assert (space.mesh.n - 1) ** 2 > 2 * NODE_BLOCK
+        op = AveragedInterpolant(space)
+        expected = self._at_once(self._wave, space, op._box_points, op._box_weights)
+        got = op.apply(self._wave).coeffs[space.mesh.lattice_ids[1:40, 1:40]]
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("kind,target_pattern", PROJECTIONS)
+    def test_projection_agrees_with_one_evaluation(self, kind, target_pattern):
+        space = _space(40, target_pattern, (-1.0, 1.0))
+        assert (space.mesh.n - 1) ** 2 > 2 * NODE_BLOCK
+        proj = _projector(kind, 40, (-1.0, 1.0))
+        # interior dual supports stay in the domain: no reflection
+        expected = self._at_once(self._wave, space, *proj._rules["callable"])
+        got = proj.apply(self._wave, space).coeffs[space.mesh.lattice_ids[1:40, 1:40]]
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_cubic_projection_of_a_callable_stays_small(self):
+        space = FeSpace(build_quad(64))
+        u = random_fine(space, np.random.default_rng(12))
+        proj = build_dual_table("cubic", space.mesh)
+        tracemalloc.start()
+        try:
+            out = proj.apply(u.evaluate, space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.abs(out.coeffs - u.coeffs).max() < 1e-12
+        assert peak < 20e6
 
 
 class TestTransfer:

@@ -352,3 +352,29 @@ def test_dump_roundtrip_counts():
     lines = dump(mesh).strip().splitlines()
     assert sum(ln.startswith("n ") for ln in lines) == mesh.num_nodes
     assert sum(ln.startswith("c ") for ln in lines) == mesh.num_cells
+
+
+@pytest.mark.parametrize("family", list(NUMBERING_SHA256))
+@pytest.mark.parametrize("n,bounds", [(3, (0.0, 1.0)), (4, (-0.3, 2.2))])
+def test_decode_inverts_the_numbering(family, n, bounds):
+    mesh = family_mesh(family, n, bounds)
+    ids = np.arange(mesh.num_cells)
+    a, b, t, k = mesh.decode(ids)
+    vertices = mesh.nodes[mesh.cells]
+    # locate finds every cell at its centroid, in the square decode names
+    centroids = vertices.mean(axis=1)
+    assert np.array_equal(locate(mesh, centroids), ids)
+    width = (bounds[1] - bounds[0]) / mesh.squares
+    assert np.array_equal(np.floor((centroids - bounds[0]) / width).astype(int),
+                          np.stack([a, b], axis=1))
+    # the cell is its template cell at its square's corner
+    placed = mesh.corners(a, b)[:, None, :] + mesh.template[t, k]
+    assert np.abs(placed - vertices).max() <= 1e-14 * np.abs(bounds).max()
+    alternates = len(mesh.template) == 2
+    assert np.array_equal(t, (a + b) % 2 if alternates else np.zeros_like(t))
+    # square_cells lists a square's cells by slot; one id decodes to plain ints
+    for cell in ids:
+        square = mesh.square_cells(a[cell], a[cell], b[cell], b[cell])
+        assert square[k[cell]] == cell
+        assert mesh.decode(int(cell)) == (a[cell], b[cell], t[cell], k[cell])
+        assert all(type(x) is int for x in mesh.decode(int(cell)))
