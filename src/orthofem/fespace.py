@@ -24,6 +24,7 @@ plain Python floats (on a few vertices numpy's per-call cost dominates),
 over the cells of the lattice squares under the region's bounding box.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,9 +58,14 @@ class QuadratureRule:
     points: np.ndarray  # (npts, 2) on the reference element
     weights: np.ndarray  # sums to the reference measure
 
+    def __post_init__(self):  # read-only, as rules are shared
+        self.points.flags.writeable = self.weights.flags.writeable = False
 
+
+@functools.cache
 def quadrature_rule(kind, degree):
-    """Positive-weight rule exact for polynomials of total degree <= degree."""
+    """Positive-weight rule exact for polynomials of total degree <= degree,
+    built once per (kind, degree) and shared."""
     if not 1 <= degree <= MAX_DEGREE:
         raise ValueError(f"unsupported quadrature degree {degree}")
     if kind == "quad":
@@ -108,19 +114,25 @@ def contract(x, m, mesh, cells=slice(None)):
     return out.reshape(len(x), *m.shape[x.ndim + 1:])
 
 
-def _q1_shapes(pts):
+def _q1_values(pts):
     x, y = pts[:, 0], pts[:, 1]
-    vals = np.stack([(1 - x) * (1 - y), x * (1 - y), x * y, (1 - x) * y], axis=1)
+    return np.stack([(1 - x) * (1 - y), x * (1 - y), x * y, (1 - x) * y], axis=1)
+
+
+def _q1_grads(pts):
+    x, y = pts[:, 0], pts[:, 1]
     gx = np.stack([-(1 - y), (1 - y), y, -y], axis=1)
     gy = np.stack([-(1 - x), -x, x, (1 - x)], axis=1)
-    return vals, np.stack([gx, gy], axis=2)
+    return np.stack([gx, gy], axis=2)
 
 
-def _p1_shapes(pts):
+def _p1_values(pts):
     x, y = pts[:, 0], pts[:, 1]
-    vals = np.stack([1 - x - y, x, y], axis=1)
-    grads = np.broadcast_to([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], (len(pts), 3, 2))
-    return vals, grads
+    return np.stack([1 - x - y, x, y], axis=1)
+
+
+def _p1_grads(pts):
+    return np.broadcast_to([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], (len(pts), 3, 2))
 
 
 class FeSpace:
@@ -135,13 +147,12 @@ class FeSpace:
         self.ndofs = mesh.num_nodes
         self.interior = ~mesh.boundary
         self._geom = {}
-        # how the elements differ: shape functions and the rule for gradient
-        # integrals; a P1 gradient is constant on its cell: one point, |cell|
-        if mesh.kind == "quad":
-            self.kind, self.shapes, self._gradient_points = "Q1", _q1_shapes, self.rule
-        else:
-            point = QuadratureRule("triangle", 1, np.full((1, 2), 1 / 3), np.array([0.5]))
-            self.kind, self.shapes, self._gradient_points = "P1", _p1_shapes, lambda _: point
+        # how the elements differ: shape values and gradients and the rule for
+        # gradient integrals; a P1 gradient is constant on its cell: one point, |cell|
+        point = QuadratureRule("triangle", 1, np.full((1, 2), 1 / 3), np.array([0.5]))
+        self.kind, self.shape_values, self.shape_grads, self._gradient_points = (
+            ("Q1", _q1_values, _q1_grads, self.rule) if mesh.kind == "quad"
+            else ("P1", _p1_values, _p1_grads, lambda _: point))
         corners = mesh.template[:, :, [0, 1, -1]]  # images of (0, 0), (1, 0), (0, 1)
         self._jacobians = corners[:, :, 1:] - corners[:, :, :1]
         # flattened to the template index t per + k of ``_placement``
@@ -190,7 +201,7 @@ class FeSpace:
         """Physical basis gradients g at reference points on each template
         cell, shaped (T, per, nloc, npts, 2): g_ref = J^T g, J the Jacobian of
         the cell's map from the reference element."""
-        ref = self.shapes(points)[1].T                     # (2, nloc, npts)
+        ref = self.shape_grads(points).T                   # (2, nloc, npts)
         g = np.linalg.solve(self._jacobians, ref.reshape(2, -1))
         return np.ascontiguousarray(np.moveaxis(g.reshape(*g.shape[:3], *ref.shape[1:]), 2, -1))
 
@@ -225,7 +236,7 @@ class FeFunction:
         # reference coordinates: the inverse map of the point's template cell
         offsets = points - corner - space._corners[:, 0].take(j, axis=0)
         ref = np.einsum("pij,pj->pi", space._inverse.take(j, axis=0), offsets)
-        return np.einsum("pa,pa->p", space.shapes(ref)[0], self.coeffs[mesh.cells[cells]])
+        return np.einsum("pa,pa->p", space.shape_values(ref), self.coeffs[mesh.cells[cells]])
 
 
 def interpolate_nodal(space, f):

@@ -42,7 +42,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .fespace import FeFunction, _q1_shapes, map_rule, quadrature_rule
+from .fespace import FeFunction, _q1_values, map_rule, quadrature_rule
 from .mesh import build_tri, refine_kuhn_half
 
 __all__ = [
@@ -236,7 +236,7 @@ def _dual_family(kind, mesh):
         nodes = np.stack([corners[:, 0], corners[:, 1], corners[:, 1] + corners[:, 2],
                           corners[:, 2]], axis=1)
         table = np.tile([4.0, -2.0, 1.0, -2.0], (4, 1)) / h ** 2
-        return _DualFamily("quad", lambda pts: _q1_shapes(pts)[0], corners, nodes,
+        return _DualFamily("quad", _q1_values, corners, nodes,
                            table, ("Q1",))
     raise ValueError(f"unknown dual table kind {kind!r}")
 

@@ -155,14 +155,14 @@ def _check_symmetric(a, rtol=1e-10):
         raise ValueError("matrix is not symmetric; CG needs A = A^T")
 
 
-def cg_solve(a, b, cfg=None, x0=None, callback=None):
-    """Jacobi-preconditioned conjugate gradients for SPD systems.
+def cg_solve(a, b, cfg=None, callback=None):
+    """Jacobi-preconditioned conjugate gradients for SPD systems, from zero.
 
     Returns ``(x, iterations)``; raises IterativeSolveError when the
     iteration budget is exhausted before the relative residual drops
     below the configured tolerance, and ValueError for a non-finite b.
     ``callback``, if given, receives x after every iteration.  A call
-    costs one matvec per iteration and one more only for a start ``x0``.
+    costs one matvec per iteration.
     """
     cfg = cfg or CgConfig()
     _check_symmetric(a)
@@ -174,14 +174,10 @@ def cg_solve(a, b, cfg=None, x0=None, callback=None):
     if np.any(diag <= 0):
         raise ValueError("nonpositive diagonal entry; matrix is not SPD")
     inv_diag = 1.0 / diag
-    if x0 is None:
-        x, r = np.zeros_like(b), b.copy()
-    else:
-        x = np.array(x0, dtype=float)
-        r = b - a.matvec(x)
     bb = _dot(b, b)
     if bb == 0.0:
         return np.zeros_like(b), 0
+    x, r = np.zeros_like(b), b.copy()
     z = r * inv_diag
     p = z.copy()
     rz, rr = _dot(r, z), _dot(r, r)

@@ -11,7 +11,8 @@ iterate are kept.  K is the plain Laplacian stiffness (the
 preconditioner term), K_B the weighted stiffness with entries
 sum_i B_i(d_i u^k) d_i phi_a d_i phi_b, r the Galerkin residual, and
 the subscript II marks the interior block, assembled directly on an
-interior-only pattern.  For P1, K_B(u) u - F = r(u), so the step is
+interior-only pattern: K/tau + K_B is one weighted stiffness, of weight
+B_i(d_i u^k) + 1/tau.  For P1, K_B(u) u - F = r(u), so the step is
 (K/tau + K_B) u^{k+1} = F + K u^k / tau in correction form; for Q1 the
 residual uses a finer rule than K_B, and the flow stops at a zero of
 that residual.
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fespace import FeFunction, contract
-from .linalg import CgConfig, CsrMatrix, CsrPattern, cg_solve
+from .linalg import CgConfig, CsrPattern, cg_solve
 
 __all__ = [
     "ProblemSpec",
@@ -101,44 +102,35 @@ class SolveReport:
 
 
 class _Assembler:
-    """Sparsity patterns and reference data for one space.
-
-    The interior-block pattern serves the flow; the full-node pattern is
-    built only when a full matrix is asked for.
-    """
+    """Reference data for one space, and its sparsity patterns (of the
+    interior block, which serves the flow, or of all nodes), each built
+    once, when first asked for."""
 
     def __init__(self, space):
         self.space = space
-        rows, cols = self._triplets()
-        interior = space.interior
-        kept = np.flatnonzero(interior[rows] & interior[cols])
-        renumber = np.cumsum(interior) - 1
-        size = len(rows)
-        rows, cols = renumber[rows[kept]], renumber[cols[kept]]  # frees the full arrays
-        self.interior_pattern = CsrPattern(int(np.count_nonzero(interior)), rows, cols)
-        # local values of all cells sum straight into the interior block;
-        # the others go to the discarded slot past its end
-        target = np.full(size, self.interior_pattern.cols.size)
-        target[kept] = self.interior_pattern.target
-        self.interior_pattern.target = target
-        self._full_pattern = None
+        self._patterns = {}
         grads, weights = space.gradient_rule(ASSEMBLY_DEGREE)
         # per template cell: d_i phi_a d_i phi_b W at point q, by (q, i, a, b)
         self.products = np.einsum("tpaqi,tpbqi,tpq->tpqiab", grads, grads, weights)
 
-    def _triplets(self):
-        """Row and column of each local matrix entry, cell by cell."""
-        cells = self.space.mesh.cells
-        nloc = cells.shape[1]
-        return np.repeat(cells, nloc, axis=1).ravel(), np.tile(cells, (1, nloc)).ravel()
-
-    def assemble(self, vals, interior_only):
-        """Sparse matrix of the local values: the interior block or all nodes."""
-        if interior_only:
-            return self.interior_pattern.assemble(vals)
-        if self._full_pattern is None:
-            self._full_pattern = CsrPattern(self.space.ndofs, *self._triplets())
-        return self._full_pattern.assemble(vals)
+    def pattern(self, interior_only):
+        """Pattern of the interior block, or of all nodes (every node kept)."""
+        if interior_only not in self._patterns:
+            cells = self.space.mesh.cells
+            rows = np.repeat(cells, cells.shape[1], axis=1).ravel()
+            cols = np.tile(cells, (1, cells.shape[1])).ravel()
+            keep = self.space.interior if interior_only else np.ones(self.space.ndofs, bool)
+            kept = keep[rows] & keep[cols]
+            renumber = np.cumsum(keep) - 1
+            rows, cols = renumber[rows[kept]], renumber[cols[kept]]  # frees the full arrays
+            pattern = CsrPattern(int(np.count_nonzero(keep)), rows, cols)
+            # local values of all cells sum straight into the kept block;
+            # the others go to the discarded slot past its end
+            target = np.full(kept.size, pattern.cols.size)
+            target[kept] = pattern.target
+            pattern.target = target
+            self._patterns[interior_only] = pattern
+        return self._patterns[interior_only]
 
 
 def _assembler(space):
@@ -151,20 +143,22 @@ def assemble_stiffness(space, interior_only=False):
     """Laplacian stiffness over all nodes, or its interior block K_II."""
     asm = _assembler(space)
     ones = np.ones((space.mesh.num_cells, *asm.products.shape[2:4]))
-    return asm.assemble(contract(ones, asm.products, space.mesh), interior_only)
+    return asm.pattern(interior_only).assemble(contract(ones, asm.products, space.mesh))
 
 
-def assemble_weighted_stiffness(space, u_k, law, clamp=1e-10, interior_only=False):
-    """Stiffness weighted per direction by B_i at the gradient of u_k,
-    over all nodes or as its interior block."""
+def assemble_weighted_stiffness(space, u_k, law, clamp=1e-10, interior_only=False,
+                                shift=0.0):
+    """Stiffness weighted per direction by B_i at the gradient of u_k plus
+    ``shift``, over all nodes or as its interior block: with shift 1/tau it
+    is the flow's step matrix K/tau + K_B."""
     u = u_k if isinstance(u_k, FeFunction) else FeFunction(space, u_k)
     asm = _assembler(space)
     g = u.gradients_on_rule(ASSEMBLY_DEGREE)
-    weights = np.stack([law.weight(i, g[..., i], clamp) for i in range(2)], axis=-1)
+    weights = np.stack([law.weight(i, g[..., i], clamp) + shift for i in range(2)], axis=-1)
     vals = contract(weights, asm.products, space.mesh)
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("non-finite weight in the weighted stiffness")
-    return asm.assemble(vals, interior_only)
+    return asm.pattern(interior_only).assemble(vals)
 
 
 def assemble_load(space, f):
@@ -173,7 +167,7 @@ def assemble_load(space, f):
     if f is None:
         return np.zeros(space.ndofs)
     pts, wts = space.rule_geometry(RESIDUAL_DEGREE)
-    shapes, _ = space.shapes(space.rule(RESIDUAL_DEGREE).points)
+    shapes = space.shape_values(space.rule(RESIDUAL_DEGREE).points)
     fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float)
     fv = np.full(pts.shape[:2], fv) if fv.ndim == 0 else fv.reshape(pts.shape[:2])
     if not np.all(np.isfinite(fv)):
@@ -215,18 +209,16 @@ def galerkin_residual(space, u, law, f=None):
     return res - assemble_load(space, f)
 
 
-def flow_step(k_ii, kb_ii, residual, u_k, tau, interior, cg_cfg=None):
+def flow_step(system, residual, u_k, interior, cg_cfg=None):
     """One semi-implicit step in correction form; returns (new
     coefficients, cg iterations).
 
-    Solves (K_II/tau + K_B,II) delta = -residual[interior] by CG from
-    zero and adds delta to u_k on the interior nodes.  ``k_ii`` and
-    ``kb_ii`` are interior blocks on one sparsity pattern; ``residual``
-    is the Galerkin residual at u_k over all nodes.
+    Solves ``system`` delta = -residual[interior] by CG from zero and adds
+    delta to u_k on the interior nodes.  ``system`` is the step matrix
+    K_II/tau + K_B,II(u_k), one weighted assembly of the interior block
+    with weights B_i + 1/tau; ``residual`` is the Galerkin residual at
+    u_k over all nodes.
     """
-    if k_ii.pattern is not kb_ii.pattern:
-        raise ValueError("K_II and K_B,II must share one sparsity pattern")
-    system = CsrMatrix(k_ii.pattern, k_ii.values / tau + kb_ii.values)
     delta, iterations = cg_solve(system, -residual[interior], cg_cfg)
     u_next = u_k.copy()
     u_next[interior] += delta
@@ -266,7 +258,7 @@ def solve(spec, cfg=None, start=None):
     if not np.all(np.isfinite(start[interior])):
         raise ValueError("start iterate is not finite at some interior node")
 
-    k_ii = assemble_stiffness(space, interior_only=True)
+    _assembler(space).pattern(interior_only=True)  # before the iterates: a lower peak
     cg_cfg = CgConfig(tol=max(cfg.cg.tol, FORCING), max_iter=cfg.cg.max_iter)
     u = np.where(boundary, g_vals, start)
     residual = galerkin_residual(space, u, law, spec.source)
@@ -281,9 +273,9 @@ def solve(spec, cfg=None, start=None):
     converged = False
 
     for k in range(cfg.max_iter):
-        kb_ii = assemble_weighted_stiffness(space, u, law, cfg.clamp,
-                                            interior_only=True)
-        u_new, iterations = flow_step(k_ii, kb_ii, residual, u, tau, interior, cg_cfg)
+        system = assemble_weighted_stiffness(space, u, law, cfg.clamp,
+                                             interior_only=True, shift=1 / tau)
+        u_new, iterations = flow_step(system, residual, u, interior, cg_cfg)
         cg_total += iterations
         increment = energy(space, u_new - u, law)
         increments.append(increment)

@@ -29,7 +29,7 @@ def vertex_evaluate(u, points):
     dx, dy = (points - v0).T
     det = ax * by - ay * bx
     ref = np.stack([dx * by - dy * bx, ax * dy - ay * dx], axis=1) / det[:, None]
-    return np.einsum("pa,pa->p", u.space.shapes(ref)[0], u.coeffs[ids])
+    return np.einsum("pa,pa->p", u.space.shape_values(ref), u.coeffs[ids])
 
 
 def p1_basis_grads(mesh, cells=slice(None)):

@@ -8,12 +8,14 @@ where a criterion asks for every increment.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from orthofem.analysis import ManufacturedSolution
-from orthofem.cli import StudyConfig, load_paper_table, run_study
+from orthofem.cli import (StudyConfig, _metadata_header, emit_table, load_paper_table,
+                          run_study)
 from orthofem.fespace import (FeFunction, FeSpace, abs_partial_integral,
                               interpolate_nodal)
 from orthofem.interp import AveragedInterpolant, build_dual_table, transfer
@@ -24,14 +26,18 @@ from orthofem.solver import FlowConfig, ProblemSpec, solve
 
 VALUE_RTOL = 0.05
 RUN_KWARGS = dict(tol=1e-12, cg_tol=5e-14, residual_target=5e-7)
+# the CSV files that ``orthofem`` writes for these studies, header included
+GOLDEN_CSV = Path(__file__).parent / "data" / "acceptance"
 
 
 def run(name, **kwargs):
+    cfg = StudyConfig(**dict(RUN_KWARGS, **kwargs))
     start = time.time()
-    table, reports = run_study(StudyConfig(**dict(RUN_KWARGS, **kwargs)))
+    table, reports = run_study(cfg)
     elapsed = time.time() - start
     assert table.complete, f"{name}: some level did not converge"
-    return {"table": table, "reports": reports, "elapsed": elapsed, "name": name}
+    return {"table": table, "reports": reports, "elapsed": elapsed, "name": name,
+            "cfg": cfg}
 
 
 @pytest.fixture(scope="session")
@@ -266,3 +272,11 @@ def test_criterion_10_galerkin_residuals(all_studies):
                 f"{study['name']}: residual {report.final_residual:.2e}")
     print(f"\nACCEPTANCE 10 PASS: max-norm Galerkin residual at convergence "
           f"{worst:.2e} < 1e-6 across all acceptance runs")
+
+
+@pytest.mark.parametrize("name", [f"table{k}" for k in range(1, 7)])
+def test_acceptance_csv_bytes_are_golden(name, request):
+    study = request.getfixturevalue(f"study_{name}")
+    text = _metadata_header(study["cfg"], study["reports"]) + emit_table(study["table"])
+    assert text.encode("utf-8") == (GOLDEN_CSV / f"{name}.csv").read_bytes(), (
+        f"{name}: the CSV bytes differ from {GOLDEN_CSV / name}.csv")

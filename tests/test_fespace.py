@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orthofem.analysis import ManufacturedSolution, error_norms
-from orthofem.fespace import (FeFunction, FeSpace, _p1_shapes, _q1_shapes,
+from orthofem.fespace import (FeFunction, FeSpace, _p1_values, _q1_grads, _q1_values,
                               abs_partial_integral, interpolate_nodal,
                               map_rule, quadrature_rule)
 from orthofem.mesh import build_quad, build_tri, refine_kuhn_half
@@ -31,7 +31,7 @@ def basis_eval(space, cell, local, xref):
     """Value of a local basis function at a reference point."""
     _check_ref_point(space.kind, xref)
     pts = np.asarray([xref], dtype=float)
-    vals = _q1_shapes(pts)[0] if space.kind == "Q1" else _p1_shapes(pts)[0]
+    vals = _q1_values(pts) if space.kind == "Q1" else _p1_values(pts)
     return float(vals[0, local])
 
 
@@ -40,7 +40,7 @@ def basis_grad(space, cell, local, xref):
     _check_ref_point(space.kind, xref)
     pts = np.asarray([xref], dtype=float)
     if space.kind == "Q1":
-        g = _q1_shapes(pts)[1][0, local] / space.mesh.h
+        g = _q1_grads(pts)[0, local] / space.mesh.h
         return np.asarray(g)
     return oracles.p1_basis_grads(space.mesh, [cell])[0, local]
 
@@ -97,6 +97,20 @@ def test_quadrature_exactness(kind, degree):
                 val = float(np.sum(w * p[:, 0] ** a * p[:, 1] ** b))
                 assert val == pytest.approx(mapped_monomial_integral(kind, corners, a, b),
                                             abs=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["quad", "triangle"])
+def test_shared_rule_is_read_only(kind):
+    rule = quadrature_rule(kind, 4)
+    assert quadrature_rule(kind, 4) is rule
+    before = rule.points.copy(), rule.weights.copy()
+    for array in (rule.points, rule.weights):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+        with pytest.raises(ValueError):
+            array *= 2.0
+    assert np.array_equal(rule.points, before[0])
+    assert np.array_equal(rule.weights, before[1])
 
 
 def test_unsupported_degree():
@@ -387,7 +401,7 @@ def oracle_gradients(space, degree):
     if space.kind == "P1":
         return oracles.p1_basis_grads(mesh)[:, :, None, :]
     side = mesh.nodes[mesh.cells[:, 1], 0] - mesh.nodes[mesh.cells[:, 0], 0]
-    ref = _q1_shapes(quadrature_rule("quad", degree).points)[1]   # (nq, 4, 2)
+    ref = _q1_grads(quadrature_rule("quad", degree).points)   # (nq, 4, 2)
     return ref.transpose(1, 0, 2)[None] / side[:, None, None, None]
 
 

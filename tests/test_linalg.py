@@ -186,16 +186,8 @@ class TestCg:
         x, _ = cg_solve(k, b, CgConfig(tol=1e-13))
         assert np.abs(x - dense_solve(k, b)).max() < 1e-9
 
-    def test_warm_start_reduces_iterations(self):
-        a = laplacian_1d(50)
-        b = np.ones(50)
-        x, cold = cg_solve(a, b)
-        _, warm = cg_solve(a, b, x0=x + 1e-10)
-        assert warm < cold
-
     def test_matvec_count(self):
-        # one matvec per iteration; only a start iterate costs one more,
-        # for its residual (the symmetry check reads the entries)
+        # one matvec per iteration (the symmetry check reads the entries)
         class CountingMatrix(CsrMatrix):
             calls = 0
 
@@ -207,9 +199,6 @@ class TestCg:
         a = CountingMatrix(lap.pattern, lap.values)
         _, iterations = cg_solve(a, np.ones(40))
         assert iterations > 0 and a.calls == iterations
-        a.calls = 0
-        _, iterations = cg_solve(a, np.ones(40), x0=np.full(40, 0.5))
-        assert iterations > 0 and a.calls == iterations + 1
 
     def test_max_iter_breach_reports_residual(self):
         a = laplacian_1d(64)

@@ -218,10 +218,10 @@ class TestInteriorAssembly:
             assert np.abs(block.values - sub.values).max() < 1e-13
 
 
-def interior_blocks(space, law, u):
-    k = assemble_stiffness(space, interior_only=True)
-    kb = assemble_weighted_stiffness(space, FeFunction(space, u), law, interior_only=True)
-    return k, kb
+def step_matrix(space, law, u, tau):
+    """The flow's step matrix K_II/tau + K_B,II(u), one shifted assembly."""
+    return assemble_weighted_stiffness(space, FeFunction(space, u), law,
+                                       interior_only=True, shift=1 / tau)
 
 
 class TestFlowStep:
@@ -233,9 +233,9 @@ class TestFlowStep:
         boundary = space.mesh.boundary
         interior = space.interior
         u0 = np.where(boundary, g, 0.0)
-        k, kb = interior_blocks(space, law, u0)
         residual = galerkin_residual(space, u0, law)
-        u1, _ = flow_step(k, kb, residual, u0, 1e12, interior, CgConfig(tol=1e-14))
+        u1, _ = flow_step(step_matrix(space, law, u0, 1e12), residual, u0, interior,
+                          CgConfig(tol=1e-14))
         # oracle: dense direct solve of the condensed linear system
         kd = assemble_stiffness(space).todense()
         rhs = -kd[np.ix_(interior, boundary)] @ g[boundary]
@@ -248,29 +248,30 @@ class TestFlowStep:
         law = GrowthLaw((2.0, 2.0))
         ms = ManufacturedSolution(law)
         u_star = interpolate_nodal(space, ms.value).coeffs
-        k, kb = interior_blocks(space, law, u_star)
         residual = galerkin_residual(space, u_star, law)
-        u1, _ = flow_step(k, kb, residual, u_star, 1.0, space.interior,
-                          CgConfig(tol=1e-14))
+        u1, _ = flow_step(step_matrix(space, law, u_star, 1.0), residual, u_star,
+                          space.interior, CgConfig(tol=1e-14))
         assert np.abs(u1 - u_star).max() < 1e-10
 
     def test_zero_data_stays_zero(self):
         space = FeSpace(build_tri(4, "boxslash"))
         law = GrowthLaw((1.5, 3.0))
         u0 = np.zeros(space.ndofs)
-        k, kb = interior_blocks(space, law, u0)
-        u1, iterations = flow_step(k, kb, np.zeros(space.ndofs), u0, 1.0,
-                                   space.interior)
+        u1, iterations = flow_step(step_matrix(space, law, u0, 1.0), np.zeros(space.ndofs),
+                                   u0, space.interior)
         assert np.abs(u1).max() == 0.0
         assert iterations == 0
 
-    def test_patterns_must_match(self):
-        space = FeSpace(build_quad(4))
-        k = assemble_stiffness(space, interior_only=True)
-        other = assemble_stiffness(FeSpace(build_quad(3)), interior_only=True)
-        with pytest.raises(ValueError):
-            flow_step(k, other, np.zeros(space.ndofs), np.zeros(space.ndofs),
-                      1.0, space.interior)
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("tau", [1e-3, 1.0, 1e12])
+    def test_shifted_assembly_is_k_over_tau_plus_kb(self, family, tau):
+        space = family_space(family, 4)
+        law = GrowthLaw((3.0, 1.5))
+        u = np.random.default_rng(11).standard_normal(space.ndofs)
+        expected = (assemble_stiffness(space, interior_only=True).todense() / tau
+                    + assemble_weighted_stiffness(space, u, law, interior_only=True).todense())
+        got = step_matrix(space, law, u, tau).todense()
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestSolve:
