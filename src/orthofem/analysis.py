@@ -17,7 +17,7 @@ which is about -1/2 for first-order convergence in two dimensions.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "eoc",
 ]
 
-ERROR_COLUMNS = ("e_p1", "e_p2", "e_V", "e_comb")
 ERROR_BLOCK_CELLS = 4096   # bounds the temporaries of error_norms
 
 
@@ -62,6 +61,9 @@ class ErrorReport:
     e_p2: float
     e_V: float
     e_comb: float | None   # only for p1 == p2
+
+
+ERROR_COLUMNS = tuple(f.name for f in fields(ErrorReport))
 
 
 def error_norms(u_h, ms, law, degree=5):
@@ -107,9 +109,9 @@ class TableRow:
 class ConvergenceTable:
     """Rows of (dim V_h, errors, rates) for one refinement study."""
 
-    def __init__(self, complete=True):
+    def __init__(self):
         self.rows = []
-        self.complete = complete
+        self.complete = True
 
     def add_row(self, dim, errors, rates=None):
         if self.rows and dim <= self.rows[-1].dim:

@@ -24,7 +24,7 @@ from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-from .analysis import ConvergenceTable, ManufacturedSolution, error_norms
+from .analysis import ERROR_COLUMNS, ConvergenceTable, ManufacturedSolution, error_norms
 from .fespace import MAX_DEGREE, FeSpace
 from .mesh import TRIANGLE_PATTERNS, build_quad, build_tri
 from .linalg import CgConfig, IterativeSolveError
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "dim,e_p1,rate_p1,e_p2,rate_p2,e_V,rate_V,e_comb,rate_comb"
-_COLUMNS = ("e_p1", "e_p2", "e_V", "e_comb")
 PAPER_TABLES = ("table1", "table2", "table3", "table4", "table5", "table6")
 # allowed values of the settings that take one of a fixed set
 CHOICES = {
@@ -263,14 +262,14 @@ def emit_table(table, fmt="csv"):
         lines = [CSV_HEADER]
         for row in table.rows:
             cells = [str(row.dim)]
-            for name in _COLUMNS:
+            for name in ERROR_COLUMNS:
                 cells.append(_fmt_error(row.errors.get(name)))
                 cells.append(_fmt_rate(row.rates.get(name)))
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
     if fmt != "markdown":
         raise ValueError(f"unknown output format {fmt!r}")
-    present = [name for name in _COLUMNS
+    present = [name for name in ERROR_COLUMNS
                if any(name in row.errors for row in table.rows)]
     header = ["dim V_h"]
     for name in present:
@@ -300,7 +299,7 @@ def load_table(text):
         if len(cells) != 9:
             raise ValueError(f"malformed table row {line!r}")
         errors, rates = {}, {}
-        for i, name in enumerate(_COLUMNS):
+        for i, name in enumerate(ERROR_COLUMNS):
             err, rate = cells[1 + 2 * i], cells[2 + 2 * i]
             if err:
                 errors[name] = float(err)
@@ -328,7 +327,7 @@ def diff_paper(table, name):
         ref = ref_rows.get(row.dim)
         if ref is None:
             continue
-        for col in _COLUMNS:
+        for col in ERROR_COLUMNS:
             if col in row.errors and col in ref.errors:
                 rel = abs(row.errors[col] - ref.errors[col]) / ref.errors[col]
                 lines.append(f"dim {row.dim} {col}: run={row.errors[col]:.4E} "

@@ -19,9 +19,12 @@ Besides pointwise evaluation this module provides exact integrals of
 |partial_i u| over convex polygonal regions, used to measure the
 orthotropic stability of interpolation operators: on every cell the
 partial derivative of a P1/Q1 function is affine, so Sutherland-Hodgman
-clipping plus area-times-centroid integration is exact.  The clip runs on
-plain Python floats (on a few vertices numpy's per-call cost dominates),
-over the cells of the lattice squares under the region's bounding box.
+clipping plus area-times-centroid integration is exact.  The split where
+partial_i u changes sign runs on offsets from the cell's vertex 0, and the
+moments are taken about the polygon's first vertex, so that slivers far from
+the origin keep their digits.  The clip runs on plain Python floats (on a few
+vertices numpy's per-call cost dominates), over the cells of the lattice
+squares under the region's bounding box.
 """
 
 import functools
@@ -284,15 +287,21 @@ def _clip_halfplane(poly, a, bx, by):
 
 
 def _moment(poly, a, bx, by):
-    """|integral of a + bx*x + by*y| over a polygon, from area and centroid."""
-    s = sx = sy = 0.0
-    for (x, y), (xn, yn) in zip(poly, poly[1:] + poly[:1]):
+    """|integral of a + bx*x + by*y| over a polygon, from area and centroid,
+    both taken about its first vertex (the shoelace terms of that vertex vanish)."""
+    if len(poly) < 3:
+        return 0.0
+    (x0, y0), s, sx, sy = poly[0], 0.0, 0.0, 0.0
+    x, y = poly[1][0] - x0, poly[1][1] - y0
+    for xn, yn in poly[2:]:
+        xn, yn = xn - x0, yn - y0
         cross = x * yn - xn * y
         s, sx, sy = s + cross, sx + (x + xn) * cross, sy + (y + yn) * cross
+        x, y = xn, yn
     area = 0.5 * s
     if abs(area) < 1e-300:
         return 0.0
-    return abs(area * (a + bx * (sx / (6 * area)) + by * (sy / (6 * area))))
+    return abs(area * (a + bx * (x0 + sx / (6 * area)) + by * (y0 + sy / (6 * area))))
 
 
 def _partial_affine(u, cells, ids, i):
@@ -326,15 +335,17 @@ def abs_partial_integral(u, region, i):
     tol = 1e-12 * mesh.h
     total = 0.0
     for poly, (a, bx, by) in zip(mesh.nodes[ids].tolist(), _partial_affine(u, cells, ids, i)):
-        a -= bx * poly[0][0] + by * poly[0][1]
         px, py = zip(*poly)  # skip cells whose box overlaps the region's by <= tol
         if not (min(px) < x1 - tol and max(px) > x0 + tol
                 and min(py) < y1 - tol and max(py) > y0 + tol):
             continue
+        vx, vy = poly[0]
         for plane in planes:
             poly = _clip_halfplane(poly, *plane)
         if len(poly) < 3:
             continue
+        # (a, bx, by) act on offsets from vertex 0, as small as the cell
+        poly = [(x - vx, y - vy) for x, y in poly]
         for sign in (1.0, -1.0):  # where partial_i u <= 0, then >= 0
             total += _moment(_clip_halfplane(poly, sign * a, sign * bx, sign * by), a, bx, by)
     return total

@@ -16,16 +16,17 @@ Two families are provided:
   (the eight triangles around the node, taken from the node patch of
   ``mesh.refine_kuhn_half``; usable for both the Q1 and the P1 target)
   or piecewise bilinear on the four adjacent squares of a quad
-  mesh (Q1 target only).  Near the boundary the input is extended by
-  odd reflection, realized as an evaluation rule: query points are
-  reflected into the domain and the value sign is flipped once per
-  reflection.
+  mesh (Q1 target only).  The dual function is biorthogonal to the
+  shape functions of the patch nodes, so its coefficients solve the
+  patch mass system for the node's unit vector.  Near the boundary
+  the input is extended by odd reflection, realized as an evaluation
+  rule: query points are reflected into the domain and the value sign
+  is flipped once per reflection.
 
 ``fespace.map_rule`` takes every rule here onto the pieces around a node:
 eight triangles, or four reflected squares (side h for the cubic dual,
 h/2 for the averaging box).  ``_dual_family`` declares how the dual
-families differ; the rules and the check of the table against the local
-mass solve run one path on it.
+families differ; the patch mass solve and the rules run one path on it.
 
 Lattice nodes are addressed by integer index pairs (k1, k2), located at
 lo + h (k1, k2) and read or written through ``mesh.lattice_ids``.
@@ -55,19 +56,6 @@ __all__ = [
 FE_PAIRING_DEGREE = 4
 CALLABLE_DEGREE = 6    # Gauss degree for analytic (callable) inputs
 NODE_BLOCK = 512       # nodes per pointwise evaluation of an input
-
-# dual coefficients on the simplicial patch by node class: the key is
-# the sorted pair (|x|, |y|) in units of h, the value is in units of
-# h^-2.  Vertex classes first, edge-midpoint classes after.
-_SIMPLICIAL_DUAL_CLASSES = {
-    (0.0, 0.0): 36.0,
-    (0.0, 0.5): 6.0,
-    (0.5, 0.5): 6.0,
-    (0.25, 0.5): 6.0,
-    (0.0, 0.25): -1.5,
-    (0.25, 0.25): -1.5,
-}
-
 
 def _point_evaluator(w):
     if isinstance(w, FeFunction):
@@ -194,11 +182,6 @@ def _p2_shapes(ref_points):
                      4 * l1 * l2, 4 * l2 * l0, 4 * l0 * l1], axis=1)
 
 
-def _classify_dual_coeff(offset, h):
-    key = tuple(sorted(round(abs(c) / h, 6) for c in offset))
-    return _SIMPLICIAL_DUAL_CLASSES[key] / h ** 2
-
-
 def _quadrants(side):
     """Per quadrant around the origin, the images of (0, 0), (1, 0) and (0, 1)
     under the reflection of the reference square onto the quadrant's square
@@ -208,9 +191,9 @@ def _quadrants(side):
 
 
 # reference element and shape values of the pieces; per piece the images of
-# (0, 0), (1, 0), (0, 1) (P, 3, 2), the shape nodes (P, nloc, 2) and their dual
-# coefficients (P, nloc), as offsets from the node; the admissible target kinds
-_DualFamily = namedtuple("_DualFamily", "element shapes corners nodes table targets")
+# (0, 0), (1, 0), (0, 1) (P, 3, 2) and the shape nodes (P, nloc, 2), as offsets
+# from the node; the admissible target kinds
+_DualFamily = namedtuple("_DualFamily", "element shapes corners nodes targets")
 
 
 def _dual_family(kind, mesh):
@@ -225,8 +208,7 @@ def _dual_family(kind, mesh):
         a, b, t, k = refined.child.decode(refined.node_patches[(1, 1)])
         tris = refined.child.corners(a, b)[:, None] + refined.child.template[t, k]  # (8, 3, 2)
         nodes = np.concatenate([tris, (tris[:, [1, 2, 0]] + tris[:, [2, 0, 1]]) / 2], axis=1)
-        table = np.array([[_classify_dual_coeff(p, h) for p in tri] for tri in nodes])
-        return _DualFamily("triangle", _p2_shapes, tris, nodes, table, ("Q1", "P1"))
+        return _DualFamily("triangle", _p2_shapes, tris, nodes, ("Q1", "P1"))
     if kind == "cubic":
         if mesh.kind != "quad":
             raise ValueError("cubic dual tables need a quad mesh")
@@ -235,10 +217,24 @@ def _dual_family(kind, mesh):
         corners = _quadrants(h)
         nodes = np.stack([corners[:, 0], corners[:, 1], corners[:, 1] + corners[:, 2],
                           corners[:, 2]], axis=1)
-        table = np.tile([4.0, -2.0, 1.0, -2.0], (4, 1)) / h ** 2
-        return _DualFamily("quad", _q1_values, corners, nodes,
-                           table, ("Q1",))
+        return _DualFamily("quad", _q1_values, corners, nodes, ("Q1",))
     raise ValueError(f"unknown dual table kind {kind!r}")
+
+
+def _dual_coefficients(family, h):
+    """Coefficients (P, nloc) of the node's dual function on the shapes of the
+    pieces: biorthogonal to the shape function of every patch node, so the
+    solution of the patch mass system for the node's unit vector."""
+    rule = quadrature_rule(family.element, 4)  # exact on products of two shapes
+    shapes = family.shapes(rule.points)
+    local = np.einsum("pq,qa,qb->pab", map_rule(rule, family.corners)[1], shapes, shapes)
+    # number the patch nodes by their position on the quarter lattice
+    keys = np.rint(family.nodes.reshape(-1, 2) * (4 / h)).astype(np.int64)
+    keys, ids = np.unique(keys, axis=0, return_inverse=True)
+    ids = ids.reshape(family.nodes.shape[:2])
+    mass = np.zeros((len(keys), len(keys)))
+    np.add.at(mass, (ids[:, :, None], ids[:, None, :]), local)
+    return np.linalg.solve(mass, np.all(keys == 0, axis=1).astype(float))[ids]
 
 
 class DualBasisProjector:
@@ -261,35 +257,13 @@ class DualBasisProjector:
     def __init__(self, kind, mesh):
         family = self._family = _dual_family(kind, mesh)
         _require_lattice(mesh, "the dual-basis projector")
-        self.kind, self.mesh, self.table = kind, mesh, family.table
+        self.kind, self.mesh, self.table = kind, mesh, _dual_coefficients(family, mesh.h)
         self._rules = {}
         for label, degree in (("fe", FE_PAIRING_DEGREE), ("callable", CALLABLE_DEGREE)):
             rule = quadrature_rule(family.element, degree)
             pts, wts = map_rule(rule, family.corners)
-            dual = np.einsum("qa,pa->pq", family.shapes(rule.points), family.table)
+            dual = np.einsum("qa,pa->pq", family.shapes(rule.points), self.table)
             self._rules[label] = (pts.reshape(-1, 2), (wts * dual).ravel())
-        self._validate_against_mass_solve()
-
-    # -- build-time oracle -------------------------------------------------
-
-    def _validate_against_mass_solve(self):
-        family = self._family
-        rule = quadrature_rule(family.element, 4)  # exact on products of two shapes
-        shapes = family.shapes(rule.points)
-        local = np.einsum("pq,qa,qb->pab", map_rule(rule, family.corners)[1], shapes, shapes)
-        # number the patch nodes by their position on the quarter lattice
-        keys = np.rint(family.nodes.reshape(-1, 2) * (4 / self.mesh.h)).astype(np.int64)
-        keys, ids = np.unique(keys, axis=0, return_inverse=True)
-        ids = ids.reshape(family.nodes.shape[:2])
-        mass = np.zeros((len(keys), len(keys)))
-        np.add.at(mass, (ids[:, :, None], ids[:, None, :]), local)
-        rhs = np.all(keys == 0, axis=1).astype(float)
-        solved = np.linalg.solve(mass, rhs)[ids]
-        if np.abs(solved - self.table).max() > 1e-9 * np.abs(self.table).max():
-            raise AssertionError(
-                "dual coefficient table disagrees with the local mass solve")
-
-    # -- pairings and projection -------------------------------------------
 
     def _pairings(self, w, kk):
         ev = _odd_reflection(_point_evaluator(w), self.mesh.bounds)
@@ -353,7 +327,7 @@ class DualBasisProjector:
 
 
 def build_dual_table(kind, mesh):
-    """Construct and validate a dual-basis projector for the mesh."""
+    """Dual-basis projector for the mesh, its coefficients solved on the patch."""
     return DualBasisProjector(kind, mesh)
 
 

@@ -51,8 +51,10 @@ def p1_basis_grads(mesh, cells=slice(None)):
 # --- numpy reference for fespace.abs_partial_integral ----------------------
 
 def polygon_area_centroid(poly):
-    """Signed area and centroid of a polygon given as a (k, 2) array."""
-    x, y = poly[:, 0], poly[:, 1]
+    """Signed area and centroid of a polygon given as a (k, 2) array, both
+    taken about its first vertex, so that far from the origin the products
+    stay as small as the polygon."""
+    x, y = (poly - poly[0]).T
     xn, yn = np.roll(x, -1), np.roll(y, -1)
     cross = x * yn - xn * y
     area = 0.5 * np.sum(cross)
@@ -60,7 +62,7 @@ def polygon_area_centroid(poly):
         return 0.0, poly.mean(axis=0)
     cx = np.sum((x + xn) * cross) / (6 * area)
     cy = np.sum((y + yn) * cross) / (6 * area)
-    return area, np.array([cx, cy])
+    return area, poly[0] + np.array([cx, cy])
 
 
 def _clip_halfplane(poly, a, bx, by):
@@ -97,7 +99,8 @@ def clip_convex(poly, clipper):
 
 
 def _partial_affine(u, cell, i):
-    """Coefficients (a, bx, by) of partial_i u = a + bx*x + by*y on a cell."""
+    """Coefficients (a, bx, by) of partial_i u = a + bx*(x - x0) + by*(y - y0)
+    on a cell, (x0, y0) its vertex 0."""
     space = u.space
     mesh = space.mesh
     uc = u.coeffs[mesh.cells[cell]]
@@ -105,15 +108,10 @@ def _partial_affine(u, cell, i):
         g = p1_basis_grads(mesh, [cell])[0]
         return float(uc @ g[:, i]), 0.0, 0.0
     h = mesh.h
-    x0, y0 = mesh.nodes[mesh.cells[cell, 0]]
     c0, c1, c2, c3 = uc
     if i == 0:
-        base = (c1 - c0) / h
-        slope = ((c2 - c3) - (c1 - c0)) / h ** 2
-        return base - slope * y0, 0.0, slope
-    base = (c3 - c0) / h
-    slope = ((c2 - c1) - (c3 - c0)) / h ** 2
-    return base - slope * x0, slope, 0.0
+        return (c1 - c0) / h, 0.0, ((c2 - c3) - (c1 - c0)) / h ** 2
+    return (c3 - c0) / h, ((c2 - c1) - (c3 - c0)) / h ** 2, 0.0
 
 
 def abs_partial_integral(u, region, i):
@@ -132,7 +130,7 @@ def abs_partial_integral(u, region, i):
     )
     total = 0.0
     for cell in candidates:
-        piece = clip_convex(v[cell], region)
+        piece = clip_convex(v[cell], region) - v[cell, 0]
         if len(piece) < 3:
             continue
         a, bx, by = _partial_affine(u, cell, i)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -367,6 +368,39 @@ def convex_regions(draw, mesh):
     return np.array([q, p, (p + q) / 2 - depth * normal])
 
 
+def exact_abs_partial_q1(u, cell, region, i):
+    """Integral of |partial_i u| over a convex region inside one Q1 cell, in
+    rational arithmetic on the values of the floats: the region is split where
+    partial_i u (affine on the cell) changes sign, and each part is integrated
+    exactly over a fan of triangles."""
+    mesh = u.space.mesh
+    ids = mesh.cells[cell]
+    (x0, y0), (x2, y2) = ([Fraction(c) for c in mesh.nodes[ids[k]]] for k in (0, 2))
+    c0, c1, c2, c3 = (Fraction(c) for c in u.coeffs[ids])
+
+    def partial(x, y):
+        s, t = (x - x0) / (x2 - x0), (y - y0) / (y2 - y0)
+        if i == 0:
+            return ((c1 - c0) * (1 - t) + (c2 - c3) * t) / (x2 - x0)
+        return ((c3 - c0) * (1 - s) + (c2 - c1) * s) / (y2 - y0)
+
+    poly, total = [tuple(Fraction(c) for c in p) for p in region], Fraction(0)
+    for sign in (1, -1):
+        part = []
+        for a, b in zip(poly, poly[1:] + poly[:1]):
+            fa, fb = sign * partial(*a), sign * partial(*b)
+            if fa >= 0:
+                part.append(a)
+            if fa * fb < 0:
+                t = fa / (fa - fb)
+                part.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+        for k in range(1, len(part) - 1):
+            a, b, c = part[0], part[k], part[k + 1]
+            area = ((b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])) / 2
+            total += sign * area * partial((a[0] + b[0] + c[0]) / 3, (a[1] + b[1] + c[1]) / 3)
+    return total
+
+
 class TestExactIntegralOracle:
     """The plain-float path against the numpy reference in tests/oracles.py."""
 
@@ -381,6 +415,21 @@ class TestExactIntegralOracle:
             expected = oracles.abs_partial_integral(u, region, i)
             assert abs_partial_integral(u, region, i) == pytest.approx(expected, rel=1e-12,
                                                                        abs=0)
+
+    def test_sliver_far_from_the_origin_is_exact(self):
+        # a sliver on cell 0's bottom edge, 1.5 from the origin: shifting
+        # partial_i u or the shoelace moments to absolute coordinates loses
+        # digits here, so both sides are checked against rational arithmetic
+        mesh = build_quad(5, (-1.5, 0.5))
+        u = FeFunction(FeSpace(mesh),
+                       np.random.default_rng(4294967294).standard_normal(mesh.num_nodes))
+        p, q = mesh.nodes[mesh.cells[0, :2]]
+        region = np.array([p, q, (p + q) / 2 + 0.0078125 * np.array([p[1] - q[1], q[0] - p[0]])])
+        for i in (0, 1):
+            exact = float(exact_abs_partial_q1(u, 0, region, i))
+            assert abs_partial_integral(u, region, i) == pytest.approx(exact, rel=1e-12, abs=0)
+            assert oracles.abs_partial_integral(u, region, i) == pytest.approx(exact, rel=1e-12,
+                                                                               abs=0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(FAMILIES), st.integers(2, 5), st.integers(0, 2**32 - 1))

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -191,15 +192,31 @@ class TestAveragedInterpolant:
             assert np.allclose(vals, q * verts[:, 0], atol=1e-13)
 
 
+# the paper's dual coefficients in units of h^-2: on the simplicial patch by
+# node class, keyed by the sorted (|x|, |y|) / h of the node, vertex classes
+# first; on each cubic square in the order node, x-neighbor, diagonal, y-neighbor
+SIMPLICIAL_DUAL_CLASSES = {
+    (0.0, 0.0): 36.0,
+    (0.0, 0.5): 6.0,
+    (0.5, 0.5): 6.0,
+    (0.25, 0.5): 6.0,
+    (0.0, 0.25): -1.5,
+    (0.25, 0.25): -1.5,
+}
+CUBIC_DUAL_ROW = [4.0, -2.0, 1.0, -2.0]
+
+
 class TestDualTables:
-    def test_simplicial_table_matches_local_mass_solve(self):
-        mesh = build_tri(4, "alternating-kuhn")
-        proj = build_dual_table("simplicial", mesh)
-        proj._validate_against_mass_solve()
-        h = mesh.h
-        # the tabulated per-triangle coefficients in units of 1/h^2
-        classes = sorted(np.unique(np.round(proj.table * h ** 2, 9)))
-        assert classes == [-1.5, 6.0, 36.0]
+    def test_solved_tables_are_the_papers(self):
+        for n, bounds in itertools.product((4, 7), ((0.0, 1.0), (-1.0, 1.0))):
+            simplicial = build_dual_table("simplicial", build_tri(n, "alternating-kuhn", bounds))
+            h = simplicial.mesh.h
+            classes = [[SIMPLICIAL_DUAL_CLASSES[tuple(sorted(round(abs(c) / h, 6) for c in node))]
+                        for node in piece] for piece in simplicial._family.nodes]
+            assert simplicial.table == pytest.approx(np.array(classes) / h ** 2, rel=1e-12)
+            cubic = build_dual_table("cubic", build_quad(n, bounds))
+            assert cubic.table == pytest.approx(np.tile(CUBIC_DUAL_ROW, (4, 1)) / h ** 2,
+                                                rel=1e-12)
 
     def test_cubic_pairing_is_one_on_h_half(self):
         mesh = build_quad(2)  # h = 1/2
