@@ -155,14 +155,13 @@ def _check_symmetric(a, rtol=1e-10):
         raise ValueError("matrix is not symmetric; CG needs A = A^T")
 
 
-def cg_solve(a, b, cfg=None, callback=None):
+def cg_solve(a, b, cfg=None):
     """Jacobi-preconditioned conjugate gradients for SPD systems, from zero.
 
     Returns ``(x, iterations)``; raises IterativeSolveError when the
     iteration budget is exhausted before the relative residual drops
     below the configured tolerance, and ValueError for a non-finite b.
-    ``callback``, if given, receives x after every iteration.  A call
-    costs one matvec per iteration.
+    A call costs one matvec per iteration.
     """
     cfg = cfg or CgConfig()
     _check_symmetric(a)
@@ -199,6 +198,4 @@ def cg_solve(a, b, cfg=None, callback=None):
         p += z
         rz, rr = rz_new, _dot(r, r)
         iterations += 1
-        if callback is not None:
-            callback(x.copy())
     return x, iterations

@@ -12,17 +12,15 @@ preconditioner term), K_B the weighted stiffness with entries
 sum_i B_i(d_i u^k) d_i phi_a d_i phi_b, r the Galerkin residual, and
 the subscript II marks the interior block, assembled directly on an
 interior-only pattern: K/tau + K_B is one weighted stiffness, of weight
-B_i(d_i u^k) + 1/tau.  For P1, K_B(u) u - F = r(u), so the step is
-(K/tau + K_B) u^{k+1} = F + K u^k / tau in correction form; for Q1 the
-residual uses a finer rule than K_B, and the flow stops at a zero of
-that residual.
+B_i(d_i u^k) + 1/tau.  K_B(u) u - F = r(u), so the step is
+(K/tau + K_B) u^{k+1} = F + K u^k / tau in correction form.
 
-K, K_B, r and J integrate basis gradients on ``FeSpace.gradient_rule``,
-stored once per cell of the per-square mesh template, each in one
-``fespace.contract`` over all cells, points and both directions: one
-point of weight |cell| for P1, whose gradient is constant on the cell;
-tensor Gauss of degree ASSEMBLY_DEGREE = 2 (K, K_B) or RESIDUAL_DEGREE
-= 4 (r, J) for Q1.
+K, K_B, r and J integrate basis gradients on one rule,
+``FeSpace.gradient_rule(GRADIENT_DEGREE)``, stored once per cell of the
+per-square mesh template, each in one ``fespace.contract`` over all
+cells, points and both directions: one point of weight |cell| for P1,
+whose gradient is constant on the cell; tensor Gauss of degree 2 for
+Q1, exact for its stiffness.  The load vector has a rule of its own.
 
 A step only has to reduce the current residual, so CG solves for the
 correction from zero to the relative tolerance FORCING on |r_I| (a
@@ -56,8 +54,8 @@ __all__ = [
     "solve",
 ]
 
-ASSEMBLY_DEGREE = 2    # Q1 weighted entries are quadratic per direction
-RESIDUAL_DEGREE = 4    # Q1 residual, load vector and energy
+GRADIENT_DEGREE = 2    # K, K_B, r and J; Q1 stiffness entries are quadratic per direction
+LOAD_DEGREE = 4
 FORCING = 0.1          # CG tolerance of a step, relative to |r_I(u^k)|
 MAX_TAU_HALVINGS = 20
 RESIDUAL_GROWTH_FACTOR = 10.0   # residual growth over the best that halves tau
@@ -102,16 +100,18 @@ class SolveReport:
 
 
 class _Assembler:
-    """Reference data for one space, and its sparsity patterns (of the
-    interior block, which serves the flow, or of all nodes), each built
-    once, when first asked for."""
+    """Tables of the gradient rule for one space, and its sparsity patterns
+    (of the interior block, which serves the flow, or of all nodes), each
+    built once, when first asked for."""
 
     def __init__(self, space):
         self.space = space
         self._patterns = {}
-        grads, weights = space.gradient_rule(ASSEMBLY_DEGREE)
-        # per template cell: d_i phi_a d_i phi_b W at point q, by (q, i, a, b)
-        self.products = np.einsum("tpaqi,tpbqi,tpq->tpqiab", grads, grads, weights)
+        grads, self.weights = space.gradient_rule(GRADIENT_DEGREE)
+        # per template cell, at point q: d_i phi_a d_i phi_b W by (q, i, a, b)
+        # for the stiffness, d_i phi_a W by (q, i, a) for the residual
+        self.products = np.einsum("tpaqi,tpbqi,tpq->tpqiab", grads, grads, self.weights)
+        self.weighted_grads = np.einsum("tpaqi,tpq->tpqia", grads, self.weights)
 
     def pattern(self, interior_only):
         """Pattern of the interior block, or of all nodes (every node kept)."""
@@ -153,7 +153,7 @@ def assemble_weighted_stiffness(space, u_k, law, clamp=1e-10, interior_only=Fals
     is the flow's step matrix K/tau + K_B."""
     u = u_k if isinstance(u_k, FeFunction) else FeFunction(space, u_k)
     asm = _assembler(space)
-    g = u.gradients_on_rule(ASSEMBLY_DEGREE)
+    g = u.gradients_on_rule(GRADIENT_DEGREE)
     weights = np.stack([law.weight(i, g[..., i], clamp) + shift for i in range(2)], axis=-1)
     vals = contract(weights, asm.products, space.mesh)
     if not np.all(np.isfinite(vals)):
@@ -166,8 +166,8 @@ def assemble_load(space, f):
     vector when f is None.  ValueError where the field is not finite."""
     if f is None:
         return np.zeros(space.ndofs)
-    pts, wts = space.rule_geometry(RESIDUAL_DEGREE)
-    shapes = space.shape_values(space.rule(RESIDUAL_DEGREE).points)
+    pts, wts = space.rule_geometry(LOAD_DEGREE)
+    shapes = space.shape_values(space.rule(LOAD_DEGREE).points)
     fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float)
     fv = np.full(pts.shape[:2], fv) if fv.ndim == 0 else fv.reshape(pts.shape[:2])
     if not np.all(np.isfinite(fv)):
@@ -186,10 +186,9 @@ def energy(space, w, law):
     u = w if isinstance(w, FeFunction) else FeFunction(space, w)
     phi1, phi2 = law.phi(0), law.phi(1)
     zero = phi1.value(0.0) + phi2.value(0.0)
-    g = u.gradients_on_rule(RESIDUAL_DEGREE)
-    _, weights = space.gradient_rule(RESIDUAL_DEGREE)
+    g = u.gradients_on_rule(GRADIENT_DEGREE)
     dens = phi1.value(np.abs(g[..., 0])) + phi2.value(np.abs(g[..., 1])) - zero
-    return float(np.sum(contract(dens, weights, space.mesh)))
+    return float(np.sum(contract(dens, _assembler(space).weights, space.mesh)))
 
 
 def galerkin_residual(space, u, law, f=None):
@@ -199,11 +198,10 @@ def galerkin_residual(space, u, law, f=None):
     caller restricts to interior nodes.
     """
     uf = u if isinstance(u, FeFunction) else FeFunction(space, u)
-    g = uf.gradients_on_rule(RESIDUAL_DEGREE)
-    grads, weights = space.gradient_rule(RESIDUAL_DEGREE)
+    g = uf.gradients_on_rule(GRADIENT_DEGREE)
     flux = np.stack([law.flux(i, g[..., i]) for i in range(2)], axis=-1)
     # sum over points q and directions i of A_i(d_i u) W d_i phi_a
-    contrib = contract(flux, np.einsum("tpaqi,tpq->tpqia", grads, weights), space.mesh)
+    contrib = contract(flux, _assembler(space).weighted_grads, space.mesh)
     res = np.bincount(space.mesh.cells.ravel(), weights=contrib.ravel(),
                       minlength=space.ndofs)
     return res - assemble_load(space, f)

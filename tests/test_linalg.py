@@ -223,18 +223,20 @@ class TestCg:
             cg_solve(a, np.ones(3))
 
     def test_a_norm_error_monotone(self):
-        space = FeSpace(build_tri(6, "boxslash"))
+        space = FeSpace(build_tri(12, "boxslash"))
         k = assemble_stiffness(space).submatrix(space.interior)
         rng = np.random.default_rng(17)
         b = rng.standard_normal(k.dim)
         exact = dense_solve(k, b)
-        energies = []
-
-        def record(x):
+        # a tighter tolerance runs the same deterministic iteration further,
+        # so these iterates are ever longer prefixes of one CG sequence
+        counts, energies = [], []
+        for tol in 10.0 ** -np.arange(1, 13):
+            x, iterations = cg_solve(k, b, CgConfig(tol=tol))
             d = x - exact
+            counts.append(iterations)
             energies.append(float(d @ k.matvec(d)))
-
-        cg_solve(k, b, CgConfig(tol=1e-12), callback=record)
+        assert np.all(np.diff(counts) > 0)  # twelve distinct iterates
         assert all(e2 <= e1 * (1 + 1e-10) for e1, e2 in zip(energies, energies[1:]))
 
     def test_config_validation(self):

@@ -182,8 +182,9 @@ class TestGradientIntegrals:
     @given(family=st.sampled_from(FAMILIES), n=st.integers(2, 5),
            p1=st.floats(1.5, 6.0), p2=st.floats(1.5, 6.0), seed=st.integers(0, 2 ** 16))
     def test_residual_is_the_energy_derivative(self, family, n, p1, p2, seed):
-        # r(u).v is the derivative of J along v: both integrate on the rule
-        # of degree RESIDUAL_DEGREE, so only the central difference errs
+        # r(u).v is the derivative of J along v, and K_B(u) u = r(u) at f = 0:
+        # all three integrate on the rule of degree GRADIENT_DEGREE, so only
+        # the central difference errs
         space = family_space(family, n)
         law = GrowthLaw((p1, p2))
         rng = np.random.default_rng(seed)
@@ -192,10 +193,8 @@ class TestGradientIntegrals:
         eps = 1e-6
         slope = (energy(space, u + eps * v, law) - energy(space, u - eps * v, law)) / (2 * eps)
         assert abs(slope - r @ v) <= 1e-6 * (np.abs(r) @ np.abs(v))
-        if space.kind == "P1":
-            # one point per cell for K_B and r alike: K_B(u) u = r(u) at f = 0
-            kb_u = assemble_weighted_stiffness(space, u, law).matvec(u)
-            assert np.abs(kb_u - r).max() <= 1e-12 * np.abs(r).max()
+        kb_u = assemble_weighted_stiffness(space, u, law).matvec(u)
+        assert np.abs(kb_u - r).max() <= 1e-12 * np.abs(r).max()
 
 
 class TestInteriorAssembly:
@@ -325,6 +324,22 @@ class TestSolve:
         assert np.all(np.isfinite(increments))
         running_min = np.minimum.accumulate(increments)
         assert running_min[-1] < 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(family=st.sampled_from(FAMILIES), n=st.integers(2, 6),
+           p1=st.floats(1.5, 6.0), p2=st.floats(1.5, 6.0),
+           target=st.sampled_from([1e-4, 1e-7, 1e-10]))
+    def test_converged_means_below_the_target(self, family, n, p1, p2, target):
+        # exponents stay away from 1.1, where the flow stalls
+        law = GrowthLaw((p1, p2))
+        space = family_space(family, n)
+        spec = ProblemSpec(law=law, space=space, dirichlet=ManufacturedSolution(law).value)
+        _, report = solve(spec, FlowConfig(tol=1e-12, residual_target=target, max_iter=200))
+        assert report.iterations == len(report.increments)
+        if report.converged:
+            assert report.final_residual < target
+        else:
+            assert report.iterations == 200
 
     def test_max_iterations_flagged(self):
         law = GrowthLaw((3.0, 1.5))
