@@ -78,16 +78,16 @@ class StudyConfig:
     p1: float
     p2: float
     delta: float = 0.0
-    tau: float = 1.0
-    tol: float = 1e-10
-    max_iter: int = 5000
-    clamp: float = 1e-10
+    tau: float = FlowConfig.tau   # the flow's defaults are declared there
+    tol: float = FlowConfig.tol
+    max_iter: int = FlowConfig.max_iter
+    clamp: float = FlowConfig.clamp
     quad_degree: int = 5
     n0: int | None = None
     levels: int | None = None
     n_list: tuple | None = None
     residual_target: float | None = None
-    cg_tol: float = 1e-12
+    cg_tol: float = CgConfig.tol
     out: str | None = None
     format: str = "csv"
     diff_paper: str | None = None

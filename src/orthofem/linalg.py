@@ -1,15 +1,15 @@
 """Minimal sparse linear algebra: padded-row sparse matrices and
 preconditioned CG.
 
-A ``CsrPattern`` is built once from COO triplet indices.  A lexicographic
-sort finds the distinct entries, which are laid out row by row in the
-padded-row (ELLPACK) format of Bell and Garland (SC '09): column j of a
-``(width, dim)`` array holds row j's entries in column order, every row
-has a slot for its diagonal, and unused slots point at the row itself and
-hold zero.  Every matrix assembled on a pattern shares its layout, so an
-assembly (one per gradient-flow step) is one ``bincount`` of the triplet
-values into their slots, and a matvec is one ``take`` and one ``einsum``.
-``cg_solve`` reduces through ``einsum`` too, never through BLAS.
+A ``CsrPattern`` is built once from COO triplet indices and an optional
+mask of kept nodes.  One sort of the row-major keys finds the distinct
+entries, which are laid out row by row in the padded-row (ELLPACK) format
+of Bell and Garland (SC '09): column j of a ``(width, dim)`` array holds
+row j's entries in column order, every row has a slot for its diagonal,
+and unused slots point at the row itself and hold zero.  Every matrix on
+a pattern shares its layout, so an assembly (one per flow step) is one
+``bincount`` of the triplet values into their slots, and a matvec is one
+``take`` and one ``einsum``; ``cg_solve`` reduces through ``einsum`` too.
 """
 
 from dataclasses import dataclass
@@ -35,16 +35,16 @@ class IterativeSolveError(RuntimeError):
 
 
 class CsrPattern:
-    """Reusable sparsity pattern built from triplet indices.
-
-    ``cols`` is the padded ``(width, dim)`` column array.  ``target``,
+    """Reusable sparsity pattern built from triplet indices; with a boolean
+    mask ``keep``, of their principal block on the kept nodes, renumbered in
+    order.  ``cols`` is the padded ``(width, dim)`` column array.  ``target``,
     ``slots``, ``diag`` and ``transpose`` are flat positions in it: of each
     input triplet, of each distinct entry in row-major order, of each row's
     diagonal and of each slot's transpose entry.  Position ``width * dim``,
     one past the end, takes dropped triplets and missing transpose entries.
     """
 
-    def __init__(self, dim, rows, cols):
+    def __init__(self, dim, rows, cols, keep=None):
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
         if rows.shape != cols.shape:
@@ -52,27 +52,40 @@ class CsrPattern:
         if len(rows) and (rows.min() < 0 or rows.max() >= dim
                           or cols.min() < 0 or cols.max() >= dim):
             raise IndexError("triplet index out of range")
+        if keep is not None:
+            keep = np.asarray(keep)
+            if keep.dtype != bool or keep.shape != (dim,):
+                raise ValueError(f"keep must be a boolean mask of shape ({dim},)")
+            renumber = np.cumsum(keep) - 1
+            dim = int(np.count_nonzero(keep))
+            keys = np.where(keep[rows] & keep[cols], renumber[rows] * dim + renumber[cols],
+                            dim * dim)  # row-major; a dropped triplet sorts last
+        else:
+            keys = rows * dim + cols
         self.dim = dim
-        order = np.lexsort((cols, rows))
-        r, c = rows[order], cols[order]
-        first = np.ones(len(r), dtype=bool)
-        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        r, c = r[first], c[first]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first & (keys < dim * dim)]  # the distinct kept entries
+        first[:1] = False  # so that the count below numbers entries from 0
+        entry = np.empty_like(order)  # of each triplet, in input order
+        entry[order] = np.cumsum(first)
+        del order, first
+        r, c = np.divmod(keys, dim)
         counts = np.bincount(r, minlength=dim)
         slot = np.arange(len(r)) - (np.cumsum(counts) - counts)[r]
         self.slots = slot * dim + r
-        runs = np.diff(np.flatnonzero(np.append(first, True)))  # triplets per entry
-        self.target = np.empty_like(order)
-        self.target[order] = np.repeat(self.slots, runs)
-        del order  # before the transpose map's temporaries
         diag = counts.copy()  # a row without a diagonal entry gets a zero slot
         diag[r[r == c]] = slot[r == c]
         width = int(np.maximum(counts, diag + 1).max(initial=0))
+        self.target = np.append(self.slots, width * dim)[entry]
         ids = np.arange(dim)
         self.diag = diag * dim + ids
         self.cols = np.tile(ids, (width, 1))
         np.put(self.cols, self.slots, c)
-        keys, tkeys = r * dim + c, c * dim + r
+        tkeys = c * dim + r
+        del entry, slot, diag, r, c  # before the transpose map's temporaries
         pos = np.searchsorted(keys, tkeys)
         pos[keys.take(pos, mode="clip") != tkeys] = len(keys)  # not stored
         self.transpose = np.arange(width * dim).reshape(width, dim)
@@ -120,12 +133,8 @@ class CsrMatrix:
 
     def submatrix(self, keep):
         """Principal submatrix on the True entries of a boolean mask."""
-        keep = np.asarray(keep, dtype=bool)
-        renumber = np.cumsum(keep) - 1
         rows, cols, vals = self.entries()
-        mask = keep[rows] & keep[cols]
-        return CsrPattern(int(np.count_nonzero(keep)), renumber[rows[mask]],
-                          renumber[cols[mask]]).assemble(vals[mask])
+        return CsrPattern(self.dim, rows, cols, keep).assemble(vals)
 
 
 @dataclass

@@ -114,22 +114,13 @@ class _Assembler:
         self.weighted_grads = np.einsum("tpaqi,tpq->tpqia", grads, self.weights)
 
     def pattern(self, interior_only):
-        """Pattern of the interior block, or of all nodes (every node kept)."""
+        """Pattern of the interior block, or of all nodes."""
         if interior_only not in self._patterns:
             cells = self.space.mesh.cells
-            rows = np.repeat(cells, cells.shape[1], axis=1).ravel()
-            cols = np.tile(cells, (1, cells.shape[1])).ravel()
-            keep = self.space.interior if interior_only else np.ones(self.space.ndofs, bool)
-            kept = keep[rows] & keep[cols]
-            renumber = np.cumsum(keep) - 1
-            rows, cols = renumber[rows[kept]], renumber[cols[kept]]  # frees the full arrays
-            pattern = CsrPattern(int(np.count_nonzero(keep)), rows, cols)
-            # local values of all cells sum straight into the kept block;
-            # the others go to the discarded slot past its end
-            target = np.full(kept.size, pattern.cols.size)
-            target[kept] = pattern.target
-            pattern.target = target
-            self._patterns[interior_only] = pattern
+            per = cells.shape[1]
+            self._patterns[interior_only] = CsrPattern(
+                self.space.ndofs, np.repeat(cells, per, axis=1), np.tile(cells, (1, per)),
+                self.space.interior if interior_only else None)
         return self._patterns[interior_only]
 
 

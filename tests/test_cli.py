@@ -121,6 +121,16 @@ def test_metadata_header_keys_and_format():
         "residual_target=5e-07 cg_tol=5e-14 tau_schedule=\n")
 
 
+def test_metadata_header_writes_halved_schedule():
+    halved = solver.SolveReport(converged=True, iterations=91, increments=[],
+                                final_residual=0.0, cg_iterations=0,
+                                tau_schedule=[(0, 1.0), (7, 0.5), (9, 0.25), (11, 0.125)])
+    plain = solver.SolveReport(converged=True, iterations=5, increments=[],
+                               final_residual=0.0, cg_iterations=0, tau_schedule=[(0, 1.0)])
+    header = cli._metadata_header(parse_config(base_flags(None)), [plain, halved])
+    assert header.endswith(" tau_schedule=0:1|0:1;7:0.5;9:0.25;11:0.125\n")
+
+
 class TestParseConfig:
     def test_table1_style_flags(self):
         cfg = parse_config(["--mesh", "boxslash", "--p1", "1.5", "--p2", "1.5",

@@ -75,6 +75,13 @@ class TestFromTriplets:
         sub = a.submatrix(keep)
         assert np.allclose(sub.todense(), a.todense()[np.ix_(keep, keep)], atol=0)
 
+    @pytest.mark.parametrize("keep", [np.ones(5, bool), [0, 2, 1], np.ones(3)],
+                             ids=["too-long", "index-list", "float"])
+    def test_malformed_mask_rejected(self, keep):
+        # an index list must not be read as a mask, nor a mask of other length
+        with pytest.raises(ValueError, match="boolean mask"):
+            laplacian_1d(3).submatrix(keep)
+
 
 @st.composite
 def triplets(draw, symmetric=False):
@@ -116,6 +123,12 @@ class TestPaddedLayout:
         oracle_close(a.diagonal(), np.diag(dense), dense)
         keep = np.array(data.draw(st.lists(st.booleans(), min_size=dim, max_size=dim)))
         oracle_close(a.submatrix(keep).todense(), dense[np.ix_(keep, keep)], dense)
+        # the block built straight from the triplets; a dropped one goes past the end
+        pattern = CsrPattern(*case[:3], keep)
+        oracle_close(pattern.assemble(case[3]).todense(), dense[np.ix_(keep, keep)], dense)
+        dropped = ~(keep[case[1]] & keep[case[2]])
+        assert np.all(pattern.target[dropped] == pattern.cols.size)
+        assert np.all(pattern.target[~dropped] < pattern.cols.size)
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(triplets(), triplets(symmetric=True)))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,20 +203,46 @@ class TestInteriorAssembly:
     @pytest.mark.parametrize("make_space", [
         lambda: FeSpace(build_tri(5, "cross")),
         lambda: FeSpace(build_quad(5)),
-    ])
+    ] + [lambda family=family: FeSpace(build_tri(5, family))
+         for family in ("boxslash", "alternating-kuhn", "unionjack")])
     def test_interior_block_matches_submatrix(self, make_space):
+        # oracle: the interior rows and columns of the dense all-node matrix
         space = make_space()
         law = GrowthLaw((3.0, 1.5))
         u = FeFunction(space, np.random.default_rng(4).standard_normal(space.ndofs))
+        interior = space.interior_dofs
         pairs = [(assemble_stiffness(space, interior_only=True), assemble_stiffness(space)),
                  (assemble_weighted_stiffness(space, u, law, interior_only=True),
                   assemble_weighted_stiffness(space, u, law))]
         for block, full in pairs:
+            expected = full.todense()[np.ix_(interior, interior)]
+            assert block.dim == len(interior)
+            assert np.abs(block.todense() - expected).max() <= 1e-13 * np.abs(expected).max()
             sub = full.submatrix(space.interior)
-            assert block.dim == len(space.interior_dofs)
             assert np.array_equal(block.pattern.slots, sub.pattern.slots)
             assert np.array_equal(block.pattern.cols, sub.pattern.cols)
             assert np.abs(block.values - sub.values).max() < 1e-13
+
+
+# sha256 of the int64 bytes of cols, slots, diag, transpose and target, in
+# that order, of the stiffness pattern on all nodes or on the interior: the
+# layout every matrix of the flow shares, recorded before the interior
+# condensation moved into CsrPattern
+PATTERN_LAYOUT_SHA256 = {
+    ("boxslash", 4, False): "02f571ffa21722e81f5b96bd0cb5d671be5528d938d9af14e36b912001fade43",
+    ("boxslash", 4, True): "f740f6a6cc626bdbb5b2888f160344ed1d6e88ef2c6adc1aa88765f309372f00",
+    ("quad", 3, False): "e8930c40ce10568eba0fd8337609d10e5fc7a6a6a96b13dc7becb6296f6330b4",
+    ("quad", 3, True): "2e5e69f521c6117f4900109f08766843ec457de93c600cfbb473d227a61017fb",
+}
+
+
+@pytest.mark.parametrize("family,n,interior_only", list(PATTERN_LAYOUT_SHA256))
+def test_pattern_layout_golden(family, n, interior_only):
+    pattern = assemble_stiffness(family_space(family, n), interior_only).pattern
+    digest = hashlib.sha256()
+    for name in ("cols", "slots", "diag", "transpose", "target"):
+        digest.update(getattr(pattern, name).astype("<i8").tobytes())
+    assert digest.hexdigest() == PATTERN_LAYOUT_SHA256[family, n, interior_only]
 
 
 def step_matrix(space, law, u, tau):
@@ -312,6 +340,21 @@ class TestSolve:
         res = galerkin_residual(space, u, law)
         assert np.abs(res[space.interior_dofs]).max() < 1e-6
         assert report.final_residual < 1e-6
+
+    def test_tau_halving_schedule(self):
+        # a start far from the solution makes the residual grow tenfold
+        # over its best, which halves tau
+        law = GrowthLaw((6.0, 6.0))
+        space = FeSpace(build_quad(3))
+        spec = ProblemSpec(law=law, space=space, dirichlet=ManufacturedSolution(law).value)
+        start = 100 * np.random.default_rng(0).standard_normal(space.ndofs)
+        _, report = solve(spec, FlowConfig(max_iter=300, tol=1e-12, residual_target=1e-8),
+                          start=start)
+        steps, taus = zip(*report.tau_schedule)
+        assert len(steps) > 1 and steps[0] == 0 and taus[0] == 1.0
+        assert all(b > a for a, b in zip(steps, steps[1:]))
+        assert all(b == a / 2 for a, b in zip(taus, taus[1:]))
+        assert report.converged
 
     def test_increment_running_minimum_decreases(self):
         law = GrowthLaw((1.5, 1.5))
