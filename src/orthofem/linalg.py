@@ -1,12 +1,17 @@
 """Minimal sparse linear algebra: padded-row sparse matrices and
 preconditioned CG.
 
-A ``CsrPattern`` is built once from COO triplet indices and an optional
-mask of kept nodes.  One sort of the row-major keys finds the distinct
-entries, which are laid out row by row in the padded-row (ELLPACK) format
-of Bell and Garland (SC '09): column j of a ``(width, dim)`` array holds
-row j's entries in column order, every row has a slot for its diagonal,
-and unused slots point at the row itself and hold zero.  Every matrix on
+A ``CsrPattern`` is built once from COO triplet indices, an optional mask
+of kept nodes and an optional mask of kept triplets.  One sort of the
+row-major keys finds the distinct entries, which are laid out row by row
+in the padded-row (ELLPACK) format of Bell and Garland (SC '09): column j
+of a ``(width, dim)`` array holds row j's entries in column order, every
+row has a slot for its diagonal, and unused slots point at the row itself
+and hold zero.  A dropped triplet, whether it touches a dropped node or is
+masked itself, shares the one discarded slot past the end.  The flow's
+patterns drop the couplings that the element makes structurally zero, so
+the width is that of the nonzero entries: 5 on boxslash, alternating-kuhn
+and unionjack, 9 on cross and quad (``solver._Assembler``).  Every matrix on
 a pattern shares its layout, so an assembly (one per flow step) is one
 ``bincount`` of the triplet values into their slots, and a matvec is one
 ``take`` and one ``einsum``; ``cg_solve`` reduces through ``einsum`` too.
@@ -35,33 +40,40 @@ class IterativeSolveError(RuntimeError):
 
 
 class CsrPattern:
-    """Reusable sparsity pattern built from triplet indices; with a boolean
-    mask ``keep``, of their principal block on the kept nodes, renumbered in
-    order.  ``cols`` is the padded ``(width, dim)`` column array.  ``target``,
-    ``slots``, ``diag`` and ``transpose`` are flat positions in it: of each
-    input triplet, of each distinct entry in row-major order, of each row's
-    diagonal and of each slot's transpose entry.  Position ``width * dim``,
-    one past the end, takes dropped triplets and missing transpose entries.
+    """Reusable sparsity pattern built from triplet indices ``rows`` and
+    ``cols``, which broadcast against each other (triplets in the row-major
+    order of the broadcast shape); with a boolean mask ``keep``, of their
+    principal block on the kept nodes, renumbered in order.  A boolean
+    ``where``, broadcast the same way, drops each triplet where it is False,
+    as it drops one that touches a node outside ``keep``.  ``cols`` is the
+    padded ``(width, dim)`` column array.  ``target``, ``slots``, ``diag``
+    and ``transpose`` are flat positions in it: of each input triplet, of
+    each distinct entry in row-major order, of each row's diagonal and of
+    each slot's transpose entry.  Position ``width * dim``, one past the
+    end, takes dropped triplets and missing transpose entries.
     """
 
-    def __init__(self, dim, rows, cols, keep=None):
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        if rows.shape != cols.shape:
-            raise ValueError("row/col index arrays must have equal length")
-        if len(rows) and (rows.min() < 0 or rows.max() >= dim
-                          or cols.min() < 0 or cols.max() >= dim):
-            raise IndexError("triplet index out of range")
+    def __init__(self, dim, rows, cols, keep=None, where=None):
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        for index in (rows, cols):
+            if index.size and (index.min() < 0 or index.max() >= dim):
+                raise IndexError("triplet index out of range")
+        where = np.asarray(True if where is None else where)
+        if where.dtype != bool:
+            raise ValueError("where must be a boolean mask of the triplets")
         if keep is not None:
             keep = np.asarray(keep)
             if keep.dtype != bool or keep.shape != (dim,):
                 raise ValueError(f"keep must be a boolean mask of shape ({dim},)")
             renumber = np.cumsum(keep) - 1
             dim = int(np.count_nonzero(keep))
-            keys = np.where(keep[rows] & keep[cols], renumber[rows] * dim + renumber[cols],
-                            dim * dim)  # row-major; a dropped triplet sorts last
-        else:
-            keys = rows * dim + cols
+            where = where & keep[rows] & keep[cols]
+            rows, cols = renumber[rows], renumber[cols]
+        keys = rows * dim + cols  # row-major, in the broadcast shape of the triplets
+        np.copyto(keys, dim * dim, where=~where)  # a dropped triplet sorts last
+        keys = keys.ravel()
+        del rows, cols, where  # before the sort
         self.dim = dim
         order = np.argsort(keys, kind="stable")
         keys = keys[order]

@@ -15,6 +15,14 @@ interior-only pattern: K/tau + K_B is one weighted stiffness, of weight
 B_i(d_i u^k) + 1/tau.  K_B(u) u - F = r(u), so the step is
 (K/tau + K_B) u^{k+1} = F + K u^k / tau in correction form.
 
+The patterns store only the structurally nonzero pairs of the template:
+a local pair whose products d_i phi_a d_i phi_b W stay below
+STRUCTURAL_ZERO of the largest, in both directions at every point, gets
+no slot, and its triplets share the discarded slot past the end.  Those
+are the vertices across the hypotenuse of a right triangle with legs
+along the axes, so the padded width is 5 on boxslash, alternating-kuhn
+and unionjack, and 9 on cross and quad.
+
 K, K_B, r and J integrate basis gradients on one rule,
 ``FeSpace.gradient_rule(GRADIENT_DEGREE)``, stored once per cell of the
 per-square mesh template, each in one ``fespace.contract`` over all
@@ -55,6 +63,7 @@ __all__ = [
 ]
 
 GRADIENT_DEGREE = 2    # K, K_B, r and J; Q1 stiffness entries are quadratic per direction
+STRUCTURAL_ZERO = 1e-12  # pair products below this, relative to the largest, are rounding
 LOAD_DEGREE = 4
 FORCING = 0.1          # CG tolerance of a step, relative to |r_I(u^k)|
 MAX_TAU_HALVINGS = 20
@@ -112,15 +121,20 @@ class _Assembler:
         # for the stiffness, d_i phi_a W by (q, i, a) for the residual
         self.products = np.einsum("tpaqi,tpbqi,tpq->tpqiab", grads, grads, self.weights)
         self.weighted_grads = np.einsum("tpaqi,tpq->tpqia", grads, self.weights)
+        # the pairs (a, b) of each template cell that couple in some direction
+        # at some point; the others hold rounding only and get no slot
+        size = np.abs(self.products).max(axis=(2, 3))
+        self.coupled = size > STRUCTURAL_ZERO * size.max()
 
     def pattern(self, interior_only):
-        """Pattern of the interior block, or of all nodes."""
+        """Pattern of the interior block, or of all nodes, of the coupled
+        pairs; the triplets are broadcast from the cells, never stored."""
         if interior_only not in self._patterns:
-            cells = self.space.mesh.cells
-            per = cells.shape[1]
+            mesh = self.space.mesh
+            _, _, t, k = mesh.decode(np.arange(mesh.num_cells))
             self._patterns[interior_only] = CsrPattern(
-                self.space.ndofs, np.repeat(cells, per, axis=1), np.tile(cells, (1, per)),
-                self.space.interior if interior_only else None)
+                self.space.ndofs, mesh.cells[:, :, None], mesh.cells[:, None, :],
+                self.space.interior if interior_only else None, self.coupled[t, k])
         return self._patterns[interior_only]
 
 

@@ -82,6 +82,19 @@ class TestFromTriplets:
         with pytest.raises(ValueError, match="boolean mask"):
             laplacian_1d(3).submatrix(keep)
 
+    def test_triplet_mask_must_be_boolean(self):
+        # an index list must not be read as a mask of the triplets either
+        with pytest.raises(ValueError, match="boolean mask"):
+            CsrPattern(3, [0, 1, 2], [0, 1, 2], where=[0, 2])
+
+    def test_broadcast_triplets(self):
+        # the cells' index pairs, broadcast, are the repeated and tiled triplets
+        cells = np.array([[0, 1, 3], [1, 2, 3]])
+        broadcast = CsrPattern(4, cells[:, :, None], cells[:, None, :])
+        flat = CsrPattern(4, np.repeat(cells, 3, axis=1), np.tile(cells, (1, 3)))
+        for name in ("cols", "slots", "diag", "transpose", "target"):
+            assert np.array_equal(getattr(broadcast, name), getattr(flat, name))
+
 
 @st.composite
 def triplets(draw, symmetric=False):
@@ -123,10 +136,14 @@ class TestPaddedLayout:
         oracle_close(a.diagonal(), np.diag(dense), dense)
         keep = np.array(data.draw(st.lists(st.booleans(), min_size=dim, max_size=dim)))
         oracle_close(a.submatrix(keep).todense(), dense[np.ix_(keep, keep)], dense)
-        # the block built straight from the triplets; a dropped one goes past the end
-        pattern = CsrPattern(*case[:3], keep)
-        oracle_close(pattern.assemble(case[3]).todense(), dense[np.ix_(keep, keep)], dense)
-        dropped = ~(keep[case[1]] & keep[case[2]])
+        # the block built straight from the triplets, less those masked by
+        # where; a dropped one goes past the end
+        where = np.array(data.draw(st.lists(st.booleans(), min_size=len(case[1]),
+                                            max_size=len(case[1]))), dtype=bool)
+        pattern = CsrPattern(*case[:3], keep, where)
+        kept = dense_oracle(dim, case[1][where], case[2][where], case[3][where])
+        oracle_close(pattern.assemble(case[3]).todense(), kept[np.ix_(keep, keep)], dense)
+        dropped = ~(keep[case[1]] & keep[case[2]] & where)
         assert np.all(pattern.target[dropped] == pattern.cols.size)
         assert np.all(pattern.target[~dropped] < pattern.cols.size)
 
