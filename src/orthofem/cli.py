@@ -107,8 +107,6 @@ class StudyConfig:
                              "strictly increasing")
         if not 1 <= self.quad_degree <= MAX_DEGREE:
             raise UsageError(f"quad_degree must lie in 1..{MAX_DEGREE}")
-        if not 0 < self.cg_tol < 1:  # NaN fails too
-            raise UsageError(f"cg_tol must lie in (0, 1), got {self.cg_tol}")
         try:
             law = GrowthLaw((self.p1, self.p2), (self.delta, self.delta))
             flow = FlowConfig(tau=self.tau, tol=self.tol, max_iter=self.max_iter,

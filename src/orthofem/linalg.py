@@ -77,12 +77,12 @@ class CsrPattern:
         self.dim = dim
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        first = np.ones(len(keys), dtype=bool)
+        first = np.ones(len(keys), dtype=np.int64)  # int64: cumsum counts it in place
         first[1:] = keys[1:] != keys[:-1]
-        keys = keys[first & (keys < dim * dim)]  # the distinct kept entries
-        first[:1] = False  # so that the count below numbers entries from 0
+        keys = keys[(first == 1) & (keys < dim * dim)]  # the distinct kept entries
+        first[:1] = 0  # so that the count below numbers entries from 0
         entry = np.empty_like(order)  # of each triplet, in input order
-        entry[order] = np.cumsum(first)
+        entry[order] = np.cumsum(first, out=first)
         del order, first
         r, c = np.divmod(keys, dim)
         counts = np.bincount(r, minlength=dim)
@@ -92,12 +92,13 @@ class CsrPattern:
         diag[r[r == c]] = slot[r == c]
         width = int(np.maximum(counts, diag + 1).max(initial=0))
         self.target = np.append(self.slots, width * dim)[entry]
+        del entry
         ids = np.arange(dim)
         self.diag = diag * dim + ids
         self.cols = np.tile(ids, (width, 1))
         np.put(self.cols, self.slots, c)
         tkeys = c * dim + r
-        del entry, slot, diag, r, c  # before the transpose map's temporaries
+        del slot, diag, r, c  # before the transpose map's temporaries
         pos = np.searchsorted(keys, tkeys)
         pos[keys.take(pos, mode="clip") != tkeys] = len(keys)  # not stored
         self.transpose = np.arange(width * dim).reshape(width, dim)
@@ -158,7 +159,7 @@ class CgConfig:
 
     def __post_init__(self):
         if not 0 < self.tol < 1:
-            raise ValueError("cg tolerance must lie in (0, 1)")
+            raise ValueError(f"cg_tol must lie in (0, 1), got {self.tol}")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

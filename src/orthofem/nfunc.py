@@ -6,8 +6,8 @@ The growth of the flux in each coordinate direction is described by a
     phi(t) = (delta^2 + t^2)^(p/2) / p,      p > 1, delta >= 0,
 
 which for delta = 0 reduces to t^p / p.  From phi we derive, per
-coordinate, the flux A(t) = B(t) t, the weight B used by the
-semi-implicit solver, and the natural-distance map V.
+coordinate, the flux A(t) = B(t) t, the weight B, the derivative A' that
+weights the solver's Newton step, and the natural-distance map V.
 
 All evaluation maps accept floats or numpy arrays and are pure; every
 object here is immutable after construction.
@@ -115,9 +115,7 @@ class GrowthLaw:
         """
         p, d = self.exponents[i], self.deltas[i]
         t = np.asarray(t, dtype=float)
-        if p == 2.0 and d == 0.0:
-            out = np.ones_like(t)
-        elif d == 0.0:
+        if d == 0.0:
             at = np.abs(t)
             if p < 2.0:
                 if clamp <= 0.0:
@@ -128,6 +126,16 @@ class GrowthLaw:
             out = at ** (p - 2)
         else:
             out = (d ** 2 + t ** 2) ** ((p - 2) / 2)
+        return out if out.ndim else float(out)
+
+    def derivative(self, i, t, clamp=0.0):
+        """A_i'(t): (p-1) B_i(t), clamped as in ``weight``, or
+        (delta^2 + (p-1) t^2) (delta^2 + t^2)^((p-4)/2) if regularized."""
+        p, d = self.exponents[i], self.deltas[i]
+        if d == 0.0:
+            return (p - 1) * self.weight(i, t, clamp)
+        t = np.asarray(t, dtype=float)
+        out = (d ** 2 + (p - 1) * t ** 2) * (d ** 2 + t ** 2) ** ((p - 4) / 2)
         return out if out.ndim else float(out)
 
     def natural(self, i, t):

@@ -1,40 +1,36 @@
-"""Nonlinear system assembly and the preconditioned semi-implicit flow.
+"""Nonlinear system assembly and the damped Newton flow.
 
-Writing the flux as A_i(t) = B_i(t) t, each pseudo-time step freezes
-the weights at the current iterate u^k and solves for a correction on
-the interior nodes,
+Each pseudo-time step solves for a correction on the interior nodes,
 
-    (K_II / tau + K_B,II(u^k)) delta_I = -r_I(u^k),    u^{k+1} = u^k + delta,
+    (K_II / tau + K_A',II(u^k)) delta_I = -r_I(u^k),
 
 with delta = 0 on the boundary, so the Dirichlet values of the start
-iterate are kept.  K is the plain Laplacian stiffness (the
-preconditioner term), K_B the weighted stiffness with entries
-sum_i B_i(d_i u^k) d_i phi_a d_i phi_b, r the Galerkin residual, and
-the subscript II marks the interior block, assembled directly on an
-interior-only pattern: K/tau + K_B is one weighted stiffness, of weight
-B_i(d_i u^k) + 1/tau.  K_B(u) u - F = r(u), so the step is
-(K/tau + K_B) u^{k+1} = F + K u^k / tau in correction form.
+iterate are kept.  K is the plain Laplacian stiffness, K_A' the weighted
+stiffness with entries sum_i A_i'(d_i u^k) d_i phi_a d_i phi_b, which is
+the Jacobian of the Galerkin residual r, and II marks the interior block,
+assembled on an interior-only pattern: the step matrix is one weighted
+stiffness, of weight A_i'(d_i u^k) + 1/tau.  The weight B_i of
+A_i(t) = B_i(t) t gives K_B instead, and K_B(u) u - F = r(u).  The
+patterns leave out the pairs that the element makes structurally zero
+(``_Assembler``; ``linalg`` gives the widths per family).
 
-The patterns store only the structurally nonzero pairs of the template:
-a local pair whose products d_i phi_a d_i phi_b W stay below
-STRUCTURAL_ZERO of the largest, in both directions at every point, gets
-no slot, and its triplets share the discarded slot past the end.  Those
-are the vertices across the hypotenuse of a right triangle with legs
-along the axes, so the padded width is 5 on boxslash, alternating-kuhn
-and unionjack, and 9 on cross and quad.
+The step u^{k+1} = u^k + alpha delta takes the largest alpha in {1, 1/2,
+...} with Phi(u^k + alpha delta) <= Phi(u^k) + ARMIJO alpha <r(u^k), delta>
+plus the rounding of Phi(u) = J(u) - <F, u>, F the load vector: once the
+predicted decrease falls below that rounding, Phi cannot tell a decrease
+from an increase.  This Armijo backtracking on the energy globalizes
+inexact Newton as in Ern and Vohralik (SIAM J. Sci. Comput. 35, 2013); for
+the p-Laplacian see Huang, Li and Liu (J. Sci. Comput. 32, 2007).
 
-K, K_B, r and J integrate basis gradients on one rule,
+K, K_B, K_A', r and J integrate basis gradients on one rule,
 ``FeSpace.gradient_rule(GRADIENT_DEGREE)``, stored once per cell of the
 per-square mesh template, each in one ``fespace.contract`` over all
-cells, points and both directions: one point of weight |cell| for P1,
-whose gradient is constant on the cell; tensor Gauss of degree 2 for
-Q1, exact for its stiffness.  The load vector has a rule of its own.
-
-A step only has to reduce the current residual, so CG solves for the
-correction from zero to the relative tolerance FORCING on |r_I| (a
-constant forcing term of an inexact Newton method, in the sense of
-Eisenstat and Walker), or to the configured CG tolerance if that is
-looser.  The iteration stops once the energy of the increment,
+cells, points and both directions: one point of weight |cell| for P1;
+tensor Gauss of degree 2 for Q1, exact for its stiffness.  The load
+vector has a rule of its own.  CG solves for the correction from zero to
+the relative tolerance FORCING on |r_I| (a constant forcing term in the
+sense of Eisenstat and Walker), or to the configured CG tolerance if that
+is looser.  The iteration stops once the energy of the increment,
 
     J(w) = sum_i int of phi_i(|d_i w|) - phi_i(0),
 
@@ -62,12 +58,13 @@ __all__ = [
     "solve",
 ]
 
-GRADIENT_DEGREE = 2    # K, K_B, r and J; Q1 stiffness entries are quadratic per direction
+GRADIENT_DEGREE = 2    # every gradient integral; Q1 stiffness entries are quadratic per direction
 STRUCTURAL_ZERO = 1e-12  # pair products below this, relative to the largest, are rounding
 LOAD_DEGREE = 4
 FORCING = 0.1          # CG tolerance of a step, relative to |r_I(u^k)|
-MAX_TAU_HALVINGS = 20
-RESIDUAL_GROWTH_FACTOR = 10.0   # residual growth over the best that halves tau
+ARMIJO = 1e-4          # share of the predicted decrease a step must achieve
+ROUNDING = 1e-14       # rounding of Phi, relative to J + |<F, u>|
+MAX_BACKTRACKS = 30    # step lengths down to 2^-30 before a step is rejected
 
 
 @dataclass
@@ -82,7 +79,7 @@ class ProblemSpec:
 
 @dataclass
 class FlowConfig:
-    tau: float = 1.0
+    tau: float = 100.0
     tol: float = 1e-10                 # absolute energy-increment tolerance
     max_iter: int = 5000
     clamp: float = 1e-10
@@ -105,7 +102,7 @@ class SolveReport:
     increments: list
     final_residual: float
     cg_iterations: int
-    tau_schedule: list     # (outer iteration, tau) pairs, first entry at 0
+    tau_schedule: list     # [(0, tau)]: one pseudo-time step for all iterations
 
 
 class _Assembler:
@@ -152,14 +149,16 @@ def assemble_stiffness(space, interior_only=False):
 
 
 def assemble_weighted_stiffness(space, u_k, law, clamp=1e-10, interior_only=False,
-                                shift=0.0):
-    """Stiffness weighted per direction by B_i at the gradient of u_k plus
-    ``shift``, over all nodes or as its interior block: with shift 1/tau it
-    is the flow's step matrix K/tau + K_B."""
+                                shift=0.0, weight="weight"):
+    """Stiffness weighted per direction by the GrowthLaw method ``weight``
+    at the gradient of u_k plus ``shift``, over all nodes or as its interior
+    block: B_i ("weight") gives K_B, A_i' ("derivative") the Jacobian K_A'
+    of the residual, and with shift 1/tau the flow's step matrix."""
     u = u_k if isinstance(u_k, FeFunction) else FeFunction(space, u_k)
     asm = _assembler(space)
     g = u.gradients_on_rule(GRADIENT_DEGREE)
-    weights = np.stack([law.weight(i, g[..., i], clamp) + shift for i in range(2)], axis=-1)
+    weigh = getattr(law, weight)
+    weights = np.stack([weigh(i, g[..., i], clamp) + shift for i in range(2)], axis=-1)
     vals = contract(weights, asm.products, space.mesh)
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("non-finite weight in the weighted stiffness")
@@ -212,24 +211,24 @@ def galerkin_residual(space, u, law, f=None):
     return res - assemble_load(space, f)
 
 
-def flow_step(system, residual, u_k, interior, cg_cfg=None):
-    """One semi-implicit step in correction form; returns (new
-    coefficients, cg iterations).
+def flow_step(system, residual, interior, cg_cfg=None):
+    """CG from zero on ``system`` delta = -residual[interior]: the
+    correction over all nodes, zero on the boundary, and its iterations.
+    ``system`` is the step matrix, ``residual`` the Galerkin residual at
+    u^k over all nodes."""
+    delta = np.zeros(len(residual))
+    delta[interior], iterations = cg_solve(system, -residual[interior], cg_cfg)
+    return delta, iterations
 
-    Solves ``system`` delta = -residual[interior] by CG from zero and adds
-    delta to u_k on the interior nodes.  ``system`` is the step matrix
-    K_II/tau + K_B,II(u_k), one weighted assembly of the interior block
-    with weights B_i + 1/tau; ``residual`` is the Galerkin residual at
-    u_k over all nodes.
-    """
-    delta, iterations = cg_solve(system, -residual[interior], cg_cfg)
-    u_next = u_k.copy()
-    u_next[interior] += delta
-    return u_next, iterations
+
+def _potential(space, u, law, load):
+    """Phi(u) = J(u) - <F, u>, and the rounding the line search forgives."""
+    j, work = energy(space, u, law), float(load @ u)
+    return j - work, ROUNDING * (j + abs(work))
 
 
 def solve(spec, cfg=None, start=None):
-    """Run the gradient flow until the energy increment (and optional
+    """Run the damped Newton flow until the energy increment (and optional
     residual target) is met.
 
     The flow starts from ``start``, a coefficient vector of length
@@ -238,10 +237,10 @@ def solve(spec, cfg=None, start=None):
     of the wrong shape or with non-finite interior values raises
     ValueError.
 
-    Returns (FeFunction, SolveReport).  A maximum-iteration breach
-    returns the iterate with the smallest residual, start iterate
-    included, with ``converged=False``; CG failures propagate as
-    IterativeSolveError.
+    Returns (FeFunction, SolveReport).  A maximum-iteration breach, or a
+    step rejected because no step length down to 2^-MAX_BACKTRACKS passes
+    the line search, returns the iterate with the smallest residual (start
+    included) with ``converged=False``; CG failures raise IterativeSolveError.
     """
     cfg = cfg or FlowConfig()
     space = spec.space
@@ -263,48 +262,42 @@ def solve(spec, cfg=None, start=None):
 
     _assembler(space).pattern(interior_only=True)  # before the iterates: a lower peak
     cg_cfg = CgConfig(tol=max(cfg.cg.tol, FORCING), max_iter=cfg.cg.max_iter)
+    load = assemble_load(space, spec.source)
     u = np.where(boundary, g_vals, start)
+    phi, rounding = _potential(space, u, law, load)
     residual = galerkin_residual(space, u, law, spec.source)
     residual_norm = float(np.max(np.abs(residual[interior])))
     best_u, best_residual = u, residual_norm
-
-    tau = cfg.tau
-    tau_schedule = [(0, tau)]
-    halvings = 0
     increments = []
     cg_total = 0
     converged = False
 
-    for k in range(cfg.max_iter):
-        system = assemble_weighted_stiffness(space, u, law, cfg.clamp,
-                                             interior_only=True, shift=1 / tau)
-        u_new, iterations = flow_step(system, residual, u, interior, cg_cfg)
+    for _ in range(cfg.max_iter):
+        system = assemble_weighted_stiffness(space, u, law, cfg.clamp, interior_only=True,
+                                             shift=1 / cfg.tau, weight="derivative")
+        delta, iterations = flow_step(system, residual, interior, cg_cfg)
         cg_total += iterations
-        increment = energy(space, u_new - u, law)
-        increments.append(increment)
-        u = u_new
+        slope = float(residual @ delta)  # <r(u^k), delta>, negative downhill
+        for alpha in 0.5 ** np.arange(MAX_BACKTRACKS + 1):
+            trial = u + alpha * delta
+            trial_phi, trial_rounding = _potential(space, trial, law, load)
+            if trial_phi <= phi + ARMIJO * alpha * slope + rounding:  # NaN fails too
+                break
+        else:
+            break  # no step length passes: the step is rejected
+        u, phi, rounding = trial, trial_phi, trial_rounding
+        increments.append(energy(space, np.multiply(delta, alpha, out=delta), law))
         residual = galerkin_residual(space, u, law, spec.source)
         residual_norm = float(np.max(np.abs(residual[interior])))
-        if increment < cfg.tol and (cfg.residual_target is None
-                                    or residual_norm < cfg.residual_target):
+        if increments[-1] < cfg.tol and (cfg.residual_target is None
+                                         or residual_norm < cfg.residual_target):
             converged = True
             break
-        if (residual_norm > RESIDUAL_GROWTH_FACTOR * best_residual
-                and halvings < MAX_TAU_HALVINGS):
-            tau /= 2.0
-            halvings += 1
-            tau_schedule.append((k + 1, tau))
         if residual_norm < best_residual:
             best_u, best_residual = u, residual_norm
 
     if not converged:
         u, residual_norm = best_u, best_residual
-    report = SolveReport(
-        converged=converged,
-        iterations=len(increments),
-        increments=increments,
-        final_residual=residual_norm,
-        cg_iterations=cg_total,
-        tau_schedule=tau_schedule,
-    )
+    report = SolveReport(converged, len(increments), increments, residual_norm, cg_total,
+                         tau_schedule=[(0, cfg.tau)])
     return FeFunction(space, u), report

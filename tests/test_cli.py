@@ -116,7 +116,7 @@ def test_metadata_header_keys_and_format():
                         "--N", "10,20", "--residual-target", "5e-7",
                         "--cg-tol", "5e-14", "--diff-paper", "table3"])
     assert cli._metadata_header(cfg, []) == (
-        "# mesh=boxslash domain=symmetric p1=3 p2=1.5 delta=0 tau=1 tol=1e-10 "
+        "# mesh=boxslash domain=symmetric p1=3 p2=1.5 delta=0 tau=100 tol=1e-10 "
         "max_iter=5000 clamp=1e-10 quad_degree=5 n_list=10,20 "
         "residual_target=5e-07 cg_tol=5e-14 tau_schedule=\n")
 
@@ -236,7 +236,7 @@ class TestParseConfig:
         cfg = StudyConfig(mesh="quad", p1=3.0, p2=1.5, n0=4, levels=1)
         with pytest.raises(FrozenInstanceError):
             cfg.tau = 0.5
-        assert cfg.flow.tau == 1.0 and cfg.law.exponents == (3.0, 1.5)
+        assert cfg.flow.tau == 100.0 and cfg.law.exponents == (3.0, 1.5)
 
 
 class TestEmitTable:

@@ -243,6 +243,27 @@ class TestGrowthLaw:
         with pytest.raises(ValueError):
             law.weight(0, 0.5, clamp=0.0)
 
+    @pytest.mark.parametrize("deltas", [(0.0, 0.0), (0.3, 0.05)])
+    def test_derivative_matches_central_differences_of_flux(self, deltas):
+        law = GrowthLaw((3.5, 1.5), deltas)
+        t = np.concatenate([-np.logspace(-2, 1, 20), np.logspace(-2, 1, 20)])
+        eps = 1e-6 * np.abs(t)
+        for i in (0, 1):
+            slope = (law.flux(i, t + eps) - law.flux(i, t - eps)) / (2 * eps)
+            assert np.allclose(law.derivative(i, t, clamp=1e-10), slope, rtol=1e-7, atol=0)
+
+    def test_derivative_clamp(self):
+        # delta = 0 and p < 2: A'(t) = (p-1) |t|^(p-2) is clamped as B is
+        law = GrowthLaw((1.5, 2.0))
+        assert law.derivative(0, 0.0, clamp=1e-10) == pytest.approx(0.5e5, rel=1e-12)
+        assert law.derivative(0, -1e-12, clamp=1e-10) == law.derivative(0, 0.0, clamp=1e-10)
+        assert law.derivative(1, 0.0) == 1.0
+        with pytest.raises(ValueError):
+            law.derivative(0, 0.5, clamp=0.0)
+        # a regularized law needs no clamp: A'(0) = delta^(p-2)
+        regularized = GrowthLaw((1.5, 1.5), deltas=(0.1, 0.1))
+        assert regularized.derivative(0, 0.0) == pytest.approx(0.1 ** -0.5, rel=1e-13)
+
     def test_natural_examples(self):
         assert GrowthLaw((2.0, 2.0)).natural(0, -3.0) == -3.0
         assert GrowthLaw((3.0, 2.0)).natural(0, 4.0) == pytest.approx(8.0, abs=0)
