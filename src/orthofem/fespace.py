@@ -200,6 +200,21 @@ class FeSpace:
                                weights.reshape(*self._jacobians.shape[:2], -1))
         return self._geom[key]
 
+    def point_shapes(self, points):
+        """Vertex ids (p, nloc) of the cells holding the points and their
+        shape values there; ValueError off the mesh's square."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        mesh = self.mesh
+        lo, hi = mesh.bounds
+        if not np.all(np.abs(points - (lo + hi) / 2) <= (hi - lo) * (0.5 + 1e-12)):
+            raise ValueError(f"evaluation point outside the mesh's square [{lo}, {hi}]^2")
+        cells = locate(mesh, points)
+        corner, j = self._placement(cells)
+        # reference coordinates: the inverse map of the point's template cell
+        offsets = points - corner - self._corners[:, 0].take(j, axis=0)
+        ref = np.einsum("pij,pj->pi", self._inverse.take(j, axis=0), offsets)
+        return mesh.cells[cells], self.shape_values(ref)
+
     def _template_grads(self, points):
         """Physical basis gradients g at reference points on each template
         cell, shaped (T, per, nloc, npts, 2): g_ref = J^T g, J the Jacobian of
@@ -229,17 +244,8 @@ class FeFunction:
 
     def evaluate(self, points):
         """Pointwise values, located on the lattice; ValueError off the mesh's square."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        mesh = self.space.mesh
-        lo, hi = mesh.bounds
-        if not np.all(np.abs(points - (lo + hi) / 2) <= (hi - lo) * (0.5 + 1e-12)):
-            raise ValueError(f"evaluation point outside the mesh's square [{lo}, {hi}]^2")
-        space, cells = self.space, locate(mesh, points)
-        corner, j = space._placement(cells)
-        # reference coordinates: the inverse map of the point's template cell
-        offsets = points - corner - space._corners[:, 0].take(j, axis=0)
-        ref = np.einsum("pij,pj->pi", space._inverse.take(j, axis=0), offsets)
-        return np.einsum("pa,pa->p", space.shape_values(ref), self.coeffs[mesh.cells[cells]])
+        ids, shapes = self.space.point_shapes(points)
+        return np.einsum("pa,pa->p", shapes, self.coeffs[ids])
 
 
 def interpolate_nodal(space, f):

@@ -13,10 +13,13 @@ patterns drop the couplings that the element makes structurally zero, so
 the width is that of the nonzero entries: 5 on boxslash, alternating-kuhn
 and unionjack, 9 on cross and quad (``solver._Assembler``).  Every matrix on
 a pattern shares its layout, so an assembly (one per flow step) is one
-``bincount`` of the triplet values into their slots, and a matvec is one
-``take`` and one ``einsum``; ``cg_solve`` reduces through ``einsum`` too.
+``bincount`` of the triplet values into their slots (or one per block),
+and a matvec is one ``take`` and one ``einsum``; ``cg_solve`` reduces
+through ``einsum`` too, and takes a preconditioner, by default Jacobi.
 """
 
+import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,9 +108,18 @@ class CsrPattern:
         np.put(self.transpose, self.slots, np.append(self.slots, width * dim)[pos])
 
     def assemble(self, vals):
-        """Sum triplet values (in original order) into a CsrMatrix."""
-        vals = np.asarray(vals, dtype=float).ravel()
-        sums = np.bincount(self.target, weights=vals, minlength=self.cols.size + 1)
+        """Sum triplet values (in original order) into a CsrMatrix; from an
+        iterator, as consecutive blocks, one ``bincount`` each."""
+        blocks = vals if isinstance(vals, Iterator) else [vals]
+        sums, start = None, 0
+        for vals in blocks:
+            vals = np.asarray(vals, dtype=float).ravel()
+            part = np.bincount(self.target[start:start + len(vals)], weights=vals,
+                               minlength=self.cols.size + 1)
+            sums = part if sums is None else np.add(sums, part, out=sums)
+            start += len(vals)
+        if start != len(self.target):
+            raise ValueError("the triplet values do not match the pattern")
         return CsrMatrix(self, sums[:-1].reshape(self.cols.shape))
 
 
@@ -171,19 +183,23 @@ def _dot(u, v):
 
 def _check_symmetric(a, rtol=1e-10):
     """|a_ij - a_ji| <= rtol * max|a| entrywise; a missing entry is zero."""
-    vals = np.append(a.values, 0.0)
-    gap = np.abs(a.values - vals.take(a.pattern.transpose)).max(initial=0.0)
-    if gap > rtol * np.abs(vals).max():
+    transpose = a.pattern.transpose
+    gap = a.values.take(transpose, mode="clip")
+    gap[transpose == a.values.size] = 0.0  # the end slot: no transpose entry
+    np.abs(np.subtract(a.values, gap, out=gap), out=gap)
+    scale = max(a.values.max(initial=0.0), -a.values.min(initial=0.0))
+    if gap.max(initial=0.0) > rtol * scale:
         raise ValueError("matrix is not symmetric; CG needs A = A^T")
 
 
-def cg_solve(a, b, cfg=None):
-    """Jacobi-preconditioned conjugate gradients for SPD systems, from zero.
+def cg_solve(a, b, cfg=None, precondition=None):
+    """Preconditioned conjugate gradients for SPD systems, from zero.
 
-    Returns ``(x, iterations)``; raises IterativeSolveError when the
-    iteration budget is exhausted before the relative residual drops
-    below the configured tolerance, and ValueError for a non-finite b.
-    A call costs one matvec per iteration.
+    ``precondition`` maps r to M r, M symmetric positive definite; None is
+    Jacobi.  Returns ``(x, iterations)``; raises IterativeSolveError when
+    the iteration budget is exhausted before the relative residual drops
+    below the configured tolerance, and ValueError for a non-finite b.  A
+    call costs one matvec and one preconditioner per iteration.
     """
     cfg = cfg or CgConfig()
     _check_symmetric(a)
@@ -194,12 +210,13 @@ def cg_solve(a, b, cfg=None):
     diag = a.diagonal()
     if np.any(diag <= 0):
         raise ValueError("nonpositive diagonal entry; matrix is not SPD")
-    inv_diag = 1.0 / diag
+    if precondition is None:
+        precondition = functools.partial(np.multiply, 1.0 / diag)
     bb = _dot(b, b)
     if bb == 0.0:
         return np.zeros_like(b), 0
     x, r = np.zeros_like(b), b.copy()
-    z = r * inv_diag
+    z = precondition(r)
     p = z.copy()
     rz, rr = _dot(r, z), _dot(r, r)
     iterations = 0
@@ -214,7 +231,7 @@ def cg_solve(a, b, cfg=None):
         alpha = rz / _dot(p, ap)
         x += np.multiply(alpha, p, out=z)  # z is scratch until recomputed
         r -= np.multiply(alpha, ap, out=ap)
-        np.multiply(r, inv_diag, out=z)
+        z = precondition(r)
         rz_new = _dot(r, z)
         p *= rz_new / rz
         p += z

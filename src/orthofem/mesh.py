@@ -103,6 +103,12 @@ class StructuredMesh:
         """Lattice squares per side: n, or the parent's n for a half refinement."""
         return len(self.lattice_ids) - 1
 
+    def coarsened(self):
+        """The same family on the same square at half its (even) n."""
+        if self.squares % 2:
+            raise ValueError(f"an odd n = {self.squares} cannot be halved")
+        return _build(self.pattern, self.squares // 2, self.bounds)
+
     def square_cells(self, a0, a1, b0, b1):
         """Ids of the cells of the lattice squares (a, b), a0 <= a <= a1 and
         b0 <= b <= b1, clipped to the mesh, in increasing order."""
@@ -228,7 +234,7 @@ def _build(pattern, squares, bounds, n=None):
     kind = "quad" if tables.shape[2] == 4 else "triangle"
     return StructuredMesh(squares if n is None else n, kind, pattern, nodes,
                           ids[key].reshape(-1, tables.shape[2]), boundary, lattice,
-                          (lo, hi), ids.reshape(m + 1, m + 1)[::2, ::2].T)
+                          (lo, hi), ids.reshape(m + 1, m + 1)[::2, ::2].T.copy())
 
 
 def build_quad(n, bounds=(0.0, 1.0)):

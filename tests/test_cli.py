@@ -451,10 +451,10 @@ class TestMain:
     def test_solver_failure_keeps_partial_table(self, monkeypatch, capsys, error):
         cg_solve = solver.cg_solve
 
-        def failing_on_level_two(a, b, cfg=None):
+        def failing_on_level_two(a, b, cfg=None, precondition=None):
             if a.dim > 9:      # N = 4 has 9 interior nodes, N = 8 has 49
                 raise error
-            return cg_solve(a, b, cfg)
+            return cg_solve(a, b, cfg, precondition)
 
         monkeypatch.setattr(solver, "cg_solve", failing_on_level_two)
         argv = ["--mesh", "quad", "--p1", "2", "--p2", "2",

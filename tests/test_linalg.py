@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -230,6 +232,25 @@ class TestCg:
         _, iterations = cg_solve(a, np.ones(40))
         assert iterations > 0 and a.calls == iterations
 
+    def test_preconditioner(self):
+        # None is Jacobi; the exact inverse converges in one iteration, each
+        # iteration applying the preconditioner once
+        space = FeSpace(build_tri(12, "boxslash"))
+        k = assemble_stiffness(space).submatrix(space.interior)
+        b = np.random.default_rng(5).standard_normal(k.dim)
+        jacobi = cg_solve(k, b, CgConfig(tol=1e-10), lambda r: r / k.diagonal())
+        x, iterations = cg_solve(k, b, CgConfig(tol=1e-10))
+        assert np.array_equal(jacobi[0], x) and jacobi[1] == iterations
+        inverse, applied = np.linalg.inv(k.todense()), []
+
+        def exact(r):
+            applied.append(r)
+            return inverse @ r
+
+        x, iterations = cg_solve(k, b, CgConfig(tol=1e-10), exact)
+        assert iterations == 1 and len(applied) == 2
+        assert np.abs(x - dense_solve(k, b)).max() < 1e-10
+
     def test_max_iter_breach_reports_residual(self):
         a = laplacian_1d(64)
         b = np.ones(64)
@@ -305,3 +326,14 @@ def test_dense_solve_size_guard():
     a = CsrPattern(2001, np.arange(2001), np.arange(2001)).assemble(np.ones(2001))
     with pytest.raises(ValueError):
         dense_solve(a, np.ones(2001))
+
+
+def test_symmetry_check_holds_one_values_sized_buffer():
+    a = laplacian_1d(50_000)
+    tracemalloc.start()
+    try:
+        _check_symmetric(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * a.values.nbytes

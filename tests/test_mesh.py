@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from orthofem.mesh import (HalfRefinement, build_quad, build_tri,
+from orthofem.mesh import (TRIANGLE_PATTERNS, HalfRefinement, build_quad, build_tri,
                            element_patch, locate, refine_kuhn_half)
 
 QUAD2_DUMP = (
@@ -205,6 +205,22 @@ def test_half_lattice_of_unionjack_and_half_refinement(n, bounds):
         assert np.array_equal(mesh.boundary, boundary)
         assert np.array_equal(mesh.lattice, lattice)
         assert np.array_equal(mesh.lattice_ids, ids[::2, ::2])
+
+
+@pytest.mark.parametrize("family", [None, *TRIANGLE_PATTERNS])
+def test_lattice_ids_own_their_data(family):
+    # a strided view would keep the whole half-lattice table alive
+    mesh = build_quad(6) if family is None else build_tri(6, family)
+    assert mesh.lattice_ids.base is None and mesh.lattice_ids.size == 7 ** 2
+    assert mesh.lattice_ids.flags.c_contiguous and not mesh.lattice_ids.flags.writeable
+
+
+def test_coarsened_halves_n_on_the_same_square():
+    mesh = build_tri(6, "cross", bounds=(-1.0, 1.0))
+    coarse = mesh.coarsened()
+    assert (coarse.n, coarse.pattern, coarse.bounds) == (3, "cross", (-1.0, 1.0))
+    with pytest.raises(ValueError, match="odd"):
+        coarse.coarsened()
 
 
 class TestHalfRefinement:

@@ -425,11 +425,13 @@ class TestSolve:
     @settings(max_examples=25, deadline=None)
     @given(family=st.sampled_from(FAMILIES), n=st.integers(2, 6),
            p1=st.floats(1.5, 6.0), p2=st.floats(1.5, 6.0),
-           target=st.sampled_from([1e-4, 1e-7, 1e-10]))
+           target=st.sampled_from([1e-4, 1e-7, 1e-10]), multigrid=st.booleans())
     # the predicted decrease falls below the rounding of J here: a line search
     # that does not forgive it backtracks on noise and stalls above the target
-    @example(family="unionjack", n=4, p1=4.45, p2=5.61, target=1e-10)
-    def test_energy_never_increases(self, family, n, p1, p2, target):
+    @example(family="unionjack", n=4, p1=4.45, p2=5.61, target=1e-10, multigrid=False)
+    @example(family="unionjack", n=4, p1=4.45, p2=5.61, target=1e-10, multigrid=True)
+    def test_energy_never_increases(self, family, n, p1, p2, target, multigrid):
+        # multigrid: the preconditioned path of the large levels, on every level
         law = GrowthLaw((p1, p2))
         space = family_space(family, n)
         spec = ProblemSpec(law=law, space=space, dirichlet=ManufacturedSolution(law).value)
@@ -439,7 +441,9 @@ class TestSolve:
             iterates.append(u.copy())
             return galerkin_residual(space, u, law, f)
 
-        with mock.patch.object(solver, "galerkin_residual", recording):
+        with mock.patch.object(solver, "galerkin_residual", recording), \
+                mock.patch.object(solver, "MULTIGRID_MIN_DIM",
+                                  0 if multigrid else solver.MULTIGRID_MIN_DIM):
             _, report = solve(spec, FlowConfig(tol=1e-12, residual_target=target,
                                                max_iter=200))
         assert report.converged and len(iterates) == report.iterations + 1
@@ -494,8 +498,8 @@ class TestSolve:
         spec = ProblemSpec(law=law, space=space, dirichlet=ms.value)
         calls = []
 
-        def overshooting(a, b, cfg=None):
-            x, iterations = linalg.cg_solve(a, b, cfg)
+        def overshooting(a, b, cfg=None, precondition=None):
+            x, iterations = linalg.cg_solve(a, b, cfg, precondition)
             calls.append(None)
             return (10 * x if len(calls) == 3 else x), iterations
 
@@ -524,8 +528,8 @@ class TestSolve:
         spec = ProblemSpec(law=law, space=space, dirichlet=ManufacturedSolution(law).value)
         calls, norms = [], []
 
-        def uphill(a, b, cfg=None):
-            x, iterations = linalg.cg_solve(a, b, cfg)
+        def uphill(a, b, cfg=None, precondition=None):
+            x, iterations = linalg.cg_solve(a, b, cfg, precondition)
             calls.append(None)
             return (-x if len(calls) == 3 else x), iterations
 
@@ -648,9 +652,124 @@ def test_nonfinite_source_rejected():
         solve(spec, FlowConfig(max_iter=3))
 
 
+def test_load_vector_assembled_once_per_solve(monkeypatch):
+    # the flow subtracts one load vector from every residual
+    law = GrowthLaw((3.0, 1.5))
+    space = FeSpace(build_tri(8, "boxslash", (-1.0, 1.0)))
+    source = lambda x: np.sin(x[:, 0]) * x[:, 1]  # noqa: E731
+    spec = ProblemSpec(law=law, space=space, dirichlet=ManufacturedSolution(law).value,
+                       source=source)
+    calls = []
+
+    def counting(space, f):
+        calls.append(f)
+        return assemble_load(space, f)
+
+    monkeypatch.setattr(solver, "assemble_load", counting)
+    u, report = solve(spec, FlowConfig(tol=1e-12, residual_target=1e-9))
+    assert report.converged and calls == [source]
+    residual = galerkin_residual(space, u.coeffs, law, source)[space.interior]
+    assert np.abs(residual).max() == report.final_residual
+
+
 def test_source_term_load_vector():
     space = FeSpace(build_quad(4))
     load = assemble_load(space, lambda x: np.ones(len(x)))
     # rows sum to the total volume: integral of the partition of unity
     assert float(load.sum()) == pytest.approx(1.0, rel=1e-13)
     assert np.all(load >= 0)
+
+
+def step_and_vcycle(space, law, u, tau=100.0, clamp=1e-10):
+    """The flow's step matrix at u and its V-cycle, on the multigrid path
+    whatever the size of the space."""
+    with mock.patch.object(solver, "MULTIGRID_MIN_DIM", 0):
+        transfers = solver._hierarchy(space)
+    system = assemble_weighted_stiffness(space, u, law, clamp, interior_only=True,
+                                         shift=1 / tau, weight="derivative")
+    return system, solver._vcycle(space, transfers, system, u.coeffs, law, clamp, 1 / tau)
+
+
+class TestMultigrid:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_prolongation_is_nodal_interpolation(self, family, n):
+        # oracle: FeFunction.evaluate of the coarse function at the fine
+        # interior nodes; restriction is its transpose
+        fine = family_space(family, n)
+        transfer = solver._Transfer(fine, FeSpace(fine.mesh.coarsened()))
+        coarse = transfer.coarse
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(transfer.dim)
+        full = np.zeros(coarse.ndofs)
+        full[coarse.interior] = x
+        expected = FeFunction(coarse, full).evaluate(fine.mesh.nodes[fine.interior])
+        px = transfer.prolong(x)
+        assert np.abs(px - expected).max() <= 1e-14 * np.abs(x).max()
+        # exact zeros and boundary columns are left out
+        assert len(transfer.vals) == (4 if family == "quad" else 2)
+        y = rng.standard_normal(len(px))
+        assert abs(px @ y - x @ transfer.restrict(y)) <= 1e-13 * np.abs(px).sum() * np.abs(y).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(FAMILIES), n=st.sampled_from([8, 16, 24, 32]),
+           p1=st.floats(1.5, 6.0), p2=st.floats(1.5, 6.0), seed=st.integers(0, 2 ** 16))
+    def test_vcycle_is_symmetric_positive(self, family, n, p1, p2, seed):
+        # every family halves to at most COARSEST unknowns from these n
+        space = family_space(family, n)
+        law = GrowthLaw((p1, p2))
+        rng = np.random.default_rng(seed)
+        u = FeFunction(space, rng.standard_normal(space.ndofs))
+        system, precondition = step_and_vcycle(space, law, u)
+        r, s = rng.standard_normal((2, system.dim))
+        mr, ms = precondition(r), precondition(s)
+        assert abs(mr @ s - r @ ms) <= 1e-12 * np.linalg.norm(mr) * np.linalg.norm(s)
+        assert mr @ r > 0
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_multigrid_path_matches_jacobi(self, family):
+        # both stop below the residual target, so they differ by at most the
+        # residuals over the smallest eigenvalue of the Jacobian
+        law = GrowthLaw((3.0, 1.5))
+        space = FeSpace(build_quad(16, (-1.0, 1.0)) if family == "quad"
+                        else build_tri(16, family, (-1.0, 1.0)))
+        spec = ProblemSpec(law=law, space=space, dirichlet=ManufacturedSolution(law).value)
+        cfg = FlowConfig(tol=1e-12, residual_target=1e-9)
+        u_jacobi, _ = solve(spec, cfg)
+        preconditioners = []
+
+        def recording(a, b, cfg=None, precondition=None):
+            preconditioners.append(precondition)
+            return linalg.cg_solve(a, b, cfg, precondition)
+
+        with mock.patch.object(solver, "MULTIGRID_MIN_DIM", 0), \
+                mock.patch.object(solver, "cg_solve", recording):
+            u_multigrid, report = solve(spec, cfg)
+        assert report.converged and report.final_residual < cfg.residual_target
+        assert all(p is not None for p in preconditioners)
+        interior = space.interior
+        residuals = sum(np.linalg.norm(galerkin_residual(space, u, law)[interior])
+                        for u in (u_jacobi, u_multigrid))
+        jacobian = assemble_weighted_stiffness(space, u_jacobi, law, cfg.clamp,
+                                               interior_only=True, weight="derivative")
+        smallest = np.linalg.eigvalsh(jacobian.todense())[0]
+        assert np.linalg.norm(u_multigrid.coeffs - u_jacobi.coeffs) <= residuals / smallest
+
+    @pytest.mark.parametrize("n", [21, 42])
+    def test_odd_n_keeps_jacobi(self, n):
+        # 21 is odd with 400 interior unknowns; 42 halves to it
+        law = GrowthLaw((3.0, 3.0))
+        space = FeSpace(build_tri(n, "boxslash", (-1.0, 1.0)))
+        spec = ProblemSpec(law=law, space=space, dirichlet=ManufacturedSolution(law).value)
+        _, jacobi = solve(spec, FlowConfig(tol=1e-12, residual_target=1e-8))
+        with mock.patch.object(solver, "MULTIGRID_MIN_DIM", 0):
+            assert solver._hierarchy(space) is None
+            _, report = solve(spec, FlowConfig(tol=1e-12, residual_target=1e-8))
+        assert (report.iterations, report.cg_iterations) == (jacobi.iterations,
+                                                             jacobi.cg_iterations)
+
+    def test_large_levels_only(self):
+        assert solver._hierarchy(family_space("boxslash", 100)) is None  # 9 801 unknowns
+        assert solver._hierarchy(family_space("boxslash", 102)) is None  # 2 500 at odd 51
+        transfers = solver._hierarchy(family_space("boxslash", 104))  # 10 609
+        assert [t.coarse.mesh.n for t in transfers] == [52, 26, 13]  # 144 at 13
