@@ -13,13 +13,12 @@ patterns drop the couplings that the element makes structurally zero, so
 the width is that of the nonzero entries: 5 on boxslash, alternating-kuhn
 and unionjack, 9 on cross and quad (``solver._Assembler``).  Every matrix on
 a pattern shares its layout, so an assembly (one per flow step) is one
-``bincount`` of the triplet values into their slots (or one per block),
-and a matvec is one ``take`` and one ``einsum``; ``cg_solve`` reduces
-through ``einsum`` too, and takes a preconditioner, by default Jacobi.
+``bincount`` of the triplet values into their slots, and a matvec is
+one ``take`` and one ``einsum``; ``cg_solve`` reduces through ``einsum``
+too, and takes a preconditioner, by default Jacobi.
 """
 
 import functools
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,18 +107,12 @@ class CsrPattern:
         np.put(self.transpose, self.slots, np.append(self.slots, width * dim)[pos])
 
     def assemble(self, vals):
-        """Sum triplet values (in original order) into a CsrMatrix; from an
-        iterator, as consecutive blocks, one ``bincount`` each."""
-        blocks = vals if isinstance(vals, Iterator) else [vals]
-        sums, start = None, 0
-        for vals in blocks:
-            vals = np.asarray(vals, dtype=float).ravel()
-            part = np.bincount(self.target[start:start + len(vals)], weights=vals,
-                               minlength=self.cols.size + 1)
-            sums = part if sums is None else np.add(sums, part, out=sums)
-            start += len(vals)
-        if start != len(self.target):
+        """Sum the triplet values, one per input triplet in its order, into a
+        CsrMatrix: one ``bincount`` into their slots."""
+        vals = np.asarray(vals, dtype=float).ravel()
+        if len(vals) != len(self.target):
             raise ValueError("the triplet values do not match the pattern")
+        sums = np.bincount(self.target, weights=vals, minlength=self.cols.size + 1)
         return CsrMatrix(self, sums[:-1].reshape(self.cols.shape))
 
 

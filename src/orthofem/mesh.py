@@ -104,9 +104,8 @@ class StructuredMesh:
         return len(self.lattice_ids) - 1
 
     def coarsened(self):
-        """The same family on the same square at half its (even) n."""
-        if self.squares % 2:
-            raise ValueError(f"an odd n = {self.squares} cannot be halved")
+        """The same family on the same square at n // 2, which is not nested
+        in it where n is odd."""
         return _build(self.pattern, self.squares // 2, self.bounds)
 
     def square_cells(self, a0, a1, b0, b1):

@@ -25,9 +25,10 @@ the p-Laplacian see Huang, Li and Liu (J. Sci. Comput. 32, 2007).
 K, K_B, K_A', r and J integrate basis gradients on one rule,
 ``FeSpace.gradient_rule(GRADIENT_DEGREE)``, stored once per cell of the
 per-square mesh template, each in one ``fespace.contract`` over all
-cells (K_B, K_A' and r in blocks of BLOCK cells, which bounds their
-temporaries), points and both directions: one point of weight |cell| for P1;
-tensor Gauss of degree 2 for Q1, exact for its stiffness.  The load
+cells, points and both directions (K_B, K_A' and r in blocks of BLOCK
+cells, which bounds their gradient and weight temporaries, written into
+one per-cell array that one ``bincount`` sums): one point of weight
+|cell| for P1; tensor Gauss of degree 2 for Q1, exact for its stiffness.  The load
 vector has a rule of its own.  CG solves for the correction from zero to
 the relative tolerance FORCING on |r_I| (a constant forcing term in the
 sense of Eisenstat and Walker), or to the configured CG tolerance if that
@@ -39,9 +40,10 @@ falls below an absolute tolerance (optionally also requiring a small
 Galerkin residual, which the increment alone does not guarantee).
 
 A' varies by orders of magnitude, so from MULTIGRID_MIN_DIM interior
-unknowns on, a V-cycle on the same family at n/2, n/4, ... (nodal
-interpolation between levels; Bermejo and Infante, SIAM J. Sci. Comput.
-21, 2000) preconditions CG: at most 11 PCG iterations a step on the
+unknowns on, a V-cycle on the same family at n // 2, n // 4, ... (nodal
+interpolation between levels, which need not be nested, as they are not
+after an odd n; Bermejo and Infante, SIAM J. Sci. Comput. 21, 2000)
+preconditions CG: at most 11 PCG iterations a step on the
 acceptance studies' largest levels, against up to 207 Jacobi ones.  A
 level's solve took, V-cycle against Jacobi (2 vCPU, one BLAS thread),
 15-23 against 7-9 ms at 361 unknowns, 83-88 against 79-94 at 3 969,
@@ -183,16 +185,13 @@ def assemble_weighted_stiffness(space, u_k, law, clamp=1e-10, interior_only=Fals
     of the residual, and with shift 1/tau the flow's step matrix."""
     u = u_k if isinstance(u_k, FeFunction) else FeFunction(space, u_k)
     asm = _assembler(space)
-
-    def blocks():
-        for cells in _blocks(space.mesh):
-            vals = contract(_weights(u, law, clamp, shift, weight, cells), asm.products,
-                            space.mesh, cells)
-            if not np.all(np.isfinite(vals)):
-                raise FloatingPointError("non-finite weight in the weighted stiffness")
-            yield vals
-
-    return asm.pattern(interior_only).assemble(blocks())
+    vals = np.empty((space.mesh.num_cells, *asm.products.shape[-2:]))
+    for cells in _blocks(space.mesh):
+        vals[cells] = contract(_weights(u, law, clamp, shift, weight, cells), asm.products,
+                               space.mesh, cells)
+        if not np.all(np.isfinite(vals[cells])):
+            raise FloatingPointError("non-finite weight in the weighted stiffness")
+    return asm.pattern(interior_only).assemble(vals)
 
 
 def assemble_load(space, f):
@@ -232,14 +231,14 @@ def galerkin_residual(space, u, law, f=None):
     caller restricts to interior nodes.
     """
     uf = u if isinstance(u, FeFunction) else FeFunction(space, u)
-    weighted_grads, res = _assembler(space).weighted_grads, 0.0
+    weighted_grads = _assembler(space).weighted_grads
+    contrib = np.empty(space.mesh.cells.shape)
     for cells in _blocks(space.mesh):
         g = uf.gradients_on_rule(GRADIENT_DEGREE, cells)
         flux = np.stack([law.flux(i, g[..., i]) for i in range(2)], axis=-1)
         # sum over points q and directions i of A_i(d_i u) W d_i phi_a
-        contrib = contract(flux, weighted_grads, space.mesh, cells)
-        res = res + np.bincount(space.mesh.cells[cells].ravel(), weights=contrib.ravel(),
-                                minlength=space.ndofs)
+        contrib[cells] = contract(flux, weighted_grads, space.mesh, cells)
+    res = np.bincount(space.mesh.cells.ravel(), weights=contrib.ravel(), minlength=space.ndofs)
     if f is not None:
         res -= assemble_load(space, f)
     return res
@@ -256,7 +255,7 @@ def flow_step(system, residual, interior, cg_cfg=None, precondition=None):
 
 
 class _Transfer:
-    """From a space to ``coarse``, the same family at n/2: nodal interpolation
+    """From a space to ``coarse``, the same family at n // 2: nodal interpolation
     at the fine interior nodes in the padded-row layout (``vals``, ``cols``),
     and the coarse cell holding each fine cell's centroid (``parent``)."""
 
@@ -287,21 +286,19 @@ class _Transfer:
         return np.bincount(self.cols.ravel(), weights=(self.vals * y).ravel(),
                            minlength=self.dim)
 
-    def mean(self, weights, cells=slice(None)):
-        """The given fine cells' share of each coarse cell's mean of (nc, 2) weights."""
-        return np.stack([np.bincount(self.parent[cells], weights=weights[:, i],
+    def mean(self, weights):
+        """Each coarse cell's mean of (nc, 2) weights over the fine cells it holds."""
+        return np.stack([np.bincount(self.parent, weights=weights[:, i],
                                      minlength=len(self.counts)) for i in range(2)], -1) / self.counts
 
 
 def _hierarchy(space):
-    """Transfers through n/2, n/4, ... down to at most COARSEST interior
-    unknowns; None, for Jacobi, below MULTIGRID_MIN_DIM or at an odd n."""
+    """Transfers through n // 2, n // 4, ... down to at most COARSEST interior
+    unknowns; None, for Jacobi, below MULTIGRID_MIN_DIM."""
     transfers, fine = [], space
     if np.count_nonzero(space.interior) < MULTIGRID_MIN_DIM:
         return None
     while np.count_nonzero(fine.interior) > COARSEST:
-        if fine.mesh.squares % 2:
-            return None
         transfers.append(_Transfer(fine, FeSpace(fine.mesh.coarsened())))
         fine = transfers[-1].coarse
     return transfers
@@ -313,11 +310,10 @@ def _vcycle(space, transfers, system, u, law, clamp, shift):
     a dense inverse on the coarsest, so M is symmetric.  A coarse weight is
     the mean of the finer A_i' + shift over the finer cells it holds."""
     matrices, u = [system], FeFunction(space, u)
-    finer = ((_weights(u, law, clamp, shift, "derivative", cells).mean(axis=1), cells)
-             for cells in _blocks(space.mesh))  # per-cell weights of the finer level, in blocks
+    weights = np.concatenate([_weights(u, law, clamp, shift, "derivative", cells).mean(axis=1)
+                              for cells in _blocks(space.mesh)])  # per fine cell
     for transfer in transfers:
-        weights = sum(transfer.mean(w, cells) for w, cells in finer)
-        finer = [(weights, slice(None))]
+        weights = transfer.mean(weights)
         coarse, asm = transfer.coarse, _assembler(transfer.coarse)
         at_points = np.repeat(weights[:, None, :], asm.weights.shape[-1], axis=1)
         matrices.append(asm.pattern(True).assemble(contract(at_points, asm.products, coarse.mesh)))

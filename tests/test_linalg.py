@@ -65,6 +65,9 @@ class TestFromTriplets:
         b = pattern.assemble(np.array([5.0, 6.0, 7.0, 8.0]))
         assert np.allclose(a.todense(), [[1.0, 4.0], [0.0, 5.0]])
         assert np.allclose(b.todense(), [[5.0, 8.0], [0.0, 13.0]])
+        for wrong in (np.ones(3), np.ones(5)):  # one value per triplet
+            with pytest.raises(ValueError, match="do not match the pattern"):
+                pattern.assemble(wrong)
 
     def test_submatrix_matches_dense(self):
         rng = np.random.default_rng(5)

@@ -216,10 +216,10 @@ def test_lattice_ids_own_their_data(family):
 
 
 def test_coarsened_halves_n_on_the_same_square():
-    mesh = build_tri(6, "cross", bounds=(-1.0, 1.0))
-    coarse = mesh.coarsened()
-    assert (coarse.n, coarse.pattern, coarse.bounds) == (3, "cross", (-1.0, 1.0))
-    with pytest.raises(ValueError, match="odd"):
+    for n in (6, 7):
+        coarse = build_tri(n, "cross", bounds=(-1.0, 1.0)).coarsened()
+        assert (coarse.n, coarse.pattern, coarse.bounds) == (3, "cross", (-1.0, 1.0))
+    with pytest.raises(ValueError, match="n >= 2"):
         coarse.coarsened()
 
 
