@@ -346,12 +346,22 @@ def abs_partial_integral(u, region, i):
                 and min(py) < y1 - tol and max(py) > y0 + tol):
             continue
         vx, vy = poly[0]
-        for plane in planes:
-            poly = _clip_halfplane(poly, *plane)
-        if len(poly) < 3:
-            continue
+        # clip a cell only if it is not inside every half-plane, and drop it
+        # at the first half-plane that leaves less than a polygon (a cell
+        # wholly outside one leaves at most the vertices on its line)
+        if max(pa + pbx * x + pby * y for pa, pbx, pby in planes for x, y in poly) > 0:
+            for plane in planes:
+                poly = _clip_halfplane(poly, *plane)
+                if len(poly) < 3:
+                    break
+            if len(poly) < 3:
+                continue
         # (a, bx, by) act on offsets from vertex 0, as small as the cell
         poly = [(x - vx, y - vy) for x, y in poly]
-        for sign in (1.0, -1.0):  # where partial_i u <= 0, then >= 0
-            total += _moment(_clip_halfplane(poly, sign * a, sign * bx, sign * by), a, bx, by)
+        if bx == by == 0:  # partial_i u is constant on the cell (P1): |a| area
+            total += _moment(poly, a, bx, by)
+        else:
+            for sign in (1.0, -1.0):  # where partial_i u <= 0, then >= 0
+                total += _moment(_clip_halfplane(poly, sign * a, sign * bx, sign * by),
+                                 a, bx, by)
     return total

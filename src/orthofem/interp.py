@@ -32,11 +32,22 @@ Lattice nodes are addressed by integer index pairs (k1, k2), located at
 lo + h (k1, k2) and read or written through ``mesh.lattice_ids``.
 
 Inputs may be analytic callables on (n, 2) point arrays (integrated by
-Gauss rules of degree CALLABLE_DEGREE) or FE functions, evaluated
-NODE_BLOCK nodes at a time.  The projection
+Gauss rules of degree CALLABLE_DEGREE) or FE functions.  The projection
 of an FE input on a quad, boxslash or alternating-kuhn mesh whose lattice
 refines the projector's r-fold is a nodal stencil on its lattice values,
-read off the pointwise pairings of unit nodal functions.
+the pairings of unit nodal functions read off one evaluation of the
+input's shape functions at one node's rule points.
+
+Every other input is paired pointwise on the lattice.  At construction each
+rule offset splits into a lattice shift s and a residue r in [0, h)^2, and
+the weights are summed per (shift, residue).  An apply evaluates the input
+once at v(j) + r for each residue and each node j = k + s that a requested
+node k reaches, NODE_BLOCK nodes j at a time, and node k sums over the
+shifts.  The four squares of the cubic dual share their sixteen residues, so
+each point is evaluated once rather than four times; the Kuhn patches and
+the averaging boxes tile the domain, one shift per residue.  Odd
+reflection copies and reflects a batch of points only if one of them
+leaves the domain, which only the patches of boundary nodes do.
 """
 
 from collections import namedtuple
@@ -55,7 +66,8 @@ __all__ = [
 
 FE_PAIRING_DEGREE = 4
 CALLABLE_DEGREE = 6    # Gauss degree for analytic (callable) inputs
-NODE_BLOCK = 512       # nodes per pointwise evaluation of an input
+NODE_BLOCK = 512       # lattice nodes per pointwise evaluation of an input
+RESIDUE_KEYS = 2 ** 20  # key grid per lattice spacing on which residues merge
 
 def _point_evaluator(w):
     if isinstance(w, FeFunction):
@@ -75,6 +87,8 @@ def _odd_reflection(ev, bounds):
     lo, hi = bounds
 
     def reflected(points):
+        if lo <= points.min() and points.max() <= hi:
+            return ev(points)  # nothing to reflect: every interior patch
         pts = points.copy()
         sign = np.ones(len(pts))
         for d in (0, 1):
@@ -89,12 +103,50 @@ def _odd_reflection(ev, bounds):
     return reflected
 
 
-def _node_integrals(ev, mesh, kk, offsets, weights):
-    """Per lattice node k, the sum over q of ev(v(k) + offsets[q]) weights[q],
-    evaluated NODE_BLOCK nodes at a time to bound the temporaries."""
-    blocks = np.split(mesh.bounds[0] + mesh.h * kk, range(NODE_BLOCK, len(kk), NODE_BLOCK))
-    return np.concatenate([ev((v[:, None] + offsets).reshape(-1, 2)).reshape(len(v), -1) @ weights
-                           for v in blocks])
+def _lattice_rule(offsets, weights, h):
+    """A patch rule (offsets from the node, weights) split on the lattice.
+
+    Each offset is h s + r, a shift s in Z^2 and a residue r in [0, h)^2;
+    equal residues are merged on the RESIDUE_KEYS grid and the weights summed
+    per (shift, residue).  Residues paired with the same shifts form a group
+    (shifts (T, 2), residues (M, 2), weights (T, M))."""
+    shifts = np.floor(offsets / h).astype(np.int64)
+    residues = offsets - h * shifts
+    keys = np.rint(residues * (RESIDUE_KEYS / h)).astype(np.int64)
+    _, first, rid = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    shift_set, sid = np.unique(shifts, axis=0, return_inverse=True)
+    pairs = sid.ravel(), rid.ravel()
+    table = np.zeros((len(shift_set), len(first)))
+    np.add.at(table, pairs, weights)
+    paired = np.zeros(table.shape, dtype=bool)
+    paired[pairs] = True
+    signatures, group = np.unique(paired.T, axis=0, return_inverse=True)
+    group = group.ravel()
+    return [(shift_set[sig], residues[first[group == g]], table[sig][:, group == g])
+            for g, sig in enumerate(signatures)]
+
+
+def _node_integrals(ev, mesh, kk, rule):
+    """Per lattice node k in kk, the sum over the patch rule of
+    ev(v(k) + offset) weight, the rule split by ``_lattice_rule``.
+
+    Per group, each lattice node j = k + s that some requested k reaches is
+    evaluated once at v(j) + r for all the group's residues r, NODE_BLOCK
+    nodes at a time in row-major order, and weighted once per shift s; node
+    k then sums, over the shifts s, the values of k + s weighted for s."""
+    lo, h, n = mesh.bounds[0], mesh.h, mesh.n
+    out = np.zeros(len(kk))
+    for shifts, residues, weights in rule:
+        # row-major keys of the reached nodes, which lie in [0, n]^2 + shifts
+        base, span = shifts.min(axis=0), n + 1 + np.ptp(shifts[:, 1])
+        reach = kk[:, None, :] + shifts - base
+        reached, at = np.unique(reach[..., 0] * span + reach[..., 1], return_inverse=True)
+        corners = lo + h * (np.stack(np.divmod(reached, span), axis=1) + base)
+        values = np.concatenate([
+            ev((v[:, None] + residues).reshape(-1, 2)).reshape(len(v), -1) @ weights.T
+            for v in np.split(corners, range(NODE_BLOCK, len(corners), NODE_BLOCK))])
+        out += values[at.reshape(reach.shape[:2]), np.arange(len(shifts))].sum(axis=1)
+    return out
 
 
 def _require_lattice(mesh, what):
@@ -131,6 +183,7 @@ class AveragedInterpolant:
         pts, wts = map_rule(quadrature_rule("quad", CALLABLE_DEGREE), _quadrants(h / 2))
         self._box_points = pts.reshape(-1, 2)     # offsets from the node
         self._box_weights = wts.ravel() / h ** 2  # sums to 1
+        self._box_rule = _lattice_rule(self._box_points, self._box_weights, h)
 
     def _averages_exact(self, w):
         """Box means of an FE input at every lattice node, indexed [k1, k2]."""
@@ -154,8 +207,7 @@ class AveragedInterpolant:
     def _averages(self, w, kk):
         if isinstance(w, FeFunction):
             return self._averages_exact(w)[kk[:, 0], kk[:, 1]]
-        return _node_integrals(_point_evaluator(w), self.space.mesh, kk,
-                               self._box_points, self._box_weights)
+        return _node_integrals(_point_evaluator(w), self.space.mesh, kk, self._box_rule)
 
     def box_average(self, w, k):
         """Mean of the input over the box centered at interior node k."""
@@ -264,11 +316,13 @@ class DualBasisProjector:
             pts, wts = map_rule(rule, family.corners)
             dual = np.einsum("qa,pa->pq", family.shapes(rule.points), self.table)
             self._rules[label] = (pts.reshape(-1, 2), (wts * dual).ravel())
+        self._lattice_rules = {label: _lattice_rule(*rule, mesh.h)
+                               for label, rule in self._rules.items()}
 
     def _pairings(self, w, kk):
         ev = _odd_reflection(_point_evaluator(w), self.mesh.bounds)
         label = "fe" if isinstance(w, FeFunction) else "callable"
-        return _node_integrals(ev, self.mesh, kk, *self._rules[label])
+        return _node_integrals(ev, self.mesh, kk, self._lattice_rules[label])
 
     def pairing(self, w, j):
         """Pairing of the input with the node dual function.
@@ -286,7 +340,7 @@ class DualBasisProjector:
 
         FE inputs on a lattice mesh (every node a lattice node) on the same
         bounds, with n a multiple of the projector's, go through a nodal
-        stencil; other inputs are paired pointwise node by node."""
+        stencil; other inputs are paired pointwise on the lattice."""
         target = target_space.mesh
         if target.bounds != self.mesh.bounds or target.n != self.mesh.n:
             raise ValueError("target lattice does not match the projector")
@@ -309,17 +363,18 @@ class DualBasisProjector:
         """Interior pairings [k1 - 1, k2 - 1] of an FE input on an r-fold refined
         lattice.  Node k's patch lies in the domain and meets the input's nodes
         r k + d, |d1|, |d2| <= r, only: its pairing is a stencil on their values,
-        read off the pointwise pairings of unit nodal functions at node (1, 1)
-        and (1, 2): at odd r, alternating-kuhn diagonals alternate with k1 + k2."""
+        the pairings of unit nodal functions at node (1, 1) and (1, 2), all read
+        off one evaluation of the shape functions at the node's rule points: at
+        odd r, alternating-kuhn diagonals alternate with k1 + k2."""
         n, space = self.mesh.n, w.space
-        r, unit = space.mesh.n // n, np.zeros(space.ndofs)
-        stencils = np.empty((1 + (n > 2), 2 * r + 1, 2 * r + 1))
-        for p, d1, d2 in np.ndindex(stencils.shape):
-            node = space.mesh.lattice_ids[d1, r * p + d2]
-            unit[node] = 1.0
-            stencils[p, d1, d2] = self._pairings(FeFunction(space, unit),
-                                                 np.array([(1, 1 + p)]))[0]
-            unit[node] = 0.0
+        r, (offsets, weights) = space.mesh.n // n, self._rules["fe"]
+        nodes, stencils = self.mesh.bounds[0] + self.mesh.h * np.array([(1, 1), (1, 2)]), []
+        for p in range(1 + (n > 2)):
+            ids, shapes = space.point_shapes(nodes[p] + offsets)
+            units = np.bincount(ids.ravel(), (shapes * weights[:, None]).ravel(),
+                                minlength=space.ndofs)
+            stencils.append(units[space.mesh.lattice_ids[:2 * r + 1, r * p:r * p + 2 * r + 1]])
+        stencils = np.array(stencils)
         windows = np.lib.stride_tricks.sliding_window_view(
             w.coeffs[space.mesh.lattice_ids], stencils.shape[1:])[::r, ::r]
         values = np.einsum("abij,pij->pab", windows, stencils)

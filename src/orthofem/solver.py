@@ -178,19 +178,23 @@ def _weights(u, law, clamp, shift, weight, cells=slice(None)):
 
 
 def assemble_weighted_stiffness(space, u_k, law, clamp=1e-10, interior_only=False,
-                                shift=0.0, weight="weight"):
+                                shift=0.0, weight="weight", _cell_means=None):
     """Stiffness weighted per direction by the GrowthLaw method ``weight``
     at the gradient of u_k plus ``shift``, over all nodes or as its interior
     block: B_i ("weight") gives K_B, A_i' ("derivative") the Jacobian K_A'
-    of the residual, and with shift 1/tau the flow's step matrix."""
+    of the residual, and with shift 1/tau the flow's step matrix.  An
+    (nc, 2) ``_cell_means`` receives each cell's mean weight over the rule,
+    which the flow's V-cycle coarsens."""
     u = u_k if isinstance(u_k, FeFunction) else FeFunction(space, u_k)
     asm = _assembler(space)
     vals = np.empty((space.mesh.num_cells, *asm.products.shape[-2:]))
     for cells in _blocks(space.mesh):
-        vals[cells] = contract(_weights(u, law, clamp, shift, weight, cells), asm.products,
-                               space.mesh, cells)
+        weights = _weights(u, law, clamp, shift, weight, cells)
+        vals[cells] = contract(weights, asm.products, space.mesh, cells)
         if not np.all(np.isfinite(vals[cells])):
             raise FloatingPointError("non-finite weight in the weighted stiffness")
+        if _cell_means is not None:
+            _cell_means[cells] = weights.mean(axis=1)
     return asm.pattern(interior_only).assemble(vals)
 
 
@@ -304,14 +308,13 @@ def _hierarchy(space):
     return transfers
 
 
-def _vcycle(space, transfers, system, u, law, clamp, shift):
+def _vcycle(transfers, system, weights):
     """One V-cycle on the step matrix as a function r -> M r: one damped
     Jacobi step (SMOOTHING) before and one after each coarse correction,
-    a dense inverse on the coarsest, so M is symmetric.  A coarse weight is
-    the mean of the finer A_i' + shift over the finer cells it holds."""
-    matrices, u = [system], FeFunction(space, u)
-    weights = np.concatenate([_weights(u, law, clamp, shift, "derivative", cells).mean(axis=1)
-                              for cells in _blocks(space.mesh)])  # per fine cell
+    a dense inverse on the coarsest, so M is symmetric.  ``weights`` (nc, 2)
+    are the fine cells' mean A_i' + shift, and a coarse weight is the mean
+    of the finer weights over the finer cells it holds."""
+    matrices = [system]
     for transfer in transfers:
         weights = transfer.mean(weights)
         coarse, asm = transfer.coarse, _assembler(transfer.coarse)
@@ -387,14 +390,17 @@ def solve(spec, cfg=None, start=None):
     increments = []
     cg_total = 0
     converged = False
+    # the step weights' mean per cell, which the V-cycle coarsens
+    cell_weights = None if transfers is None else np.empty((space.mesh.num_cells, 2))
 
     for _ in range(cfg.max_iter):
         system = assemble_weighted_stiffness(space, u, law, cfg.clamp, interior_only=True,
-                                             shift=1 / cfg.tau, weight="derivative")
+                                             shift=1 / cfg.tau, weight="derivative",
+                                             _cell_means=cell_weights)
         # the V-cycle is passed on, not kept: its matrices go with the CG call
         delta, iterations = flow_step(
-            system, residual, interior, cg_cfg, None if transfers is None
-            else _vcycle(space, transfers, system, u, law, cfg.clamp, 1 / cfg.tau))
+            system, residual, interior, cg_cfg,
+            None if transfers is None else _vcycle(transfers, system, cell_weights))
         cg_total += iterations
         slope = float(residual @ delta)  # <r(u^k), delta>, negative downhill
         for alpha in 0.5 ** np.arange(MAX_BACKTRACKS + 1):

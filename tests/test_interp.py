@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orthofem import interp
 from orthofem.fespace import (FeFunction, FeSpace, abs_partial_integral,
                               interpolate_nodal)
 from orthofem.interp import NODE_BLOCK, AveragedInterpolant, build_dual_table, transfer
@@ -459,14 +460,16 @@ class TestNestedStencil:
     @pytest.mark.parametrize("kind,target_pattern", PROJECTIONS)
     def test_evaluated_points_do_not_grow_with_n(self, kind, target_pattern,
                                                  monkeypatch):
+        # every evaluation of the input's shape functions, through
+        # FeFunction.evaluate or not, goes through point_shapes
         counted = []
-        evaluate = FeFunction.evaluate
+        point_shapes = FeSpace.point_shapes
 
         def counting(self, points):
             counted.append(len(points))
-            return evaluate(self, points)
+            return point_shapes(self, points)
 
-        monkeypatch.setattr(FeFunction, "evaluate", counting)
+        monkeypatch.setattr(FeSpace, "point_shapes", counting)
         totals = []
         for n in (8, 32):
             source = _space(2 * n, "quad")
@@ -526,6 +529,91 @@ class TestBlockedEvaluation:
             tracemalloc.stop()
         assert np.abs(out.coeffs - u.coeffs).max() < 1e-12
         assert peak < 20e6
+
+
+def _wave_of(a, b, c, d):
+    return lambda x: np.sin(a + b * x[:, 0]) * np.cos(c + d * x[:, 1])
+
+
+def _node_subset(n, rng):
+    """A shuffled subset of the lattice nodes [0, n]^2, boundary nodes included."""
+    nodes = np.array(list(itertools.product(range(n + 1), repeat=2)))
+    boundary = np.flatnonzero((nodes == 0).any(axis=1) | (nodes == n).any(axis=1))
+    chosen = rng.choice(len(nodes), rng.integers(1, len(nodes) + 1), replace=False)
+    chosen = np.union1d(chosen, rng.choice(boundary, 1))
+    return nodes[rng.permutation(chosen)]
+
+
+class TestLatticeEvaluation:
+    """The pointwise pairings evaluate each distinct point v(j) + r once; the
+    rules ``_rules`` and ``_box_points``/``_box_weights`` stay the definition."""
+
+    @staticmethod
+    def _reference(f, mesh, kk, offsets, weights, reflect):
+        """Per node, the rule's sum from one evaluation at v(k) + offsets."""
+        ev = interp._odd_reflection(f, mesh.bounds) if reflect else f
+        points = (mesh.bounds[0] + mesh.h * kk)[:, None, :] + offsets
+        return ev(points.reshape(-1, 2)).reshape(len(kk), -1) @ weights
+
+    @settings(max_examples=60, deadline=None)
+    @given(operator=st.sampled_from(["simplicial", "cubic", "averaged"]),
+           n=st.integers(2, 40), bounds=st.sampled_from([(0.0, 1.0), (-1.0, 1.0)]),
+           wave=st.tuples(st.floats(-3.0, 3.0), st.floats(-20.0, 20.0),
+                          st.floats(-3.0, 3.0), st.floats(-20.0, 20.0)),
+           seed=st.integers(0, 2 ** 16))
+    def test_agrees_with_one_evaluation(self, operator, n, bounds, wave, seed):
+        f = _wave_of(*wave)
+        kk = _node_subset(n, np.random.default_rng(seed))
+        if operator == "averaged":
+            # the box is not reflected: a boundary node's box leaves the domain
+            op = AveragedInterpolant(_space(n, "quad", bounds))
+            got = op._averages(f, kk)
+            offsets, weights = op._box_points, op._box_weights
+            expected = self._reference(f, op.space.mesh, kk, offsets, weights, reflect=False)
+        else:
+            proj = _projector(operator, n, bounds)
+            got = proj._pairings(f, kk)
+            offsets, weights = proj._rules["callable"]
+            expected = self._reference(f, proj.mesh, kk, offsets, weights, reflect=True)
+        # |f| <= 1, so the weights' absolute sum bounds every pairing
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(weights).sum()
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (-1.0, 1.0)])
+    def test_evaluation_counts(self, n, bounds):
+        f, counted = _wave_of(0.3, 5.0, 1.0, 7.0), []
+
+        def counting(points):
+            counted.append(len(points))
+            return f(points)
+
+        _projector("cubic", n, bounds).apply(counting, _space(n, "quad", bounds))
+        # 16 residues of the degree-6 square rule at the n^2 nodes [0, n)^2,
+        # against 4 squares of 16 points at each of the (n - 1)^2 nodes
+        assert sum(counted) <= 16 * n ** 2
+        counted.clear()
+        # the Kuhn patches and the boxes tile the domain: one shift per residue
+        _projector("simplicial", n, bounds).apply(counting, _space(n, "alternating-kuhn", bounds))
+        assert sum(counted) == 128 * (n - 1) ** 2
+        counted.clear()
+        AveragedInterpolant(_space(n, "quad", bounds)).apply(counting)
+        assert sum(counted) == 64 * (n - 1) ** 2
+
+    @pytest.mark.parametrize("kind", ["simplicial", "cubic"])
+    @pytest.mark.parametrize("fe", [False, True])
+    def test_shuffled_nodes_match_single_pairings(self, kind, fe):
+        n = 6
+        proj = _projector(kind, n, (-1.0, 1.0))
+        rng = np.random.default_rng(13)
+        if fe:  # a non-lattice source: the pointwise path with the FE rule
+            source = _space(4, "cross", (-1.0, 1.0))
+            w = FeFunction(source, rng.standard_normal(source.ndofs))
+        else:
+            w = _wave_of(0.5, 4.0, -1.0, 6.0)
+        kk = rng.permutation(np.array(list(itertools.product(range(n + 1), repeat=2))))
+        got = proj._pairings(w, kk)
+        single = np.array([proj.pairing(w, k) for k in kk])
+        assert np.abs(got - single).max() <= 1e-14 * np.abs(single).max()
 
 
 class TestTransfer:

@@ -712,9 +712,10 @@ def step_and_vcycle(space, law, u, tau=100.0, clamp=1e-10):
     whatever the size of the space."""
     with mock.patch.object(solver, "MULTIGRID_MIN_DIM", 0):
         transfers = solver._hierarchy(space)
+    weights = np.empty((space.mesh.num_cells, 2))
     system = assemble_weighted_stiffness(space, u, law, clamp, interior_only=True,
-                                         shift=1 / tau, weight="derivative")
-    return system, solver._vcycle(space, transfers, system, u.coeffs, law, clamp, 1 / tau)
+                                         shift=1 / tau, weight="derivative", _cell_means=weights)
+    return system, solver._vcycle(transfers, system, weights)
 
 
 class TestMultigrid:
@@ -786,6 +787,21 @@ class TestMultigrid:
                                                interior_only=True, weight="derivative")
         smallest = np.linalg.eigvalsh(jacobian.todense())[0]
         assert np.linalg.norm(u_multigrid.coeffs - u_jacobi.coeffs) <= residuals / smallest
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_cell_means_are_the_step_weights(self, family):
+        # the V-cycle coarsens the means the step matrix's assembly wrote, in
+        # blocks of BLOCK cells: bit for bit each cell's mean weight, as if the
+        # cycle had taken it from the gradients itself
+        space = family_space(family, 12)
+        law = GrowthLaw((3.0, 1.5))
+        u = FeFunction(space, np.random.default_rng(9).standard_normal(space.ndofs))
+        means = np.full((space.mesh.num_cells, 2), np.nan)
+        with mock.patch.object(solver, "BLOCK", 8):
+            assemble_weighted_stiffness(space, u, law, 1e-10, interior_only=True, shift=0.01,
+                                        weight="derivative", _cell_means=means)
+        expected = solver._weights(u, law, 1e-10, 0.01, "derivative").mean(axis=1)
+        assert np.array_equal(means, expected)
 
     def test_large_levels_only(self):
         assert solver._hierarchy(family_space("boxslash", 100)) is None  # 9 801 unknowns
