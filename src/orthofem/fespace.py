@@ -24,7 +24,11 @@ partial_i u changes sign runs on offsets from the cell's vertex 0, and the
 moments are taken about the polygon's first vertex, so that slivers far from
 the origin keep their digits.  The clip runs on plain Python floats (on a few
 vertices numpy's per-call cost dominates), over the cells of the lattice
-squares under the region's bounding box.
+squares under the region's bounding box.  It depends on the region and the
+mesh only, so it is built once per region and space and kept in the space's
+memo, which grows by one entry per distinct region asked of that space; each
+call computes partial_i u on the kept cells and splits only the pieces on
+which it changes sign.
 """
 
 import functools
@@ -262,6 +266,8 @@ def interpolate_nodal(space, f):
 
 def _halfplanes(region):
     """Half-planes a + bx*x + by*y <= 0 bounding a convex CCW polygon, else ValueError."""
+    if not all(math.isfinite(c) for vertex in region for c in vertex):
+        raise ValueError("region vertices must be finite")
     planes, area, turning, clockwise = [], 0.0, 0.0, False
     for (px, py), (qx, qy), (rx, ry) in zip(region, region[1:] + region[:1],
                                             region[2:] + region[:2]):
@@ -292,11 +298,11 @@ def _clip_halfplane(poly, a, bx, by):
     return out
 
 
-def _moment(poly, a, bx, by):
-    """|integral of a + bx*x + by*y| over a polygon, from area and centroid,
-    both taken about its first vertex (the shoelace terms of that vertex vanish)."""
+def _area_centroid(poly):
+    """Area and centroid of a polygon, both taken about its first vertex (the
+    shoelace terms of that vertex vanish); None if it has no area."""
     if len(poly) < 3:
-        return 0.0
+        return None
     (x0, y0), s, sx, sy = poly[0], 0.0, 0.0, 0.0
     x, y = poly[1][0] - x0, poly[1][1] - y0
     for xn, yn in poly[2:]:
@@ -306,8 +312,17 @@ def _moment(poly, a, bx, by):
         x, y = xn, yn
     area = 0.5 * s
     if abs(area) < 1e-300:
+        return None
+    return area, x0 + sx / (6 * area), y0 + sy / (6 * area)
+
+
+def _moment(moments, a, bx, by):
+    """|integral of a + bx*x + by*y| over a polygon, from its area and
+    centroid (``_area_centroid``)."""
+    if moments is None:
         return 0.0
-    return abs(area * (a + bx * (x0 + sx / (6 * area)) + by * (y0 + sy / (6 * area))))
+    area, cx, cy = moments
+    return abs(area * (a + bx * cx + by * cy))
 
 
 def _partial_affine(u, cells, ids, i):
@@ -325,12 +340,18 @@ def _partial_affine(u, cells, ids, i):
     return contract(u.coeffs[ids], space._geom[key], space.mesh, cells).tolist()
 
 
-def abs_partial_integral(u, region, i):
-    """Exact integral of |partial_i u| over a convex polygonal region given
-    by its (k, 2) vertices in counter-clockwise order (ValueError otherwise)."""
-    region = np.asarray(region, dtype=float).tolist()
+def _region_pieces(space, region):
+    """The geometry of a convex region (a list of [x, y] floats) on a space,
+    built on the first call and kept in ``space._geom``: the cells of the
+    lattice squares under the region's bounding box and their vertex ids,
+    and for each cell that meets the region its position in that list, the
+    clipped polygon on offsets from the cell's vertex 0 and that polygon's
+    area and centroid (None if it has no area)."""
+    key = ("region", tuple(map(tuple, region)))
+    if key in space._geom:
+        return space._geom[key]
     planes = _halfplanes(region)
-    mesh = u.space.mesh
+    mesh = space.mesh
     lo, hi = mesh.bounds
     width = (hi - lo) / mesh.squares
     (x0, x1), (y0, y1) = [(min(t), max(t)) for t in zip(*region)]
@@ -339,8 +360,8 @@ def abs_partial_integral(u, region, i):
     cells = mesh.square_cells(a0, a1, b0, b1)
     ids = mesh.cells[cells]
     tol = 1e-12 * mesh.h
-    total = 0.0
-    for poly, (a, bx, by) in zip(mesh.nodes[ids].tolist(), _partial_affine(u, cells, ids, i)):
+    pieces = []
+    for k, poly in enumerate(mesh.nodes[ids].tolist()):
         px, py = zip(*poly)  # skip cells whose box overlaps the region's by <= tol
         if not (min(px) < x1 - tol and max(px) > x0 + tol
                 and min(py) < y1 - tol and max(py) > y0 + tol):
@@ -358,10 +379,28 @@ def abs_partial_integral(u, region, i):
                 continue
         # (a, bx, by) act on offsets from vertex 0, as small as the cell
         poly = [(x - vx, y - vy) for x, y in poly]
-        if bx == by == 0:  # partial_i u is constant on the cell (P1): |a| area
-            total += _moment(poly, a, bx, by)
-        else:
-            for sign in (1.0, -1.0):  # where partial_i u <= 0, then >= 0
-                total += _moment(_clip_halfplane(poly, sign * a, sign * bx, sign * by),
-                                 a, bx, by)
+        pieces.append((k, poly, _area_centroid(poly)))
+    space._geom[key] = cells, ids, pieces
+    return cells, ids, pieces
+
+
+def abs_partial_integral(u, region, i):
+    """Exact integral of |partial_i u| over a convex polygonal region given
+    by its (k, 2) finite vertices in counter-clockwise order (ValueError
+    otherwise)."""
+    cells, ids, pieces = _region_pieces(u.space, np.asarray(region, dtype=float).tolist())
+    partials = _partial_affine(u, cells, ids, i)
+    total = 0.0
+    for k, poly, moments in pieces:
+        a, bx, by = partials[k]
+        if bx or by:  # partial_i u is not constant on the cell (Q1)
+            vals = [a + bx * x + by * y for x, y in poly]
+            if not (min(vals) > 0 or max(vals) < 0):
+                for sign in (1.0, -1.0):  # where partial_i u <= 0, then >= 0
+                    part = _clip_halfplane(poly, sign * a, sign * bx, sign * by)
+                    total += _moment(_area_centroid(part), a, bx, by)
+                continue
+        # partial_i u keeps its sign on the piece, so a split would return the
+        # piece whole and leave nothing on the other side
+        total += _moment(moments, a, bx, by)
     return total

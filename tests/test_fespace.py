@@ -441,6 +441,72 @@ class TestExactIntegralOracle:
             cells = sum(abs_partial_integral(u, cell, i) for cell in mesh.nodes[mesh.cells])
             assert cells == pytest.approx(abs_partial_integral(u, domain, i), rel=1e-12)
 
+    # the clip of a region is kept per space; these check that it is only geometry
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(FAMILIES), st.integers(2, 5), st.sampled_from([(0.0, 1.0), (-1.5, 0.5)]),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_memo_returns_the_same_bits(self, family, n, bounds, seed, data):
+        mesh = family[1](n, bounds)
+        coeffs = np.random.default_rng(seed).standard_normal(mesh.num_nodes)
+        u = FeFunction(FeSpace(mesh), coeffs)
+        region, other = data.draw(convex_regions(mesh)), data.draw(convex_regions(mesh))
+
+        def bits(w):
+            return [abs_partial_integral(w, region, i).hex() for i in (0, 1)]
+
+        first = bits(u)
+        assert bits(u) == first
+        for i in (1, 0):
+            abs_partial_integral(u, other, i)
+        assert bits(u) == first
+        assert bits(FeFunction(FeSpace(mesh), coeffs)) == first
+
+    def test_memo_holds_geometry_only(self):
+        mesh = build_quad(4, (-1.5, 0.5))
+        rng = np.random.default_rng(11)
+        coeffs = [rng.standard_normal(mesh.num_nodes) for _ in range(2)]
+        region = np.array([[-1.2, -1.3], [0.3, -0.9], [-0.1, 0.4]])
+        shared = FeSpace(mesh)
+        for i in (0, 1):
+            got = [abs_partial_integral(FeFunction(shared, c), region, i) for c in coeffs]
+            alone = [abs_partial_integral(FeFunction(FeSpace(mesh), c), region, i)
+                     for c in coeffs]
+            assert got == alone and got[0] != got[1]
+            for c, value in zip(coeffs, got):
+                expected = oracles.abs_partial_integral(FeFunction(shared, c), region, i)
+                assert value == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_one_memo_entry_per_region(self):
+        space = FeSpace(build_tri(4, "boxslash"))
+        u = FeFunction(space, np.random.default_rng(12).standard_normal(space.ndofs))
+        vertices = [[0.1, 0.2], [0.8, 0.3], [0.4, 0.9]]
+        for i in (0, 1):
+            abs_partial_integral(u, vertices, i)
+        size = len(space._geom)
+        for region in (tuple(map(tuple, vertices)), np.array(vertices)):
+            for i in (0, 1):
+                abs_partial_integral(u, region, i)
+        assert len(space._geom) == size
+        abs_partial_integral(u, np.array(vertices) / 2, 0)
+        assert len(space._geom) == size + 1
+
+    @pytest.mark.parametrize("region, message", [
+        ([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]], "convex with counter-clockwise"),
+        ([[0.0, 0.0], [0.5, 0.0], [0.25, 0.1], [0.25, 0.5]], "convex with counter-clockwise"),
+        ([[0.0, 0.0], [np.nan, 0.0], [0.0, 1.0]], "finite"),
+        ([[0.0, 0.0], [np.inf, 0.0], [0.0, 1.0]], "finite")],
+        ids=["clockwise", "non-convex", "nan", "inf"])
+    def test_invalid_region_raises_every_time(self, region, message):
+        space = FeSpace(build_quad(3))
+        u = FeFunction(space, np.random.default_rng(13).standard_normal(space.ndofs))
+        size = len(space._geom)
+        for _ in range(2):
+            for i in (0, 1):
+                with pytest.raises(ValueError, match=message):
+                    abs_partial_integral(u, region, i)
+        assert len(space._geom) == size
+
 
 def oracle_gradients(space, degree):
     """(nc, nq, 2) gradients of a space's functions' basis at the points of its
