@@ -2,11 +2,11 @@
 
 The pieces fit together as: ``nfunc`` describes the per-coordinate
 growth, ``mesh``/``fespace`` provide structured meshes and P1/Q1
-spaces, ``solver`` runs the preconditioned semi-implicit gradient
-flow, ``interp`` holds the orthotropically stable interpolation and
-projection operators, ``analysis`` measures errors and convergence
-rates, and ``cli`` drives refinement studies against the published
-reference tables.
+spaces, ``solver`` runs the damped Newton flow with V-cycle
+preconditioned CG, ``interp`` holds the orthotropically stable
+interpolation and projection operators, ``analysis`` measures errors
+and convergence rates, and ``cli`` drives refinement studies against
+the published reference tables.
 """
 
 from .analysis import (ConvergenceTable, ErrorReport, ManufacturedSolution,

@@ -1,7 +1,7 @@
 """Batch convergence-study runner.
 
 A study is a refinement sweep over one mesh family and one growth law:
-per level the mesh is built, the gradient flow solved from the previous
+per level the mesh is built, the damped Newton flow solved from the previous
 level's solution, and the error functionals appended to a convergence
 table, which is emitted as CSV or as an aligned markdown table
 (scientific notation with four decimal digits, rates with two).

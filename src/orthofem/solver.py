@@ -39,15 +39,14 @@ is looser.  The iteration stops once the energy of the increment,
 falls below an absolute tolerance (optionally also requiring a small
 Galerkin residual, which the increment alone does not guarantee).
 
-A' varies by orders of magnitude, so from MULTIGRID_MIN_DIM interior
-unknowns on, a V-cycle on the same family at n // 2, n // 4, ... (nodal
-interpolation between levels, which need not be nested, as they are not
-after an odd n; Bermejo and Infante, SIAM J. Sci. Comput. 21, 2000)
-preconditions CG: at most 11 PCG iterations a step on the
-acceptance studies' largest levels, against up to 207 Jacobi ones.  A
-level's solve took, V-cycle against Jacobi (2 vCPU, one BLAS thread),
-15-23 against 7-9 ms at 361 unknowns, 83-88 against 79-94 at 3 969,
-367-435 against 363-468 at 16 129 and 451-533 against 633-651 at 25 281.
+A' varies by orders of magnitude, so on every level a V-cycle on the same
+family at n // 2, n // 4, ... (nodal interpolation between levels, which
+need not be nested, as they are not after an odd n; Bermejo and Infante,
+SIAM J. Sci. Comput. 21, 2000) preconditions CG: at most 11 PCG iterations
+a step on the acceptance studies' largest levels, against up to 207 Jacobi
+ones.  A level with at most COARSEST interior unknowns has no coarser
+level: its cycle is the dense inverse of the step matrix, so it is solved
+exactly, in one PCG iteration a step.
 """
 
 from dataclasses import dataclass, field
@@ -78,7 +77,6 @@ FORCING = 0.1          # CG tolerance of a step, relative to |r_I(u^k)|
 ARMIJO = 1e-4          # share of the predicted decrease a step must achieve
 ROUNDING = 1e-14       # rounding of Phi, relative to J + |<F, u>|
 MAX_BACKTRACKS = 30    # step lengths down to 2^-30 before a step is rejected
-MULTIGRID_MIN_DIM = 10_000  # interior unknowns from which a V-cycle preconditions CG
 COARSEST = 200         # interior unknowns of the V-cycle's coarsest level, solved densely
 SMOOTHING = 0.6        # Jacobi damping in the V-cycle; 0.7 tripled PCG iterations on Q1
 BLOCK = 8192           # cells per block of the weighted assembly, residual and V-cycle weights
@@ -298,10 +296,8 @@ class _Transfer:
 
 def _hierarchy(space):
     """Transfers through n // 2, n // 4, ... down to at most COARSEST interior
-    unknowns; None, for Jacobi, below MULTIGRID_MIN_DIM."""
+    unknowns; none for a space that has at most that many."""
     transfers, fine = [], space
-    if np.count_nonzero(space.interior) < MULTIGRID_MIN_DIM:
-        return None
     while np.count_nonzero(fine.interior) > COARSEST:
         transfers.append(_Transfer(fine, FeSpace(fine.mesh.coarsened())))
         fine = transfers[-1].coarse
@@ -391,16 +387,15 @@ def solve(spec, cfg=None, start=None):
     cg_total = 0
     converged = False
     # the step weights' mean per cell, which the V-cycle coarsens
-    cell_weights = None if transfers is None else np.empty((space.mesh.num_cells, 2))
+    cell_weights = np.empty((space.mesh.num_cells, 2))
 
     for _ in range(cfg.max_iter):
         system = assemble_weighted_stiffness(space, u, law, cfg.clamp, interior_only=True,
                                              shift=1 / cfg.tau, weight="derivative",
                                              _cell_means=cell_weights)
         # the V-cycle is passed on, not kept: its matrices go with the CG call
-        delta, iterations = flow_step(
-            system, residual, interior, cg_cfg,
-            None if transfers is None else _vcycle(transfers, system, cell_weights))
+        delta, iterations = flow_step(system, residual, interior, cg_cfg,
+                                      _vcycle(transfers, system, cell_weights))
         cg_total += iterations
         slope = float(residual @ delta)  # <r(u^k), delta>, negative downhill
         for alpha in 0.5 ** np.arange(MAX_BACKTRACKS + 1):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from orthofem import linalg, solver
 from orthofem.analysis import ManufacturedSolution
+from orthofem.cli import StudyConfig, run_study
 from orthofem.fespace import FeFunction, FeSpace, interpolate_nodal
 from orthofem.linalg import CgConfig
 from orthofem.mesh import build_quad, build_tri
@@ -452,13 +453,11 @@ class TestSolve:
     @settings(max_examples=25, deadline=None)
     @given(family=st.sampled_from(FAMILIES), n=st.integers(2, 6),
            p1=st.floats(1.5, 6.0), p2=st.floats(1.5, 6.0),
-           target=st.sampled_from([1e-4, 1e-7, 1e-10]), multigrid=st.booleans())
+           target=st.sampled_from([1e-4, 1e-7, 1e-10]))
     # the predicted decrease falls below the rounding of J here: a line search
     # that does not forgive it backtracks on noise and stalls above the target
-    @example(family="unionjack", n=4, p1=4.45, p2=5.61, target=1e-10, multigrid=False)
-    @example(family="unionjack", n=4, p1=4.45, p2=5.61, target=1e-10, multigrid=True)
-    def test_energy_never_increases(self, family, n, p1, p2, target, multigrid):
-        # multigrid: the preconditioned path of the large levels, on every level
+    @example(family="unionjack", n=4, p1=4.45, p2=5.61, target=1e-10)
+    def test_energy_never_increases(self, family, n, p1, p2, target):
         law = GrowthLaw((p1, p2))
         space = family_space(family, n)
         spec = ProblemSpec(law=law, space=space, dirichlet=ManufacturedSolution(law).value)
@@ -468,9 +467,7 @@ class TestSolve:
             iterates.append(u.copy())
             return galerkin_residual(space, u, law, f)
 
-        with mock.patch.object(solver, "galerkin_residual", recording), \
-                mock.patch.object(solver, "MULTIGRID_MIN_DIM",
-                                  0 if multigrid else solver.MULTIGRID_MIN_DIM):
+        with mock.patch.object(solver, "galerkin_residual", recording):
             _, report = solve(spec, FlowConfig(tol=1e-12, residual_target=target,
                                                max_iter=200))
         assert report.converged and len(iterates) == report.iterations + 1
@@ -708,10 +705,8 @@ def test_source_term_load_vector():
 
 
 def step_and_vcycle(space, law, u, tau=100.0, clamp=1e-10):
-    """The flow's step matrix at u and its V-cycle, on the multigrid path
-    whatever the size of the space."""
-    with mock.patch.object(solver, "MULTIGRID_MIN_DIM", 0):
-        transfers = solver._hierarchy(space)
+    """The flow's step matrix at u and its V-cycle."""
+    transfers = solver._hierarchy(space)
     weights = np.empty((space.mesh.num_cells, 2))
     system = assemble_weighted_stiffness(space, u, law, clamp, interior_only=True,
                                          shift=1 / tau, weight="derivative", _cell_means=weights)
@@ -768,18 +763,14 @@ class TestMultigrid:
                         else build_tri(n, family, (-1.0, 1.0)))
         spec = ProblemSpec(law=law, space=space, dirichlet=ManufacturedSolution(law).value)
         cfg = FlowConfig(tol=1e-12, residual_target=1e-9)
-        u_jacobi, _ = solve(spec, cfg)
-        preconditioners = []
 
-        def recording(a, b, cfg=None, precondition=None):
-            preconditioners.append(precondition)
-            return linalg.cg_solve(a, b, cfg, precondition)
+        def jacobi(a, b, cfg=None, precondition=None):
+            return linalg.cg_solve(a, b, cfg)
 
-        with mock.patch.object(solver, "MULTIGRID_MIN_DIM", 0), \
-                mock.patch.object(solver, "cg_solve", recording):
-            u_multigrid, report = solve(spec, cfg)
+        with mock.patch.object(solver, "cg_solve", jacobi):
+            u_jacobi, _ = solve(spec, cfg)
+        u_multigrid, report = solve(spec, cfg)
         assert report.converged and report.final_residual < cfg.residual_target
-        assert all(p is not None for p in preconditioners)
         interior = space.interior
         residuals = sum(np.linalg.norm(galerkin_residual(space, u, law)[interior])
                         for u in (u_jacobi, u_multigrid))
@@ -803,7 +794,39 @@ class TestMultigrid:
         expected = solver._weights(u, law, 1e-10, 0.01, "derivative").mean(axis=1)
         assert np.array_equal(means, expected)
 
-    def test_large_levels_only(self):
-        assert solver._hierarchy(family_space("boxslash", 100)) is None  # 9 801 unknowns
-        transfers = solver._hierarchy(family_space("boxslash", 102))  # 10 201
-        assert [t.coarse.mesh.n for t in transfers] == [51, 25, 12]  # 121 at 12
+    def test_hierarchy_depth(self):
+        # down to the first level with at most COARSEST interior unknowns,
+        # through odd n too; a level that small is its own coarsest
+        for family, n, coarse in [("boxslash", 10, []), ("unionjack", 6, []),  # 81, 121
+                                  ("boxslash", 16, [8]),  # 225
+                                  ("boxslash", 100, [50, 25, 12]),  # 9 801, 121 at 12
+                                  ("boxslash", 102, [51, 25, 12])]:  # 10 201
+            transfers = solver._hierarchy(family_space(family, n))
+            assert [t.coarse.mesh.n for t in transfers] == coarse
+
+    @pytest.mark.parametrize("family,n", [("quad", 14), ("boxslash", 10),
+                                          ("alternating-kuhn", 10), ("unionjack", 6),
+                                          ("cross", 8)], ids=FAMILIES)
+    def test_coarsest_level_is_solved_exactly(self, family, n):
+        # with no coarser level the V-cycle is the dense inverse of the step
+        # matrix: one PCG iteration a step
+        law = GrowthLaw((3.0, 1.5))
+        space = FeSpace(build_quad(n, (-1.0, 1.0)) if family == "quad"
+                        else build_tri(n, family, (-1.0, 1.0)))
+        assert np.count_nonzero(space.interior) <= solver.COARSEST
+        spec = ProblemSpec(law=law, space=space, dirichlet=ManufacturedSolution(law).value)
+        _, report = solve(spec, FlowConfig(tol=1e-12, residual_target=5e-7))
+        assert report.converged and report.cg_iterations == report.iterations
+
+    def test_every_level_is_preconditioned(self):
+        # a study whose levels lie on both sides of COARSEST, 81 to 1 521
+        # interior unknowns: every step's CG gets the V-cycle
+        preconditioners = []
+
+        def recording(a, b, cfg=None, precondition=None):
+            preconditioners.append(precondition)
+            return linalg.cg_solve(a, b, cfg, precondition)
+
+        with mock.patch.object(solver, "cg_solve", recording):
+            run_study(StudyConfig(mesh="boxslash", p1=3.0, p2=1.5, n_list=(10, 20, 40)))
+        assert preconditioners and all(p is not None for p in preconditioners)
