@@ -26,9 +26,14 @@ the origin keep their digits.  The clip runs on plain Python floats (on a few
 vertices numpy's per-call cost dominates), over the cells of the lattice
 squares under the region's bounding box.  It depends on the region and the
 mesh only, so it is built once per region and space and kept in the space's
-memo, which grows by one entry per distinct region asked of that space; each
-call computes partial_i u on the kept cells and splits only the pieces on
-which it changes sign.
+memo, which grows by one entry per distinct region asked of that space.  The
+entry also holds, per direction, the tables that take the vertex values of
+each cell meeting the region to the affine partial_i u there, gathered from
+one table per template cell; so a call computes partial_i u on those cells by
+one gather and one matmul.  A piece on which partial_i u keeps its sign is
+area times the value at its centroid; the others are split at its root line
+in one Sutherland-Hodgman pass that returns both parts, which share their cut
+points and so tile one polygon.
 """
 
 import functools
@@ -316,6 +321,24 @@ def _area_centroid(poly):
     return area, x0 + sx / (6 * area), y0 + sy / (6 * area)
 
 
+def _split(poly, vals):
+    """The parts of a polygon where an affine function of values ``vals`` at
+    its vertices is <= 0 and >= 0, in one Sutherland-Hodgman pass: both parts
+    take the same cut points, so that they tile the same polygon."""
+    below, above = [], []
+    for p, q, vp, vq in zip(poly, poly[1:] + poly[:1], vals, vals[1:] + vals[:1]):
+        if vp <= 0:
+            below.append(p)
+        if vp >= 0:
+            above.append(p)
+        if (vp < 0 < vq) or (vq < 0 < vp):
+            t = vp / (vp - vq)
+            cut = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+            below.append(cut)
+            above.append(cut)
+    return below, above
+
+
 def _moment(moments, a, bx, by):
     """|integral of a + bx*x + by*y| over a polygon, from its area and
     centroid (``_area_centroid``)."""
@@ -325,28 +348,28 @@ def _moment(moments, a, bx, by):
     return abs(area * (a + bx * cx + by * cy))
 
 
-def _partial_affine(u, cells, ids, i):
-    """Per cell (whole lattice squares, ``ids`` their vertices), the floats
-    (a, bx, by) of partial_i u = a + bx (x - x0) + by (y - y0), (x0, y0) the
-    cell's vertex 0."""
-    space = u.space
+def _partial_table(space, i):
+    """Per template cell t per + k, the (nloc, 3) table that takes a cell's
+    vertex values to (a, bx, by) of partial_i u = a + bx (x - x0) + by (y - y0),
+    (x0, y0) the cell's vertex 0; built once per space and direction."""
     key = ("partial", i)
     if key not in space._geom:
         # partial_i phi_a is affine on a cell: its value at vertex 0 and its
         # gradient, from its values there and at the images of (1, 0), (0, 1)
         at = space._template_grads(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))[..., i]
         slope = np.linalg.solve(space._jacobians, (at[..., 1:] - at[..., :1]).swapaxes(-1, -2))
-        space._geom[key] = np.concatenate([at[..., :1], slope.swapaxes(-1, -2)], axis=-1)
-    return contract(u.coeffs[ids], space._geom[key], space.mesh, cells).tolist()
+        table = np.concatenate([at[..., :1], slope.swapaxes(-1, -2)], axis=-1)
+        space._geom[key] = table.reshape(-1, *table.shape[2:])
+    return space._geom[key]
 
 
 def _region_pieces(space, region):
     """The geometry of a convex region (a list of [x, y] floats) on a space,
-    built on the first call and kept in ``space._geom``: the cells of the
-    lattice squares under the region's bounding box and their vertex ids,
-    and for each cell that meets the region its position in that list, the
-    clipped polygon on offsets from the cell's vertex 0 and that polygon's
-    area and centroid (None if it has no area)."""
+    built on the first call and kept in ``space._geom``: the vertex ids
+    (npieces, nloc) of the cells that meet the region, per direction i their
+    partial tables (npieces, nloc, 3) gathered from ``_partial_table``, and per
+    cell the clipped polygon on offsets from the cell's vertex 0 with that
+    polygon's area and centroid (None if it has no area)."""
     key = ("region", tuple(map(tuple, region)))
     if key in space._geom:
         return space._geom[key]
@@ -358,10 +381,9 @@ def _region_pieces(space, region):
     a0, b0 = (math.floor((t - lo) / width) for t in (x0, y0))
     a1, b1 = (math.ceil((t - lo) / width) - 1 for t in (x1, y1))
     cells = mesh.square_cells(a0, a1, b0, b1)
-    ids = mesh.cells[cells]
     tol = 1e-12 * mesh.h
-    pieces = []
-    for k, poly in enumerate(mesh.nodes[ids].tolist()):
+    kept, pieces = [], []
+    for cell, poly in zip(cells.tolist(), mesh.nodes[mesh.cells[cells]].tolist()):
         px, py = zip(*poly)  # skip cells whose box overlaps the region's by <= tol
         if not (min(px) < x1 - tol and max(px) > x0 + tol
                 and min(py) < y1 - tol and max(py) > y0 + tol):
@@ -379,25 +401,29 @@ def _region_pieces(space, region):
                 continue
         # (a, bx, by) act on offsets from vertex 0, as small as the cell
         poly = [(x - vx, y - vy) for x, y in poly]
-        pieces.append((k, poly, _area_centroid(poly)))
-    space._geom[key] = cells, ids, pieces
-    return cells, ids, pieces
+        kept.append(cell)
+        pieces.append((poly, _area_centroid(poly)))
+    kept = np.array(kept, dtype=np.int64)
+    templates = space._placement(kept)[1]
+    tables = [_partial_table(space, i)[templates] for i in (0, 1)]
+    space._geom[key] = mesh.cells[kept], tables, pieces
+    return space._geom[key]
 
 
 def abs_partial_integral(u, region, i):
     """Exact integral of |partial_i u| over a convex polygonal region given
     by its (k, 2) finite vertices in counter-clockwise order (ValueError
-    otherwise)."""
-    cells, ids, pieces = _region_pieces(u.space, np.asarray(region, dtype=float).tolist())
-    partials = _partial_affine(u, cells, ids, i)
+    otherwise), for the direction i, the integer 0 or 1 (ValueError otherwise)."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or i not in (0, 1):
+        raise ValueError(f"direction must be the integer 0 or 1, got {i!r}")
+    ids, tables, pieces = _region_pieces(u.space, np.asarray(region, dtype=float).tolist())
+    partials = np.matmul(u.coeffs[ids][:, None, :], tables[i])[:, 0].tolist()
     total = 0.0
-    for k, poly, moments in pieces:
-        a, bx, by = partials[k]
+    for (a, bx, by), (poly, moments) in zip(partials, pieces):
         if bx or by:  # partial_i u is not constant on the cell (Q1)
             vals = [a + bx * x + by * y for x, y in poly]
             if not (min(vals) > 0 or max(vals) < 0):
-                for sign in (1.0, -1.0):  # where partial_i u <= 0, then >= 0
-                    part = _clip_halfplane(poly, sign * a, sign * bx, sign * by)
+                for part in _split(poly, vals):
                     total += _moment(_area_centroid(part), a, bx, by)
                 continue
         # partial_i u keeps its sign on the piece, so a split would return the

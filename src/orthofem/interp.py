@@ -48,6 +48,11 @@ each point is evaluated once rather than four times; the Kuhn patches and
 the averaging boxes tile the domain, one shift per residue.  Odd
 reflection copies and reflects a batch of points only if one of them
 leaves the domain, which only the patches of boundary nodes do.
+
+A block's points are written one coordinate at a time into a (2, m) buffer,
+so a callable receives its (m, 2) array in Fortran order: it must index
+columns (``x[:, 0]``) and not assume C order.  It must return a scalar or m
+finite values; any other result raises ValueError.
 """
 
 from collections import namedtuple
@@ -77,19 +82,26 @@ def _point_evaluator(w):
             vals = np.asarray(w(points), dtype=float)
             if vals.ndim == 0:
                 vals = np.full(len(points), float(vals))
+            elif vals.shape != (len(points),):
+                raise ValueError(f"field returned shape {vals.shape} on {len(points)} "
+                                 "points; expected a scalar or one value per point")
+            if not np.all(np.isfinite(vals)):
+                raise ValueError("field is not finite at some evaluation point")
             return vals
         return ev
     raise TypeError("input must be an FeFunction or a callable on point arrays")
 
 
 def _odd_reflection(ev, bounds):
-    """Evaluate through repeated odd reflection across the domain faces."""
+    """Evaluate through odd reflection across the domain faces, at most once
+    per face: a patch reaches at most h beyond a face and the domain is at
+    least 2 h wide (n >= 2), so one reflection lands every point inside."""
     lo, hi = bounds
 
     def reflected(points):
         if lo <= points.min() and points.max() <= hi:
             return ev(points)  # nothing to reflect: every interior patch
-        pts = points.copy()
+        pts = points.copy(order="K")  # keeps the points' Fortran order
         sign = np.ones(len(pts))
         for d in (0, 1):
             mask = pts[:, d] < lo
@@ -126,6 +138,16 @@ def _lattice_rule(offsets, weights, h):
             for g, sig in enumerate(signatures)]
 
 
+def _block_points(corners, residues):
+    """The points v + r of a block of corners (2, b) and residues (M, 2), in the
+    row-major order of (b, M, 2) and shaped (b M, 2), but stored in Fortran
+    order: written one coordinate at a time, so that numpy's inner loop runs
+    along the points rather than along a pair."""
+    buf = np.empty((2, corners.shape[1], len(residues)))
+    np.add(corners[:, :, None], residues.T[:, None, :], out=buf)
+    return buf.reshape(2, -1).T
+
+
 def _node_integrals(ev, mesh, kk, rule):
     """Per lattice node k in kk, the sum over the patch rule of
     ev(v(k) + offset) weight, the rule split by ``_lattice_rule``.
@@ -141,10 +163,11 @@ def _node_integrals(ev, mesh, kk, rule):
         base, span = shifts.min(axis=0), n + 1 + np.ptp(shifts[:, 1])
         reach = kk[:, None, :] + shifts - base
         reached, at = np.unique(reach[..., 0] * span + reach[..., 1], return_inverse=True)
-        corners = lo + h * (np.stack(np.divmod(reached, span), axis=1) + base)
+        corners = lo + h * (np.stack(np.divmod(reached, span)) + base[:, None])  # (2, nodes)
         values = np.concatenate([
-            ev((v[:, None] + residues).reshape(-1, 2)).reshape(len(v), -1) @ weights.T
-            for v in np.split(corners, range(NODE_BLOCK, len(corners), NODE_BLOCK))])
+            ev(_block_points(v, residues)).reshape(v.shape[1], -1) @ weights.T
+            for v in np.split(corners, range(NODE_BLOCK, corners.shape[1], NODE_BLOCK),
+                              axis=1)])
         out += values[at.reshape(reach.shape[:2]), np.arange(len(shifts))].sum(axis=1)
     return out
 

@@ -431,6 +431,40 @@ class TestExactIntegralOracle:
             assert oracles.abs_partial_integral(u, region, i) == pytest.approx(exact, rel=1e-12,
                                                                                abs=0)
 
+    def test_split_sliver_agrees_with_oracle(self):
+        # a sliver 1e-6 deep on cell 0's top edge, split by the root line of
+        # partial_1 u: the two parts share cut points rounded off the sliver's
+        # edge, and the integral on the piece's own moments minus twice the
+        # negative part would land 4e-12 off the two parts' sum
+        mesh = build_quad(2)
+        u = FeFunction(FeSpace(mesh), np.random.default_rng(1).standard_normal(mesh.num_nodes))
+        p, q = mesh.nodes[mesh.cells[0, 2:]]
+        region = np.array([p, q, (p + q) / 2 + 1e-6 * np.array([p[1] - q[1], q[0] - p[0]])])
+        expected = oracles.abs_partial_integral(u, region, 1)
+        assert abs_partial_integral(u, region, 1) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("i", [0, 1])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("shape", ["cell", "corner"])
+    def test_sliver_split_is_exact(self, i, sign, shape):
+        # partial_i u changes sign 1e-9 h from the cell's bottom (i = 0) or left
+        # (i = 1) edge, so one side of the split is a sliver: a strip along
+        # that edge of the whole cell, or a triangle at vertex 0 of a region
+        # cut from it; sign = -1 makes the sliver the negative part
+        mesh = build_quad(5, (-1.5, 0.5))
+        coeffs = np.random.default_rng(21).standard_normal(mesh.num_nodes)
+        v0, v1, v2, v3 = mesh.cells[0]
+        delta = 1e-9
+        if i == 0:  # partial_0 u runs from (c1 - c0) / h at the bottom to (c2 - c3) / h at the top
+            coeffs[v1], coeffs[v2] = coeffs[v0] + delta, coeffs[v3] - 1.0
+        else:
+            coeffs[v3], coeffs[v2] = coeffs[v0] + delta, coeffs[v1] - 1.0
+        u = FeFunction(FeSpace(mesh), sign * coeffs)
+        cell = mesh.nodes[mesh.cells[0]]
+        region = cell if shape == "cell" else (cell[[0, 2, 3]] if i == 0 else cell[[0, 1, 2]])
+        exact = float(exact_abs_partial_q1(u, 0, region, i))
+        assert abs_partial_integral(u, region, i) == pytest.approx(exact, rel=1e-12, abs=0)
+
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(FAMILIES), st.integers(2, 5), st.integers(0, 2**32 - 1))
     def test_cells_add_up_to_the_domain(self, family, n, seed):
@@ -490,6 +524,25 @@ class TestExactIntegralOracle:
         assert len(space._geom) == size
         abs_partial_integral(u, np.array(vertices) / 2, 0)
         assert len(space._geom) == size + 1
+
+    @pytest.mark.parametrize("i", [-1, 2, 0.0, 1.5, "0", None, True, np.float64(1.0)])
+    def test_invalid_direction_raises_and_adds_no_entry(self, i):
+        space = FeSpace(build_quad(3))
+        u = FeFunction(space, np.random.default_rng(14).standard_normal(space.ndofs))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="direction must be the integer 0 or 1"):
+                abs_partial_integral(u, [[0.1, 0.2], [0.8, 0.3], [0.4, 0.9]], i)
+        assert len(space._geom) == 0
+
+    def test_numpy_integer_directions_accepted(self):
+        space = FeSpace(build_quad(3))
+        u = FeFunction(space, np.random.default_rng(15).standard_normal(space.ndofs))
+        region = [[0.1, 0.2], [0.8, 0.3], [0.4, 0.9]]
+        for i in (0, 1):
+            expected = abs_partial_integral(u, region, i)
+            for j in (np.int64(i), np.int32(i), np.uint8(i)):
+                assert abs_partial_integral(u, region, j) == expected
+        assert len(space._geom) == 3  # the region and one partial table per direction
 
     @pytest.mark.parametrize("region, message", [
         ([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]], "convex with counter-clockwise"),

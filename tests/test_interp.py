@@ -616,6 +616,89 @@ class TestLatticeEvaluation:
         assert np.abs(got - single).max() <= 1e-14 * np.abs(single).max()
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(operator=st.sampled_from(["simplicial", "cubic", "averaged"]),
+           n=st.integers(2, 40), bounds=st.sampled_from([(0.0, 1.0), (-1.0, 1.0)]),
+           seed=st.integers(0, 2 ** 16))
+    def test_points_are_the_row_major_sums(self, operator, n, bounds, seed):
+        # a callable receives, block by block and in order, the sums v(j) + r
+        # built row-major from the reached nodes j and the group's residues r,
+        # reflected once across each face they leave for the dual projectors;
+        # only the layout differs: the arrays are in Fortran order
+        kk = _node_subset(n, np.random.default_rng(seed))
+        received = []
+
+        def recording(x):
+            received.append(x.copy(order="K"))
+            return np.sin(x[:, 0]) * np.cos(x[:, 1])
+
+        if operator == "averaged":
+            op = AveragedInterpolant(_space(n, "quad", bounds))
+            op._averages(recording, kk)
+            mesh, rule, reflect = op.space.mesh, op._box_rule, False
+        else:
+            proj = _projector(operator, n, bounds)
+            proj._pairings(recording, kk)
+            mesh, rule, reflect = proj.mesh, proj._lattice_rules["callable"], True
+        lo, hi = bounds
+        expected = []
+        for shifts, residues, _ in rule:
+            reached = np.unique((kk[:, None, :] + shifts).reshape(-1, 2), axis=0)
+            corners = lo + mesh.h * reached
+            for start in range(0, len(corners), NODE_BLOCK):
+                points = (corners[start:start + NODE_BLOCK, None] + residues).reshape(-1, 2)
+                if reflect:
+                    points = np.where(points < lo, 2 * lo - points,
+                                      np.where(points > hi, 2 * hi - points, points))
+                expected.append(points)
+        assert len(received) == len(expected)
+        for got, want in zip(received, expected):
+            assert got.shape == want.shape and got.flags.f_contiguous
+            assert np.array_equal(got, want)
+
+
+# per bad result, the message its ValueError matches
+BAD_RESULTS = {
+    "nan": (lambda x: np.full(len(x), np.nan), "not finite"),
+    "nan scalar": (lambda x: np.nan, "not finite"),
+    "inf": (lambda x: np.where(x[:, 0] == x[:, 0].max(), np.inf, 1.0), "not finite"),
+    "too short": (lambda x: x[1:, 0], "expected a scalar or one value per point"),
+    "pairs": (lambda x: x.copy(), "expected a scalar or one value per point"),
+}
+
+
+class TestCallableResults:
+    """A callable's result is checked before it enters the coefficients."""
+
+    @staticmethod
+    def _calls(n=6):
+        quad = _space(n, "quad")
+        kuhn = _space(n, "alternating-kuhn")
+        averaged = AveragedInterpolant(quad)
+        simplicial = _projector("simplicial", n, (0.0, 1.0))
+        cubic = _projector("cubic", n, (0.0, 1.0))
+        return {
+            "averaged apply": averaged.apply,
+            "box average": lambda f: averaged.box_average(f, (2, 3)),
+            "simplicial apply": lambda f: simplicial.apply(f, kuhn),
+            "cubic apply": lambda f: cubic.apply(f, quad),
+            "simplicial pairing": lambda f: simplicial.pairing(f, (0, 2)),
+            "cubic pairing": lambda f: cubic.pairing(f, (3, 3)),
+        }
+
+    @pytest.mark.parametrize("bad", list(BAD_RESULTS))
+    def test_bad_result_rejected(self, bad):
+        field, message = BAD_RESULTS[bad]
+        for name, call in self._calls().items():
+            with pytest.raises(ValueError, match=message):
+                call(field)
+
+    def test_scalar_and_per_point_results_accepted(self):
+        for call in self._calls().values():
+            assert call(lambda x: 0.0) is not None
+            assert call(lambda x: np.ones(len(x))) is not None
+
+
 class TestTransfer:
     def test_nodal_copy(self):
         src = FeSpace(build_quad(4))
