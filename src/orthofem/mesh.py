@@ -118,12 +118,24 @@ class StructuredMesh:
         return (rows + np.arange(a0 * per, (a1 + 1) * per)).ravel()
 
     @property
+    def offsets(self):
+        """Half-lattice offsets 0..2 of each template cell's vertices from its
+        square's corner 2 (a, b), (T, per, nv, 2) ints: T = 2 tables where the
+        pattern alternates."""
+        even, odd, _ = _TEMPLATES[self.pattern]
+        return np.array((even,) if even == odd else (even, odd))
+
+    @property
     def template(self):
         """Vertex offsets of each template cell from its square's corner,
-        (T, per, nv, 2): T = 2 tables where the pattern alternates."""
-        even, odd, _ = _TEMPLATES[self.pattern]
-        tables = np.array((even,) if even == odd else (even, odd))
-        return tables * ((self.bounds[1] - self.bounds[0]) / (2 * self.squares))
+        (T, per, nv, 2): ``offsets`` in lengths."""
+        return self.offsets * ((self.bounds[1] - self.bounds[0]) / (2 * self.squares))
+
+    def half_lattice(self):
+        """Half-lattice position j = (j1, j2) of each node, (nn, 2) ints: the
+        node lies at lo + j (hi - lo) / (2 squares)."""
+        lo, hi = self.bounds
+        return np.rint((self.nodes - lo) * (2 * self.squares / (hi - lo))).astype(np.int64)
 
     def decode(self, cells):
         """Lattice square (a, b), template table t and slot k of cell ids (an
@@ -140,10 +152,6 @@ class StructuredMesh:
         """Lower left corners of the lattice squares (a, b), shaped (..., 2)."""
         lo, hi = self.bounds
         return lo + (hi - lo) / self.squares * np.stack([a, b], axis=-1)
-
-    def lattice_node(self, k1, k2):
-        """Global node id of lattice node v(k1, k2)."""
-        return int(self.lattice_ids[k1, k2])
 
     def interior_lattice_indices(self):
         """Integer index pairs (k1, k2) of interior lattice nodes."""
@@ -219,9 +227,8 @@ def _build(pattern, squares, bounds, n=None):
     # that is all of them, the square centres (odd j1) after the corners
     used = np.zeros((m + 1) ** 2, dtype=bool)
     used[key] = True
-    points = np.flatnonzero(used)
-    if not used.all():
-        points = points[np.argsort(points % (m + 1) % 2, kind="stable")]
+    late = np.tile(np.arange(m + 1) % 2 == 1, m + 1) & ~used.all()
+    points = np.concatenate([np.flatnonzero(used & ~late), np.flatnonzero(used & late)])
     ids = np.full((m + 1) ** 2, -1)
     ids[points] = np.arange(len(points))
 

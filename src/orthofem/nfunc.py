@@ -51,16 +51,6 @@ class PowerNFunction:
             out = (self.delta ** 2 + t ** 2) ** (self.p / 2) / self.p
         return out if out.ndim else float(out)
 
-    def deriv(self, t):
-        """phi'(t) = t (delta^2 + t^2)^((p-2)/2)."""
-        _check_nonnegative(t)
-        t = np.asarray(t, dtype=float)
-        if self.delta == 0.0:
-            out = t ** (self.p - 1)
-        else:
-            out = t * (self.delta ** 2 + t ** 2) ** ((self.p - 2) / 2)
-        return out if out.ndim else float(out)
-
 
 def conjugate_exponent(p):
     """Hoelder conjugate q = p/(p-1)."""

@@ -140,13 +140,10 @@ class _Assembler:
 
     def pattern(self, interior_only):
         """Pattern of the interior block, or of all nodes, of the coupled
-        pairs; the triplets are broadcast from the cells, never stored."""
+        pairs, read off the mesh template."""
         if interior_only not in self._patterns:
-            mesh = self.space.mesh
-            _, _, t, k = mesh.decode(np.arange(mesh.num_cells))
             self._patterns[interior_only] = CsrPattern(
-                self.space.ndofs, mesh.cells[:, :, None], mesh.cells[:, None, :],
-                self.space.interior if interior_only else None, self.coupled[t, k])
+                self.space.mesh, self.coupled, self.space.interior if interior_only else None)
         return self._patterns[interior_only]
 
 

@@ -3,7 +3,92 @@
 import numpy as np
 
 from orthofem.fespace import map_rule
+from orthofem.linalg import CsrPattern
 from orthofem.mesh import locate
+from orthofem.nfunc import _check_nonnegative
+
+
+class TripletPattern(CsrPattern):
+    """The sort-based pattern build: a CsrPattern of arbitrary COO triplet
+    indices ``rows`` and ``cols``, which broadcast against each other
+    (triplets in the row-major order of the broadcast shape); with a boolean
+    mask ``keep``, of their principal block on the kept nodes, renumbered in
+    order.  A boolean ``where``, broadcast the same way, drops each triplet
+    where it is False, as it drops one that touches a node outside ``keep``.
+    One stable sort of the row-major keys finds the distinct entries; the
+    layout and its positions are those of ``CsrPattern``, and a row without
+    a diagonal entry gets a zero slot for it."""
+
+    def __init__(self, dim, rows, cols, keep=None, where=None):
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        for index in (rows, cols):
+            if index.size and (index.min() < 0 or index.max() >= dim):
+                raise IndexError("triplet index out of range")
+        where = np.asarray(True if where is None else where)
+        if where.dtype != bool:
+            raise ValueError("where must be a boolean mask of the triplets")
+        if keep is not None:
+            keep = np.asarray(keep)
+            if keep.dtype != bool or keep.shape != (dim,):
+                raise ValueError(f"keep must be a boolean mask of shape ({dim},)")
+            renumber = np.cumsum(keep) - 1
+            dim = int(np.count_nonzero(keep))
+            where = where & keep[rows] & keep[cols]
+            rows, cols = renumber[rows], renumber[cols]
+        keys = rows * dim + cols  # row-major, in the broadcast shape of the triplets
+        np.copyto(keys, dim * dim, where=~where)  # a dropped triplet sorts last
+        keys = keys.ravel()
+        del rows, cols, where  # before the sort
+        self.dim = dim
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.ones(len(keys), dtype=np.int64)  # int64: cumsum counts it in place
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[(first == 1) & (keys < dim * dim)]  # the distinct kept entries
+        first[:1] = 0  # so that the count below numbers entries from 0
+        entry = np.empty_like(order)  # of each triplet, in input order
+        entry[order] = np.cumsum(first, out=first)
+        del order, first
+        r, c = np.divmod(keys, dim)
+        counts = np.bincount(r, minlength=dim)
+        slot = np.arange(len(r)) - (np.cumsum(counts) - counts)[r]
+        self.slots = slot * dim + r
+        diag = counts.copy()  # a row without a diagonal entry gets a zero slot
+        diag[r[r == c]] = slot[r == c]
+        width = int(np.maximum(counts, diag + 1).max(initial=0))
+        self.target = np.append(self.slots, width * dim)[entry]
+        del entry
+        ids = np.arange(dim)
+        self.diag = diag * dim + ids
+        self.cols = np.tile(ids, (width, 1))
+        np.put(self.cols, self.slots, c)
+        tkeys = c * dim + r
+        del slot, diag, r, c  # before the transpose map's temporaries
+        pos = np.searchsorted(keys, tkeys)
+        pos[keys.take(pos, mode="clip") != tkeys] = len(keys)  # not stored
+        self.transpose = np.arange(width * dim).reshape(width, dim)
+        np.put(self.transpose, self.slots, np.append(self.slots, width * dim)[pos])
+
+
+def cell_pattern(space, coupled, keep=None):
+    """The oracle of ``CsrPattern(space.mesh, coupled, keep)``: every pair
+    (a, b) of every cell as a triplet, where ``coupled`` marks it."""
+    mesh = space.mesh
+    _, _, t, k = mesh.decode(np.arange(mesh.num_cells))
+    return TripletPattern(space.ndofs, mesh.cells[:, :, None], mesh.cells[:, None, :],
+                          keep, coupled[t, k])
+
+
+def phi_deriv(phi, t):
+    """phi'(t) = t (delta^2 + t^2)^((p-2)/2) of a PowerNFunction phi."""
+    _check_nonnegative(t)
+    t = np.asarray(t, dtype=float)
+    if phi.delta == 0.0:
+        out = t ** (phi.p - 1)
+    else:
+        out = t * (phi.delta ** 2 + t ** 2) ** ((phi.p - 2) / 2)
+    return out if out.ndim else float(out)
 
 
 def integrate(space, cell, integrand, degree):

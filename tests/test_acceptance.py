@@ -186,8 +186,8 @@ def test_criterion_7_dual_basis_suite():
     for j in pairs:
         for m in pairs:
             expected = 1.0 if j == m else 0.0
-            hat_p = FeFunction(space_p, np.eye(space_p.ndofs)[mesh.lattice_node(*m)])
-            hat_q = FeFunction(space_q, np.eye(space_q.ndofs)[quad_mesh.lattice_node(*m)])
+            hat_p = FeFunction(space_p, np.eye(space_p.ndofs)[mesh.lattice_ids[m]])
+            hat_q = FeFunction(space_q, np.eye(space_q.ndofs)[quad_mesh.lattice_ids[m]])
             assert proj.pairing(hat_p, j) == pytest.approx(expected, abs=1e-12)
             assert proj.pairing(hat_q, j) == pytest.approx(expected, abs=1e-12)
 
@@ -245,11 +245,11 @@ def test_criterion_9_linear_baseline():
         # apply the 9-point stencil (1/3)[-1 ring, 8 center] by hand
         for k1 in range(1, n):
             for k2 in range(1, n):
-                total = 8.0 * exact.coeffs[mesh.lattice_node(k1, k2)]
+                total = 8.0 * exact.coeffs[mesh.lattice_ids[k1, k2]]
                 for da in (-1, 0, 1):
                     for db in (-1, 0, 1):
                         if (da, db) != (0, 0):
-                            total -= exact.coeffs[mesh.lattice_node(k1 + da, k2 + db)]
+                            total -= exact.coeffs[mesh.lattice_ids[k1 + da, k2 + db]]
                 assert abs(total / 3.0) < 1e-12
 
         from orthofem.solver import assemble_stiffness

@@ -56,7 +56,7 @@ def box_averages_by_scan(w, mesh):
     out = np.zeros(mesh.num_nodes)
     for k1 in range(1, mesh.n):
         for k2 in range(1, mesh.n):
-            node = mesh.lattice_node(k1, k2)
+            node = mesh.lattice_ids[k1, k2]
             inside = (np.abs(centroids - mesh.nodes[node]) < mesh.h / 2).all(axis=1)
             out[node] = integrals[inside].sum() / mesh.h ** 2
     return out
@@ -223,7 +223,7 @@ class TestDualTables:
         mesh = build_quad(2)  # h = 1/2
         proj = build_dual_table("cubic", mesh)
         space = FeSpace(mesh)
-        hat = FeFunction(space, np.eye(space.ndofs)[mesh.lattice_node(1, 1)])
+        hat = FeFunction(space, np.eye(space.ndofs)[mesh.lattice_ids[1, 1]])
         assert proj.pairing(hat, (1, 1)) == pytest.approx(1.0, abs=1e-12)
 
     def test_kind_mesh_mismatch(self):
@@ -251,8 +251,8 @@ class TestDualPairing:
         pairs = space.mesh.interior_lattice_indices()
         for j in pairs:
             for m in pairs:
-                hat = FeFunction(space, np.eye(space.ndofs)[space.mesh.lattice_node(*m)])
-                hatq = FeFunction(spaceq, np.eye(spaceq.ndofs)[spaceq.mesh.lattice_node(*m)])
+                hat = FeFunction(space, np.eye(space.ndofs)[space.mesh.lattice_ids[m]])
+                hatq = FeFunction(spaceq, np.eye(spaceq.ndofs)[spaceq.mesh.lattice_ids[m]])
                 expected = 1.0 if m == j else 0.0
                 assert proj.pairing(hat, j) == pytest.approx(expected, abs=1e-12)
                 assert proj.pairing(hatq, j) == pytest.approx(expected, abs=1e-12)
@@ -707,8 +707,8 @@ class TestTransfer:
         out = transfer(v, dst)
         for k1 in range(5):
             for k2 in range(5):
-                assert out.coeffs[dst.mesh.lattice_node(k1, k2)] \
-                    == v.coeffs[src.mesh.lattice_node(k1, k2)]
+                assert out.coeffs[dst.mesh.lattice_ids[k1, k2]] \
+                    == v.coeffs[src.mesh.lattice_ids[k1, k2]]
 
     def test_round_trip_identity(self):
         src = FeSpace(build_quad(4))

@@ -7,9 +7,11 @@ from hypothesis import assume, given, settings, strategies as st
 from orthofem.fespace import FeFunction, FeSpace
 from orthofem.linalg import (CgConfig, CsrMatrix, CsrPattern,
                              IterativeSolveError, _check_symmetric, cg_solve)
-from orthofem.mesh import build_quad, build_tri
+from orthofem.mesh import build_quad, build_tri, refine_kuhn_half
 from orthofem.nfunc import GrowthLaw
-from orthofem.solver import assemble_stiffness, assemble_weighted_stiffness
+from orthofem.solver import _assembler, assemble_stiffness, assemble_weighted_stiffness
+
+from oracles import TripletPattern, cell_pattern
 
 
 def dense_solve(a, b):
@@ -27,17 +29,17 @@ def laplacian_1d(n):
             rows += [i, i + 1]
             cols += [i + 1, i]
             vals += [-1.0, -1.0]
-    return CsrPattern(n, rows, cols).assemble(vals)
+    return TripletPattern(n, rows, cols).assemble(vals)
 
 
 class TestFromTriplets:
     def test_duplicates_summed(self):
-        a = CsrPattern(2, [0, 0], [0, 0]).assemble([1.0, 1.0])
+        a = TripletPattern(2, [0, 0], [0, 0]).assemble([1.0, 1.0])
         assert a.todense()[0, 0] == 2.0
         assert a.nnz == 1
 
     def test_empty_matrix(self):
-        a = CsrPattern(3, [], []).assemble([])
+        a = TripletPattern(3, [], []).assemble([])
         assert np.all(a.matvec(np.ones(3)) == 0)
 
     def test_random_triplets_match_dense_accumulation(self):
@@ -48,19 +50,19 @@ class TestFromTriplets:
         vals = rng.standard_normal(nnz)
         dense = np.zeros((n, n))
         np.add.at(dense, (rows, cols), vals)
-        a = CsrPattern(n, rows, cols).assemble(vals)
+        a = TripletPattern(n, rows, cols).assemble(vals)
         assert np.allclose(a.todense(), dense, atol=0)
         x = rng.standard_normal(n)
         assert np.allclose(a.matvec(x), dense @ x, atol=1e-13)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(IndexError):
-            CsrPattern(2, [2], [0])
+            TripletPattern(2, [2], [0])
 
     def test_pattern_reuse(self):
         rows = np.array([0, 1, 1, 0])
         cols = np.array([0, 1, 1, 1])
-        pattern = CsrPattern(2, rows, cols)
+        pattern = TripletPattern(2, rows, cols)
         a = pattern.assemble(np.array([1.0, 2.0, 3.0, 4.0]))
         b = pattern.assemble(np.array([5.0, 6.0, 7.0, 8.0]))
         assert np.allclose(a.todense(), [[1.0, 4.0], [0.0, 5.0]])
@@ -75,7 +77,7 @@ class TestFromTriplets:
         m = rng.standard_normal((n, n))
         m = m + m.T + 10 * np.eye(n)
         rows, cols = np.nonzero(np.abs(m) > 0.7)
-        a = CsrPattern(n, rows, cols).assemble(m[rows, cols])
+        a = TripletPattern(n, rows, cols).assemble(m[rows, cols])
         keep = rng.random(n) > 0.4
         sub = a.submatrix(keep)
         assert np.allclose(sub.todense(), a.todense()[np.ix_(keep, keep)], atol=0)
@@ -90,13 +92,13 @@ class TestFromTriplets:
     def test_triplet_mask_must_be_boolean(self):
         # an index list must not be read as a mask of the triplets either
         with pytest.raises(ValueError, match="boolean mask"):
-            CsrPattern(3, [0, 1, 2], [0, 1, 2], where=[0, 2])
+            TripletPattern(3, [0, 1, 2], [0, 1, 2], where=[0, 2])
 
     def test_broadcast_triplets(self):
         # the cells' index pairs, broadcast, are the repeated and tiled triplets
         cells = np.array([[0, 1, 3], [1, 2, 3]])
-        broadcast = CsrPattern(4, cells[:, :, None], cells[:, None, :])
-        flat = CsrPattern(4, np.repeat(cells, 3, axis=1), np.tile(cells, (1, 3)))
+        broadcast = TripletPattern(4, cells[:, :, None], cells[:, None, :])
+        flat = TripletPattern(4, np.repeat(cells, 3, axis=1), np.tile(cells, (1, 3)))
         for name in ("cols", "slots", "diag", "transpose", "target"):
             assert np.array_equal(getattr(broadcast, name), getattr(flat, name))
 
@@ -132,7 +134,7 @@ class TestPaddedLayout:
     @given(triplets(), st.data())
     def test_operations_match_dense_oracle(self, case, data):
         dense = dense_oracle(*case)
-        a = CsrPattern(*case[:3]).assemble(case[3])
+        a = TripletPattern(*case[:3]).assemble(case[3])
         dim = case[0]
         assert a.nnz == len(set(zip(case[1].tolist(), case[2].tolist())))
         x = np.array(data.draw(st.lists(st.floats(-5, 5), min_size=dim, max_size=dim)))
@@ -145,7 +147,7 @@ class TestPaddedLayout:
         # where; a dropped one goes past the end
         where = np.array(data.draw(st.lists(st.booleans(), min_size=len(case[1]),
                                             max_size=len(case[1]))), dtype=bool)
-        pattern = CsrPattern(*case[:3], keep, where)
+        pattern = TripletPattern(*case[:3], keep, where)
         kept = dense_oracle(dim, case[1][where], case[2][where], case[3][where])
         oracle_close(pattern.assemble(case[3]).todense(), kept[np.ix_(keep, keep)], dense)
         dropped = ~(keep[case[1]] & keep[case[2]] & where)
@@ -156,12 +158,23 @@ class TestPaddedLayout:
     @given(st.one_of(triplets(), triplets(symmetric=True)))
     def test_symmetry_check_is_exact(self, case):
         dense = dense_oracle(*case)
-        a = CsrPattern(*case[:3]).assemble(case[3])
+        a = TripletPattern(*case[:3]).assemble(case[3])
         if np.abs(dense - dense.T).max() > 1e-10 * np.abs(dense).max():
             with pytest.raises(ValueError):
                 _check_symmetric(a)
         else:
             _check_symmetric(a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(triplets(), st.data())
+    def test_submatrix_target_takes_the_entries(self, case, data):
+        # the sliced pattern assembles the parent's entries, row by row, into
+        # the submatrix itself
+        a = TripletPattern(*case[:3]).assemble(case[3])
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=case[0],
+                                           max_size=case[0])), dtype=bool)
+        sub = a.submatrix(keep)
+        assert np.array_equal(sub.pattern.assemble(a.entries()[2]).values, sub.values)
 
     def test_values_are_read_only(self):
         a = laplacian_1d(4)
@@ -174,6 +187,71 @@ class TestPaddedLayout:
 FAMILIES = [lambda n: build_quad(n)] + [
     lambda n, pattern=pattern: build_tri(n, pattern)
     for pattern in ("boxslash", "alternating-kuhn", "cross", "unionjack")]
+
+
+def template_mesh(family, n, bounds):
+    """A mesh of one of the five families, or the half-refinement child."""
+    if family == "quad":
+        return build_quad(n, bounds)
+    if family == "half-kuhn":
+        return refine_kuhn_half(build_tri(n, "alternating-kuhn", bounds)).child
+    return build_tri(n, family, bounds)
+
+
+class TestTemplatePattern:
+    """The pattern read off the mesh template against the sort-based
+    oracle, which takes every pair of every cell as a triplet."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["quad", "boxslash", "alternating-kuhn", "unionjack", "cross",
+                            "half-kuhn"]),
+           st.integers(2, 40), st.sampled_from([(0.0, 1.0), (-1.0, 1.0)]),
+           st.sampled_from(["all", "interior", "random"]), st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_sort_build(self, family, n, bounds, nodes, seed):
+        space = FeSpace(template_mesh(family, n, bounds))
+        coupled = _assembler(space).coupled
+        rng = np.random.default_rng(seed)
+        keep = {"all": None, "interior": space.interior,
+                "random": rng.random(space.ndofs) < 0.8}[nodes]
+        pattern = CsrPattern(space.mesh, coupled, keep)
+        oracle = cell_pattern(space, coupled, keep)
+        for name in ("cols", "slots", "diag", "transpose", "target"):
+            assert np.array_equal(getattr(pattern, name), getattr(oracle, name)), name
+        # random values, symmetric in each cell
+        vals = rng.standard_normal((space.mesh.num_cells,) + coupled.shape[2:])
+        vals += vals.swapaxes(1, 2)
+        a, b = pattern.assemble(vals), oracle.assemble(vals)
+        assert a.nnz == b.nnz
+        if a.dim <= 2000:
+            assert np.array_equal(a.todense(), b.todense())
+        assert all(np.array_equal(x, y) for x, y in zip(a.entries(), b.entries()))
+        assert np.array_equal(a.diagonal(), b.diagonal())
+        x = rng.standard_normal(a.dim)
+        assert np.array_equal(a.matvec(x), b.matvec(x))
+        _check_symmetric(a)
+        rows, cols, _ = a.entries()
+        off_diagonal = np.flatnonzero(rows != cols)
+        assume(len(off_diagonal))
+        values = np.array(a.values)
+        values.flat[a.pattern.slots[off_diagonal[seed % len(off_diagonal)]]] += (
+            1e-8 * np.abs(values).max())
+        with pytest.raises(ValueError):
+            _check_symmetric(CsrMatrix(a.pattern, values))
+        # and the block of a kept-node mask, sliced from the matrix of all nodes
+        if keep is not None:
+            sub = CsrPattern(space.mesh, coupled).assemble(vals).submatrix(keep)
+            for name in ("cols", "slots", "diag", "transpose"):
+                assert np.array_equal(getattr(sub.pattern, name), getattr(pattern, name))
+            assert np.array_equal(sub.values, a.values)
+
+    def test_coupled_must_be_a_symmetric_table_with_its_diagonal(self):
+        space = FeSpace(build_tri(3, "boxslash"))
+        coupled = _assembler(space).coupled
+        lower = np.tril(np.ones(coupled.shape[2:], dtype=bool))
+        off_diagonal = ~np.eye(coupled.shape[2], dtype=bool)
+        for bad in (coupled[:, :1], coupled.astype(int), coupled & lower, coupled & off_diagonal):
+            with pytest.raises(ValueError, match="symmetric boolean table"):
+                CsrPattern(space.mesh, bad)
 
 
 class TestAssembledSymmetry:
@@ -201,7 +279,7 @@ class TestAssembledSymmetry:
 class TestCg:
     def test_identity(self):
         n = 9
-        eye = CsrPattern(n, np.arange(n), np.arange(n)).assemble(np.ones(n))
+        eye = TripletPattern(n, np.arange(n), np.arange(n)).assemble(np.ones(n))
         b = np.linspace(-1, 2, n)
         x, iterations = cg_solve(eye, b)
         assert np.allclose(x, b, atol=1e-13)
@@ -272,7 +350,7 @@ class TestCg:
             cg_solve(laplacian_1d(8), b)
 
     def test_symmetry_check(self):
-        a = CsrPattern(3, [0, 1], [1, 2]).assemble([1.0, 3.0])
+        a = TripletPattern(3, [0, 1], [1, 2]).assemble([1.0, 3.0])
         with pytest.raises(ValueError):
             cg_solve(a, np.ones(3))
 
@@ -326,7 +404,7 @@ class TestSymmetryOfAssemblies:
 
 
 def test_dense_solve_size_guard():
-    a = CsrPattern(2001, np.arange(2001), np.arange(2001)).assemble(np.ones(2001))
+    a = TripletPattern(2001, np.arange(2001), np.arange(2001)).assemble(np.ones(2001))
     with pytest.raises(ValueError):
         dense_solve(a, np.ones(2001))
 

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from orthofem import mesh as mesh_module
 from orthofem.mesh import (TRIANGLE_PATTERNS, HalfRefinement, build_quad, build_tri,
                            element_patch, locate, refine_kuhn_half)
 
@@ -207,6 +208,51 @@ def test_half_lattice_of_unionjack_and_half_refinement(n, bounds):
         assert np.array_equal(mesh.lattice_ids, ids[::2, ::2])
 
 
+def sorted_numbering(pattern, n, bounds=(0.0, 1.0)):
+    """Nodes and cells as ``mesh._build`` numbered them before it selected
+    corners and centres by mask: the used half-lattice points, and where
+    they are not all of them, a stable sort of the parity of j1."""
+    m, (lo, hi) = 2 * n, bounds
+    tables = np.array(mesh_module._TEMPLATES[pattern][:2])
+    b, a = np.divmod(np.arange(n ** 2), n)
+    key = 2 * (b * (m + 1) + a)[:, None, None] + (tables @ (1, m + 1))[(a + b) % 2]
+    used = np.zeros((m + 1) ** 2, dtype=bool)
+    used[key] = True
+    points = np.flatnonzero(used)
+    if not used.all():
+        points = points[np.argsort(points % (m + 1) % 2, kind="stable")]
+    ids = np.full((m + 1) ** 2, -1)
+    ids[points] = np.arange(len(points))
+    j2, j1 = np.divmod(points, m + 1)
+    step = (hi - lo) / m
+    return (np.stack([lo + j1 * step, lo + j2 * step], axis=1),
+            ids[key].reshape(-1, tables.shape[2]))
+
+
+@pytest.mark.parametrize("family", ["cross", "unionjack"])
+@pytest.mark.parametrize("n", [2, 3, 17])
+def test_numbering_matches_the_sorted_construction(family, n):
+    mesh = build_tri(n, family)
+    nodes, cells = sorted_numbering(family, n)
+    assert np.array_equal(mesh.nodes, nodes)
+    assert np.array_equal(mesh.cells, cells)
+
+
+@pytest.mark.parametrize("family", list(NUMBERING_SHA256))
+@pytest.mark.parametrize("n,bounds", [(2, (0.0, 1.0)), (5, (-0.3, 2.2))])
+def test_half_lattice_positions(family, n, bounds):
+    # each node at lo + j (hi - lo) / (2 squares), each lattice node at even j,
+    # and the template's vertices on the half lattice
+    mesh = family_mesh(family, n, bounds)
+    lo, hi = bounds
+    j = mesh.half_lattice()
+    assert j.dtype == np.int64 and j.min() == 0 and j.max() == 2 * mesh.squares
+    assert np.array_equal(mesh.nodes, lo + j * ((hi - lo) / (2 * mesh.squares)))
+    assert np.array_equal(j[mesh.lattice_ids.ravel()] // 2,
+                          np.argwhere(mesh.lattice_ids >= 0))
+    assert np.array_equal(mesh.template, mesh.offsets * ((hi - lo) / (2 * mesh.squares)))
+
+
 @pytest.mark.parametrize("family", [None, *TRIANGLE_PATTERNS])
 def test_lattice_ids_own_their_data(family):
     # a strided view would keep the whole half-lattice table alive
@@ -240,7 +286,7 @@ class TestHalfRefinement:
         child = refined.child
         assert list(refined.node_patches) == child.interior_lattice_indices()
         for (k1, k2), patch in refined.node_patches.items():
-            node = child.lattice_node(k1, k2)
+            node = child.lattice_ids[k1, k2]
             assert np.array_equal(patch, np.flatnonzero((child.cells == node).any(axis=1)))
 
     def test_node_patch_area_is_h_squared(self):

@@ -86,10 +86,10 @@ class TestStiffness:
         dense = k.todense()
         ref = dense_reference_stiffness(space, npts=2)
         assert np.abs(dense - ref).max() < 1e-13
-        center = mesh.lattice_node(2, 2)
+        center = mesh.lattice_ids[2, 2]
         for da in (-1, 0, 1):
             for db in (-1, 0, 1):
-                neighbor = mesh.lattice_node(2 + da, 2 + db)
+                neighbor = mesh.lattice_ids[2 + da, 2 + db]
                 assert dense[center, neighbor] == pytest.approx(
                     Q1_STENCIL[da + 1, db + 1], abs=1e-14)
 
