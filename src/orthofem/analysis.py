@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 ERROR_BLOCK_CELLS = 4096   # bounds the temporaries of error_norms
+ERROR_DEGREE = 5           # Gauss degree of error_norms, the CLI's default quad_degree
 
 
 class ManufacturedSolution:
@@ -66,7 +67,7 @@ class ErrorReport:
 ERROR_COLUMNS = tuple(f.name for f in fields(ErrorReport))
 
 
-def error_norms(u_h, ms, law, degree=5):
+def error_norms(u_h, ms, law, degree=ERROR_DEGREE):
     """Orthotropic error functionals of a discrete solution.
 
     All integrands are evaluated with a per-element Gauss rule of the

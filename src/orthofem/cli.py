@@ -24,7 +24,8 @@ from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-from .analysis import ERROR_COLUMNS, ConvergenceTable, ManufacturedSolution, error_norms
+from .analysis import (ERROR_COLUMNS, ERROR_DEGREE, ConvergenceTable, ManufacturedSolution,
+                       error_norms)
 from .fespace import MAX_DEGREE, FeSpace
 from .mesh import TRIANGLE_PATTERNS, build_quad, build_tri
 from .linalg import CgConfig, IterativeSolveError
@@ -82,7 +83,7 @@ class StudyConfig:
     tol: float = FlowConfig.tol
     max_iter: int = FlowConfig.max_iter
     clamp: float = FlowConfig.clamp
-    quad_degree: int = 5
+    quad_degree: int = ERROR_DEGREE
     n0: int | None = None
     levels: int | None = None
     n_list: tuple | None = None

@@ -13,7 +13,10 @@ template, so ``FeSpace.gradient_rule`` holds basis gradients and weights
 once per template cell, and ``contract`` applies such data to all cells,
 viewed square by square.  The rule is all that differs between P1 and Q1.
 Quadrature points and point evaluation read a cell as its square's
-corner plus its template cell (``StructuredMesh.decode``).
+corner plus its template cell (``StructuredMesh.decode``; a block, a slice,
+from its own ids).  ``_field_values`` checks every callable field (Dirichlet
+data, source, ``interpolate_nodal``, the inputs of ``interp``): a scalar or
+m finite values on m points, else ValueError.
 
 Besides pointwise evaluation this module provides exact integrals of
 |partial_i u| over convex polygonal regions, used to measure the
@@ -32,8 +35,8 @@ each cell meeting the region to the affine partial_i u there, gathered from
 one table per template cell; so a call computes partial_i u on those cells by
 one gather and one matmul.  A piece on which partial_i u keeps its sign is
 area times the value at its centroid; the others are split at its root line
-in one Sutherland-Hodgman pass that returns both parts, which share their cut
-points and so tile one polygon.
+in one Sutherland-Hodgman pass, ``_split``, that returns both parts, which
+share their cut points and so tile one polygon; its <= 0 part is the clip.
 """
 
 import functools
@@ -121,7 +124,7 @@ def contract(x, m, mesh, cells=slice(None)):
     out = np.empty((len(x) // per, per, tables.shape[-1]))
     np.matmul(slots, tables[0], out=out.swapaxes(0, 1))
     for table in tables[1:]:
-        odd = mesh.decode(np.arange(mesh.num_cells)[cells][::per])[2] == 1
+        odd = mesh.decode(cells)[2][::per] == 1
         out[odd] = np.matmul(slots[:, odd], table).swapaxes(0, 1)
     return out.reshape(len(x), *m.shape[x.ndim + 1:])
 
@@ -182,7 +185,7 @@ class FeSpace:
         """Physical quadrature points (nc, npts, 2) and weights (nc, npts) on
         the given cells (a slice or index array; all by default): the rule
         on each cell's template cell, translated to its square's corner."""
-        corner, j = self._placement(np.arange(self.mesh.num_cells)[cells])
+        corner, j = self._placement(cells)
         pts, wts = map_rule(self.rule(degree), self._corners)
         pts = pts.take(j, axis=0)
         pts += corner.repeat(pts.shape[1], axis=0).reshape(pts.shape)  # unbroadcast: faster
@@ -257,14 +260,23 @@ class FeFunction:
         return np.einsum("pa,pa->p", shapes, self.coeffs[ids])
 
 
-def interpolate_nodal(space, f):
-    """FeFunction with coefficients f(v(k)) at every node."""
-    vals = np.asarray(f(space.mesh.nodes), dtype=float)
+def _field_values(f, points):
+    """A callable field f at (m, 2) points as m finite floats, where f returns
+    a scalar or m values; ValueError for any other result."""
+    vals = np.asarray(f(points), dtype=float)
     if vals.ndim == 0:
-        vals = np.full(space.ndofs, float(vals))
+        vals = np.full(len(points), float(vals))
+    elif vals.shape != (len(points),):
+        raise ValueError(f"field returned shape {vals.shape} on {len(points)} "
+                         "points; expected a scalar or one value per point")
     if not np.all(np.isfinite(vals)):
-        raise ValueError("field is not finite at some mesh node")
-    return FeFunction(space, vals)
+        raise ValueError("field is not finite at some evaluation point")
+    return vals
+
+
+def interpolate_nodal(space, f):
+    """FeFunction with coefficients f(v(k)) at every node (``_field_values``)."""
+    return FeFunction(space, _field_values(f, space.mesh.nodes))
 
 
 # --- exact integrals of |partial_i u| over convex polygons ----------------
@@ -286,21 +298,6 @@ def _halfplanes(region):
     if clockwise or area <= 0 or turning > 3 * math.pi:
         raise ValueError("region is not convex with counter-clockwise vertices")
     return planes
-
-
-def _clip_halfplane(poly, a, bx, by):
-    """Sutherland-Hodgman step: the part of a polygon with a + bx*x + by*y <= 0."""
-    vals = [a + bx * x + by * y for x, y in poly]
-    if max(vals, default=0.0) <= 0:
-        return poly
-    out = []
-    for p, q, vp, vq in zip(poly, poly[1:] + poly[:1], vals, vals[1:] + vals[:1]):
-        if vp <= 0:
-            out.append(p)
-        if (vp < 0 < vq) or (vq < 0 < vp):
-            t = vp / (vp - vq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    return out
 
 
 def _area_centroid(poly):
@@ -393,8 +390,8 @@ def _region_pieces(space, region):
         # at the first half-plane that leaves less than a polygon (a cell
         # wholly outside one leaves at most the vertices on its line)
         if max(pa + pbx * x + pby * y for pa, pbx, pby in planes for x, y in poly) > 0:
-            for plane in planes:
-                poly = _clip_halfplane(poly, *plane)
+            for pa, pbx, pby in planes:
+                poly = _split(poly, [pa + pbx * x + pby * y for x, y in poly])[0]
                 if len(poly) < 3:
                     break
             if len(poly) < 3:

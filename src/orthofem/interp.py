@@ -52,14 +52,14 @@ leaves the domain, which only the patches of boundary nodes do.
 A block's points are written one coordinate at a time into a (2, m) buffer,
 so a callable receives its (m, 2) array in Fortran order: it must index
 columns (``x[:, 0]``) and not assume C order.  It must return a scalar or m
-finite values; any other result raises ValueError.
+finite values; any other result raises ValueError (``fespace._field_values``).
 """
 
 from collections import namedtuple
 
 import numpy as np
 
-from .fespace import FeFunction, _q1_values, map_rule, quadrature_rule
+from .fespace import FeFunction, _field_values, _q1_values, map_rule, quadrature_rule
 from .mesh import build_tri, refine_kuhn_half
 
 __all__ = [
@@ -78,17 +78,7 @@ def _point_evaluator(w):
     if isinstance(w, FeFunction):
         return w.evaluate
     if callable(w):
-        def ev(points):
-            vals = np.asarray(w(points), dtype=float)
-            if vals.ndim == 0:
-                vals = np.full(len(points), float(vals))
-            elif vals.shape != (len(points),):
-                raise ValueError(f"field returned shape {vals.shape} on {len(points)} "
-                                 "points; expected a scalar or one value per point")
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("field is not finite at some evaluation point")
-            return vals
-        return ev
+        return lambda points: _field_values(w, points)
     raise TypeError("input must be an FeFunction or a callable on point arrays")
 
 

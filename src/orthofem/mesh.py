@@ -139,9 +139,13 @@ class StructuredMesh:
 
     def decode(self, cells):
         """Lattice square (a, b), template table t and slot k of cell ids (an
-        int or an int array), the inverse of the numbering of ``_build``: the
-        cell is ``template[t, k]`` translated to ``corners(a, b)``; t = 1 where
-        the pattern alternates and a + b is odd."""
+        int, a sequence of ints or a slice of the cells), the inverse of the
+        numbering of ``_build``: the cell is ``template[t, k]`` translated to
+        ``corners(a, b)``; t = 1 where the pattern alternates and a + b is odd."""
+        if isinstance(cells, slice):
+            cells = np.arange(*cells.indices(self.num_cells))
+        elif not isinstance(cells, int):  # one int decodes to plain ints
+            cells = np.asarray(cells)
         side = self.squares
         square, slot = divmod(cells, self.num_cells // side ** 2)
         b, a = divmod(square, side)

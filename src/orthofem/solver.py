@@ -25,9 +25,9 @@ the p-Laplacian see Huang, Li and Liu (J. Sci. Comput. 32, 2007).
 K, K_B, K_A', r and J integrate basis gradients on one rule,
 ``FeSpace.gradient_rule(GRADIENT_DEGREE)``, stored once per cell of the
 per-square mesh template, each in one ``fespace.contract`` over all
-cells, points and both directions (K_B, K_A' and r in blocks of BLOCK
+cells, points and both directions (K_B, K_A', r and J in blocks of BLOCK
 cells, which bounds their gradient and weight temporaries, written into
-one per-cell array that one ``bincount`` sums): one point of weight
+one per-cell array that one ``bincount`` or one sum reduces): one point of weight
 |cell| for P1; tensor Gauss of degree 2 for Q1, exact for its stiffness.  The load
 vector has a rule of its own.  CG solves for the correction from zero to
 the relative tolerance FORCING on |r_I| (a constant forcing term in the
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fespace import FeFunction, FeSpace, contract
+from .fespace import FeFunction, FeSpace, _field_values, contract
 from .linalg import CgConfig, CsrPattern, cg_solve
 from .mesh import locate
 
@@ -79,7 +79,7 @@ ROUNDING = 1e-14       # rounding of Phi, relative to J + |<F, u>|
 MAX_BACKTRACKS = 30    # step lengths down to 2^-30 before a step is rejected
 COARSEST = 200         # interior unknowns of the V-cycle's coarsest level, solved densely
 SMOOTHING = 0.6        # Jacobi damping in the V-cycle; 0.7 tripled PCG iterations on Q1
-BLOCK = 8192           # cells per block of the weighted assembly, residual and V-cycle weights
+BLOCK = 8192           # cells per block of every sweep over the cells (``_blocks``)
 
 
 @dataclass
@@ -172,7 +172,7 @@ def _weights(u, law, clamp, shift, weight, cells=slice(None)):
     return np.stack([weigh(i, g[..., i], clamp) + shift for i in range(2)], axis=-1)
 
 
-def assemble_weighted_stiffness(space, u_k, law, clamp=1e-10, interior_only=False,
+def assemble_weighted_stiffness(space, u_k, law, clamp=FlowConfig.clamp, interior_only=False,
                                 shift=0.0, weight="weight", _cell_means=None):
     """Stiffness weighted per direction by the GrowthLaw method ``weight``
     at the gradient of u_k plus ``shift``, over all nodes or as its interior
@@ -194,16 +194,13 @@ def assemble_weighted_stiffness(space, u_k, law, clamp=1e-10, interior_only=Fals
 
 
 def assemble_load(space, f):
-    """Load vector for a source field, which may return one scalar; zero
-    vector when f is None.  ValueError where the field is not finite."""
+    """Load vector for a source field f, checked by ``fespace._field_values``
+    at the quadrature points; zero vector when f is None."""
     if f is None:
         return np.zeros(space.ndofs)
     pts, wts = space.rule_geometry(LOAD_DEGREE)
     shapes = space.shape_values(space.rule(LOAD_DEGREE).points)
-    fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float)
-    fv = np.full(pts.shape[:2], fv) if fv.ndim == 0 else fv.reshape(pts.shape[:2])
-    if not np.all(np.isfinite(fv)):
-        raise ValueError("source is not finite at some quadrature point")
+    fv = _field_values(f, pts.reshape(-1, 2)).reshape(pts.shape[:2])
     contrib = np.einsum("cq,qa->ca", wts * fv, shapes)
     return np.bincount(space.mesh.cells.ravel(), weights=contrib.ravel(),
                        minlength=space.ndofs)
@@ -218,9 +215,13 @@ def energy(space, w, law):
     u = w if isinstance(w, FeFunction) else FeFunction(space, w)
     phi1, phi2 = law.phi(0), law.phi(1)
     zero = phi1.value(0.0) + phi2.value(0.0)
-    g = u.gradients_on_rule(GRADIENT_DEGREE)
-    dens = phi1.value(np.abs(g[..., 0])) + phi2.value(np.abs(g[..., 1])) - zero
-    return float(np.sum(contract(dens, _assembler(space).weights, space.mesh)))
+    weights = _assembler(space).weights
+    per_cell = np.empty(space.mesh.num_cells)
+    for cells in _blocks(space.mesh):
+        g = u.gradients_on_rule(GRADIENT_DEGREE, cells)
+        dens = phi1.value(np.abs(g[..., 0])) + phi2.value(np.abs(g[..., 1])) - zero
+        per_cell[cells] = contract(dens, weights, space.mesh, cells)
+    return float(np.sum(per_cell))
 
 
 def galerkin_residual(space, u, law, f=None):
@@ -263,14 +264,19 @@ class _Transfer:
         ids, shapes = coarse.point_shapes(fine.mesh.nodes[fine.interior])
         # a fine node on a coarse cell's edge has shape values zero up to rounding
         shapes[(np.abs(shapes) < STRUCTURAL_ZERO) | coarse.mesh.boundary[ids]] = 0.0
-        order = np.argsort(shapes == 0.0, axis=1, kind="stable")  # nonzeros first
-        order = order[:, :np.count_nonzero(shapes, axis=1).max()]
-        self.vals = np.take_along_axis(shapes, order, axis=1).T.copy()
-        self.cols = (np.cumsum(coarse.interior) - 1)[np.take_along_axis(ids, order, axis=1).T]
-        self.cols[self.vals == 0.0] = 0
+        # each row's nonzeros to its front, in order: a running count of a
+        # row's nonzeros so far is the slot of its next one
+        self.vals = np.zeros((np.count_nonzero(shapes, axis=1).max(), len(shapes)))
+        self.cols = np.zeros(self.vals.shape, dtype=np.int64)
+        renumber, slot = np.cumsum(coarse.interior) - 1, np.zeros(len(shapes), dtype=np.int64)
+        for column, vertex in zip(shapes.T, ids.T):
+            rows = np.flatnonzero(column)
+            self.vals[slot[rows], rows] = column[rows]
+            self.cols[slot[rows], rows] = renumber[vertex[rows]]
+            slot[rows] += 1
         centroids, parents = fine.mesh.template.mean(axis=2), []
         for cells in _blocks(fine.mesh):  # in blocks and int32: less memory
-            a, b, t, k = fine.mesh.decode(np.arange(fine.mesh.num_cells)[cells])
+            a, b, t, k = fine.mesh.decode(cells)
             parents.append(locate(coarse.mesh, fine.mesh.corners(a, b) + centroids[t, k])
                            .astype(np.int32))
         self.parent = np.concatenate(parents)
@@ -346,7 +352,9 @@ def solve(spec, cfg=None, start=None):
     ``ndofs`` whose boundary values are always replaced by the Dirichlet
     data, or from zero interior values when ``start`` is None.  A start
     of the wrong shape or with non-finite interior values raises
-    ValueError.
+    ValueError.  The Dirichlet data is evaluated and checked
+    (``fespace._field_values``) at the boundary nodes only, as only those
+    values are used.
 
     Returns (FeFunction, SolveReport).  A maximum-iteration breach, or a
     step rejected because no step length down to 2^-MAX_BACKTRACKS passes
@@ -359,23 +367,18 @@ def solve(spec, cfg=None, start=None):
     boundary = space.mesh.boundary
     interior = space.interior
 
-    g_vals = np.asarray(spec.dirichlet(space.mesh.nodes), dtype=float)
-    if g_vals.ndim == 0:
-        g_vals = np.full(space.ndofs, float(g_vals))
-    if not np.all(np.isfinite(g_vals[boundary])):
-        raise ValueError("Dirichlet data is not finite at some boundary node")
-    start = np.zeros(space.ndofs) if start is None else np.asarray(start, dtype=float)
-    if start.shape != (space.ndofs,):
-        raise ValueError(f"start iterate has shape {start.shape}, "
+    u = np.zeros(space.ndofs) if start is None else np.array(start, dtype=float)
+    if u.shape != (space.ndofs,):
+        raise ValueError(f"start iterate has shape {u.shape}, "
                          f"expected ({space.ndofs},)")
-    if not np.all(np.isfinite(start[interior])):
+    if not np.all(np.isfinite(u[interior])):
         raise ValueError("start iterate is not finite at some interior node")
+    u[boundary] = _field_values(spec.dirichlet, space.mesh.nodes[boundary])
 
     _assembler(space).pattern(interior_only=True)  # before the iterates: a lower peak
     transfers = _hierarchy(space)
     cg_cfg = CgConfig(tol=max(cfg.cg.tol, FORCING), max_iter=cfg.cg.max_iter)
     load = assemble_load(space, spec.source)
-    u = np.where(boundary, g_vals, start)
     phi, rounding = _potential(space, u, law, load)
     residual = galerkin_residual(space, u, law) - load
     residual_norm = float(np.max(np.abs(residual[interior])))

@@ -6,6 +6,7 @@ from orthofem.fespace import map_rule
 from orthofem.linalg import CsrPattern
 from orthofem.mesh import locate
 from orthofem.nfunc import _check_nonnegative
+from orthofem.solver import STRUCTURAL_ZERO
 
 
 class TripletPattern(CsrPattern):
@@ -78,6 +79,20 @@ def cell_pattern(space, coupled, keep=None):
     _, _, t, k = mesh.decode(np.arange(mesh.num_cells))
     return TripletPattern(space.ndofs, mesh.cells[:, :, None], mesh.cells[:, None, :],
                           keep, coupled[t, k])
+
+
+def prolongation_layout(fine, coarse):
+    """The sort build of ``solver._Transfer``'s padded rows (vals, cols):
+    nodal interpolation from ``coarse`` at the fine interior nodes, each
+    row's nonzero shape values moved to its front by a stable argsort."""
+    ids, shapes = coarse.point_shapes(fine.mesh.nodes[fine.interior])
+    shapes[(np.abs(shapes) < STRUCTURAL_ZERO) | coarse.mesh.boundary[ids]] = 0.0
+    order = np.argsort(shapes == 0.0, axis=1, kind="stable")  # nonzeros first
+    order = order[:, :np.count_nonzero(shapes, axis=1).max()]
+    vals = np.take_along_axis(shapes, order, axis=1).T.copy()
+    cols = (np.cumsum(coarse.interior) - 1)[np.take_along_axis(ids, order, axis=1).T]
+    cols[vals == 0.0] = 0
+    return vals, cols
 
 
 def phi_deriv(phi, t):

@@ -1,9 +1,13 @@
+from dataclasses import astuple
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from orthofem import analysis
 from orthofem.analysis import (ConvergenceTable, ManufacturedSolution, eoc,
                                error_norms)
-from orthofem.fespace import FeSpace, interpolate_nodal
+from orthofem.fespace import FeFunction, FeSpace, interpolate_nodal
 from orthofem.linalg import CgConfig
 from orthofem.mesh import build_quad, build_tri
 from orthofem.nfunc import GrowthLaw
@@ -96,6 +100,25 @@ class TestErrorNorms:
         assert report.e_p2 < 1e-12
         assert report.e_V < 1e-12
         assert report.e_comb < 1e-12
+
+    @pytest.mark.parametrize("family", ["quad", "boxslash", "alternating-kuhn",
+                                        "unionjack", "cross"])
+    def test_blocks_cover_the_mesh(self, family):
+        # 40 cells are whole squares on every family and leave a partial last
+        # block on each; the block sums may round otherwise than one sum
+        law = GrowthLaw((2.0, 2.0))
+        ms = ManufacturedSolution(law)
+        bounds = (-1.0, 1.0)
+        mesh = build_quad(12, bounds) if family == "quad" else build_tri(12, family, bounds)
+        space = FeSpace(mesh)
+        noise = 0.01 * np.random.default_rng(4).standard_normal(space.ndofs)
+        u = FeFunction(space, ms.value(mesh.nodes) + noise)
+        assert mesh.num_cells % 40 != 0
+        reports = []
+        for block in (40, mesh.num_cells):
+            with mock.patch.object(analysis, "ERROR_BLOCK_CELLS", block):
+                reports.append(astuple(error_norms(u, ms, law)))
+        assert reports[0] == pytest.approx(reports[1], rel=1e-14, abs=0.0)
 
     def test_combined_norm_only_for_equal_exponents(self):
         law = GrowthLaw((3.0, 1.5))

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,8 @@ from orthofem.nfunc import GrowthLaw
 from orthofem.solver import (FlowConfig, ProblemSpec, assemble_load,
                              assemble_stiffness, assemble_weighted_stiffness,
                              energy, flow_step, galerkin_residual, solve)
+
+import oracles
 
 Q1_STENCIL = np.array([[-1.0, -1.0, -1.0],
                        [-1.0, 8.0, -1.0],
@@ -272,8 +275,8 @@ class TestInteriorAssembly:
     def test_assembly_does_not_depend_on_the_block_size(self, family):
         # BLOCK = 8 is whole squares on every family, against one block: the
         # per-cell values are summed by one bincount either way, so the
-        # stiffness is the same bit for bit; the residual may round otherwise
-        # only in the batched matmul of each block
+        # stiffness is the same bit for bit; the residual and the energy may
+        # round otherwise only in the batched matmul of each block
         space = family_space(family, 12)
         law = GrowthLaw((3.0, 1.5))
         u = FeFunction(space, np.random.default_rng(8).standard_normal(space.ndofs))
@@ -281,10 +284,11 @@ class TestInteriorAssembly:
         for block in (8, space.mesh.num_cells):
             with mock.patch.object(solver, "BLOCK", block):
                 results.append((assemble_weighted_stiffness(space, u, law).values,
-                                galerkin_residual(space, u, law)))
-        (k_blocks, r_blocks), (k_one, r_one) = results
+                                galerkin_residual(space, u, law), energy(space, u, law)))
+        (k_blocks, r_blocks, j_blocks), (k_one, r_one, j_one) = results
         assert np.array_equal(k_blocks, k_one)
         assert np.abs(r_blocks - r_one).max() <= 1e-14 * np.abs(r_one).max()
+        assert j_blocks == pytest.approx(j_one, rel=1e-14, abs=0.0)
 
 
 # sha256 of the int64 bytes of cols, slots, diag, transpose and target, in
@@ -676,6 +680,71 @@ def test_nonfinite_source_rejected():
         solve(spec, FlowConfig(max_iter=3))
 
 
+# per bad field result: the result on an (m, 2) point array, and the shape
+# its ValueError names on m points, None for a non-finite result
+BAD_FIELDS = {
+    "too short": (lambda x: x[1:, 0], lambda m: (m - 1,)),
+    "column": (lambda x: x[:, :1], lambda m: (m, 1)),
+    "pairs": (lambda x: x.copy(), lambda m: (m, 2)),
+    "nan": (lambda x: np.full(len(x), np.nan), None),
+    "inf": (lambda x: np.where(x[:, 0] == x[:, 0].max(), np.inf, 1.0), None),
+}
+
+
+class TestFieldCheck:
+    """Dirichlet data, the source and ``interpolate_nodal`` check a field's
+    result through one helper: a scalar or m finite values on m points."""
+
+    @staticmethod
+    def _calls():
+        """Per caller, the call on a field and the number of points it asks
+        the field for: the boundary nodes, the load's quadrature points and
+        all nodes."""
+        law = GrowthLaw((3.0, 1.5))
+        space = FeSpace(build_tri(4, "boxslash", (-1.0, 1.0)))
+        ms = ManufacturedSolution(law)
+        loads = space.mesh.num_cells * len(space.rule(solver.LOAD_DEGREE).points)
+        return {
+            "dirichlet": (lambda f: solve(ProblemSpec(law, space, f), FlowConfig(max_iter=1)),
+                          int(np.count_nonzero(space.mesh.boundary))),
+            "source": (lambda f: solve(ProblemSpec(law, space, ms.value, f),
+                                       FlowConfig(max_iter=1)), loads),
+            "interpolate_nodal": (lambda f: interpolate_nodal(space, f), space.ndofs),
+        }
+
+    @pytest.mark.parametrize("bad", list(BAD_FIELDS))
+    def test_bad_result_rejected(self, bad):
+        field, shape = BAD_FIELDS[bad]
+        for name, (call, m) in self._calls().items():
+            message = ("field is not finite at some evaluation point" if shape is None
+                       else f"field returned shape {shape(m)} on {m} points; "
+                            "expected a scalar or one value per point")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(field)
+
+    def test_scalar_and_per_point_results_accepted(self):
+        for call, _ in self._calls().values():
+            assert call(lambda x: 0.5) is not None
+            assert call(lambda x: np.ones(len(x))) is not None
+
+    def test_dirichlet_data_is_evaluated_on_the_boundary_only(self):
+        # the interior values of the data are never used, so a field that is
+        # NaN inside gives the run of the data it equals on the boundary
+        law = GrowthLaw((3.0, 1.5))
+        ms = ManufacturedSolution(law)
+        space = FeSpace(build_tri(6, "cross", (-1.0, 1.0)))
+
+        def inside_nan(x):
+            return np.where(np.abs(x).max(axis=1) < 1.0, np.nan, ms.value(x))
+
+        cfg = FlowConfig(tol=1e-12, cg=CgConfig(tol=1e-13))
+        u, report = solve(ProblemSpec(law, space, inside_nan), cfg)
+        v, other = solve(ProblemSpec(law, space, ms.value), cfg)
+        assert report.converged
+        assert np.array_equal(u.coeffs, v.coeffs)
+        assert report.increments == other.increments
+
+
 def test_load_vector_assembled_once_per_solve(monkeypatch):
     # the flow subtracts one load vector from every residual
     law = GrowthLaw((3.0, 1.5))
@@ -735,6 +804,21 @@ class TestMultigrid:
         assert len(transfer.vals) == (4 if family == "quad" else 2 + n % 2)
         y = rng.standard_normal(len(px))
         assert abs(px @ y - x @ transfer.restrict(y)) <= 1e-13 * np.abs(px).sum() * np.abs(y).max()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (-1.0, 1.0)])
+    @pytest.mark.parametrize("n", [5, 8, 17, 40, 41])
+    def test_prolongation_layout_matches_the_sort_build(self, family, bounds, n):
+        # the padded rows are compacted by a running count of each row's
+        # nonzeros: the same arrays, bit for bit, as the oracle's stable argsort
+        fine = FeSpace(build_quad(n, bounds) if family == "quad"
+                       else build_tri(n, family, bounds))
+        coarse = FeSpace(fine.mesh.coarsened())
+        transfer = solver._Transfer(fine, coarse)
+        vals, cols = oracles.prolongation_layout(fine, coarse)
+        for got, want in ((transfer.vals, vals), (transfer.cols, cols)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(family=st.sampled_from(FAMILIES), n=st.sampled_from([8, 15, 16, 24, 25, 32]),
