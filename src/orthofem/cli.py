@@ -211,7 +211,9 @@ def run_study(cfg):
     Nested iteration: every level after the first starts its flow from
     the previous level's solution, interpolated at the new mesh's nodes
     (the Dirichlet data replaces it on the boundary).  The level list
-    need not be nested; the interpolation is pointwise.
+    need not be nested; the interpolation is pointwise.  The first level
+    gets no start, so ``solve`` climbs that level's own coarser levels to
+    it; the later ones do not repeat that climb.
 
     A level whose flow does not converge, or whose solve fails with an
     IterativeSolveError or a FloatingPointError, flags the table as

@@ -46,7 +46,9 @@ SIAM J. Sci. Comput. 21, 2000) preconditions CG: at most 11 PCG iterations
 a step on the acceptance studies' largest levels, against up to 207 Jacobi
 ones.  A level with at most COARSEST interior unknowns has no coarser
 level: its cycle is the dense inverse of the step matrix, so it is solved
-exactly, in one PCG iteration a step.
+exactly, in one PCG iteration a step.  A solve without a start solves the
+even ones of these levels first, coarsest first, each from the one below
+(``solve``).
 """
 
 from dataclasses import dataclass, field
@@ -118,6 +120,7 @@ class SolveReport:
     final_residual: float
     cg_iterations: int
     tau_schedule: list     # [(0, tau)]: one pseudo-time step for all iterations
+    coarse: tuple = ()     # reports of the coarser levels that gave the start, coarsest first
 
 
 class _Assembler:
@@ -126,7 +129,9 @@ class _Assembler:
     built once, when first asked for."""
 
     def __init__(self, space):
-        self.space = space
+        # the mesh and mask, not the space, which keeps this in ``_geom``:
+        # no reference cycle, so a dropped space is freed at once
+        self.mesh, self.interior = space.mesh, space.interior
         self._patterns = {}
         grads, self.weights = space.gradient_rule(GRADIENT_DEGREE)
         # per template cell, at point q: d_i phi_a d_i phi_b W by (q, i, a, b)
@@ -143,7 +148,7 @@ class _Assembler:
         pairs, read off the mesh template."""
         if interior_only not in self._patterns:
             self._patterns[interior_only] = CsrPattern(
-                self.space.mesh, self.coupled, self.space.interior if interior_only else None)
+                self.mesh, self.coupled, self.interior if interior_only else None)
         return self._patterns[interior_only]
 
 
@@ -350,35 +355,76 @@ def solve(spec, cfg=None, start=None):
 
     The flow starts from ``start``, a coefficient vector of length
     ``ndofs`` whose boundary values are always replaced by the Dirichlet
-    data, or from zero interior values when ``start`` is None.  A start
-    of the wrong shape or with non-finite interior values raises
-    ValueError.  The Dirichlet data is evaluated and checked
-    (``fespace._field_values``) at the boundary nodes only, as only those
-    values are used.
+    data.  A start of the wrong shape or with non-finite interior values
+    raises ValueError.  With no start, the flow first climbs the V-cycle's
+    own levels n // 2, n // 4, ... (nested iteration, or full multigrid:
+    Brandt, Math. Comp. 31, 1977), down to the last even one: the lowest
+    level starts from zero interior values, every finer one, this space
+    last, from the coarser solution evaluated at its nodes, each solved
+    with ``cfg``.  An odd level ends the climb: where some p_i < 2 the flow
+    can stall there for all ``max_iter`` steps, although the finer level
+    would converge from zero.  A space with no even coarser level (at
+    most COARSEST interior unknowns, or n // 2 odd) starts from zero.
+    The Dirichlet data is evaluated and checked (``fespace._field_values``)
+    at the boundary nodes only, as only those values are used.
 
-    Returns (FeFunction, SolveReport).  A maximum-iteration breach, or a
-    step rejected because no step length down to 2^-MAX_BACKTRACKS passes
-    the line search, returns the iterate with the smallest residual (start
-    included) with ``converged=False``; CG failures raise IterativeSolveError.
+    Returns (FeFunction, SolveReport); the report's ``coarse`` holds the
+    reports of the coarser levels, coarsest first.  A maximum-iteration
+    breach, or a step rejected because no step length down to
+    2^-MAX_BACKTRACKS passes the line search, returns the iterate with the
+    smallest residual (start included) with ``converged=False``, on a
+    coarser level too, whose iterate then starts the next; CG failures
+    raise IterativeSolveError.
     """
     cfg = cfg or FlowConfig()
     space = spec.space
-    law = spec.law
-    boundary = space.mesh.boundary
-    interior = space.interior
-
-    u = np.zeros(space.ndofs) if start is None else np.array(start, dtype=float)
-    if u.shape != (space.ndofs,):
-        raise ValueError(f"start iterate has shape {u.shape}, "
-                         f"expected ({space.ndofs},)")
-    if not np.all(np.isfinite(u[interior])):
-        raise ValueError("start iterate is not finite at some interior node")
-    u[boundary] = _field_values(spec.dirichlet, space.mesh.nodes[boundary])
+    if start is not None:
+        start = np.array(start, dtype=float)
+        if start.shape != (space.ndofs,):
+            raise ValueError(f"start iterate has shape {start.shape}, "
+                             f"expected ({space.ndofs},)")
+        if not np.all(np.isfinite(start[space.interior])):
+            raise ValueError("start iterate is not finite at some interior node")
+    boundary = _dirichlet_values(spec, space)
 
     _assembler(space).pattern(interior_only=True)  # before the iterates: a lower peak
     transfers = _hierarchy(space)
+    coarse = []
+    if start is None:
+        # transfers[k + 1:] is the hierarchy of transfers[k].coarse; the climb
+        # leaves out the first odd level and all below it
+        levels = []
+        for k, transfer in enumerate(transfers):
+            if transfer.coarse.mesh.n % 2:
+                break
+            levels.append((transfer.coarse, transfers[k + 1:]))
+        solution = None
+        for level, below in levels[::-1]:
+            u = (np.zeros(level.ndofs) if solution is None
+                 else solution.evaluate(level.mesh.nodes))
+            u[level.mesh.boundary] = _dirichlet_values(spec, level)
+            solution, report = _flow(spec.law, level, spec.source, u, cfg, below)
+            coarse.append(report)
+        start = (np.zeros(space.ndofs) if solution is None
+                 else solution.evaluate(space.mesh.nodes))
+    start[space.mesh.boundary] = boundary
+    solution, report = _flow(spec.law, space, spec.source, start, cfg, transfers)
+    report.coarse = tuple(coarse)
+    return solution, report
+
+
+def _dirichlet_values(spec, space):
+    """The Dirichlet data at the boundary nodes of ``space``."""
+    return _field_values(spec.dirichlet, space.mesh.nodes[space.mesh.boundary])
+
+
+def _flow(law, space, source, u, cfg, transfers):
+    """The flow on ``space`` from the coefficients ``u``, which hold the
+    Dirichlet data on the boundary, preconditioned by the V-cycle through
+    ``transfers``; returns (FeFunction, SolveReport) as ``solve`` does."""
+    interior = space.interior
     cg_cfg = CgConfig(tol=max(cfg.cg.tol, FORCING), max_iter=cfg.cg.max_iter)
-    load = assemble_load(space, spec.source)
+    load = assemble_load(space, source)
     phi, rounding = _potential(space, u, law, load)
     residual = galerkin_residual(space, u, law) - load
     residual_norm = float(np.max(np.abs(residual[interior])))

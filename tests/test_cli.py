@@ -3,6 +3,7 @@ import os
 import weakref
 from dataclasses import FrozenInstanceError, fields
 
+import numpy as np
 import pytest
 
 from orthofem import cli, solver
@@ -344,7 +345,8 @@ class TestRunStudy:
         ("unionjack", (4, 8)), ("cross", (4, 8)), ("boxslash", (6, 10)),
     ])
     def test_nested_start_matches_cold_start(self, mesh, sizes):
-        # oracle: every level solved from zero interior values
+        # oracle: every level solved from zero interior values, given as the
+        # start: with none, solve would climb its own coarser levels first
         cfg = StudyConfig(mesh=mesh, p1=3.0, p2=1.5, n_list=sizes, tol=1e-12,
                           cg_tol=5e-14, residual_target=5e-7)
         table, reports = run_study(cfg)
@@ -359,7 +361,7 @@ class TestRunStudy:
                      else build_tri(n, mesh, cfg.bounds()))
             space = FeSpace(built)
             spec = solver.ProblemSpec(law=law, space=space, dirichlet=ms.value)
-            cold, cold_report = solver.solve(spec, flow)
+            cold, cold_report = solver.solve(spec, flow, np.zeros(space.ndofs))
             assert cold_report.converged and row.dim == space.ndofs
             cold_cg.append(cold_report.cg_iterations)
             errors = error_norms(cold, ms, law, cfg.quad_degree)
