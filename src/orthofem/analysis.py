@@ -11,7 +11,13 @@ data).
 
 Errors are reported as the split gradient norms e_{p_i}, the natural
 distance e_V = ||V(grad u) - V(grad u_h)||_{L^2}, and, when the two
-exponents agree, the combined norm || ||grad(u-u_h)||_{l^p} ||_{L^p}.
+exponents agree, the combined norm || ||grad(u-u_h)||_{l^p} ||_{L^p},
+integrated with the space's rule: tensor Gauss on quads, the collapsed
+(Duffy) rule on triangles.  The field is orthotropic: d_i u depends on x_i
+alone (``ManufacturedSolution.partial``), and a quadrature point's x_i is
+its lattice line's coordinate plus a template point, so ``error_norms``
+tabulates d_i u and V_i(d_i u) once per lattice line, template cell and
+rule point, and each cell gathers its rows from those tables.
 Rates are measured against dim V_h, i.e. log(e''/e') / log(dim''/dim'),
 which is about -1/2 for first-order convergence in two dimensions.
 """
@@ -48,12 +54,17 @@ class ManufacturedSolution:
         x, y = points[..., 0], points[..., 1]
         return np.abs(x) ** self.q1 / self.q1 - np.abs(y) ** self.q2 / self.q2
 
+    def partial(self, i, t):
+        """d_i u as a function of x_i = t alone, for the direction i in (0, 1):
+        sign(t) |t|^(q_1 - 1) and -sign(t) |t|^(q_2 - 1)."""
+        t = np.asarray(t, dtype=float)
+        if i == 0:
+            return np.sign(t) * np.abs(t) ** (self.q1 - 1)
+        return -np.sign(t) * np.abs(t) ** (self.q2 - 1)
+
     def grad(self, points):
         points = np.asarray(points, dtype=float)
-        x, y = points[..., 0], points[..., 1]
-        g1 = np.sign(x) * np.abs(x) ** (self.q1 - 1)
-        g2 = -np.sign(y) * np.abs(y) ** (self.q2 - 1)
-        return np.stack([g1, g2], axis=-1)
+        return np.stack([self.partial(i, points[..., i]) for i in (0, 1)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -70,22 +81,41 @@ ERROR_COLUMNS = tuple(f.name for f in fields(ErrorReport))
 def error_norms(u_h, ms, law, degree=ERROR_DEGREE):
     """Orthotropic error functionals of a discrete solution.
 
-    All integrands are evaluated with a per-element Gauss rule of the
-    given degree; V is always the unregularized natural-distance map.
-    The integrals are summed over blocks of ERROR_BLOCK_CELLS cells.
+    All integrands are evaluated with the space's rule of the given degree
+    (tensor Gauss on quads, the collapsed (Duffy) rule on triangles); V is
+    always the unregularized natural-distance map.  The exact side is read
+    from ``ms.partial(i, t)``, d_i u as a function of x_i alone: a
+    quadrature point's x_i is its square's corner plus a template point, so
+    d_i u and V_i(d_i u) are tabulated once per call on the lattice's lines,
+    shaped (squares, J, nq) for the J template cells and nq rule points, and
+    each cell gathers its rows by (a or b, template cell).  The integrals
+    are summed over blocks of ERROR_BLOCK_CELLS cells.
     """
     space = u_h.space
+    mesh = space.mesh
     p1, p2 = law.exponents
+    points, weights = space.template_rule(degree)  # (J, nq, 2), (J, nq)
+    lines = np.arange(mesh.squares)
+    corners = mesh.corners(lines, lines)  # x_1 of column a, x_2 of row b
+    exact, natural = [], []  # per direction, d_i u and V_i(d_i u) at rows a J + j
+    for i in (0, 1):
+        g = ms.partial(i, points[None, :, :, i] + corners[:, i, None, None])
+        exact.append(g.reshape(-1, g.shape[-1]))
+        natural.append(law.natural(i, exact[-1]))
+    per, template = mesh.num_cells // mesh.squares ** 2, len(points)
     sum_p1 = sum_p2 = sum_v = 0.0
-    for start in range(0, space.mesh.num_cells, ERROR_BLOCK_CELLS):
+    for start in range(0, mesh.num_cells, ERROR_BLOCK_CELLS):
         cells = slice(start, start + ERROR_BLOCK_CELLS)
-        pts, wts = space.rule_geometry(degree, cells)
+        a, b, t, k = mesh.decode(cells)
+        j = t * per + k
+        rows = a * template + j, b * template + j
+        wts = weights.take(j, axis=0)
         gu = u_h.gradients_on_rule(degree, cells)
-        ge = ms.grad(pts)
-        sum_p1 += float(np.sum(wts * np.abs(ge[..., 0] - gu[..., 0]) ** p1))
-        sum_p2 += float(np.sum(wts * np.abs(ge[..., 1] - gu[..., 1]) ** p2))
-        v1 = law.natural(0, ge[..., 0]) - law.natural(0, gu[..., 0])
-        v2 = law.natural(1, ge[..., 1]) - law.natural(1, gu[..., 1])
+        ge1, ge2 = (exact[i].take(rows[i], axis=0) for i in (0, 1))
+        sum_p1 += float(np.sum(wts * np.abs(ge1 - gu[..., 0]) ** p1))
+        sum_p2 += float(np.sum(wts * np.abs(ge2 - gu[..., 1]) ** p2))
+        v1 = natural[0].take(rows[0], axis=0) - law.natural(0, gu[..., 0])
+        v2 = natural[1].take(rows[1], axis=0) - law.natural(1, gu[..., 1])
         sum_v += float(np.sum(wts * (v1 ** 2 + v2 ** 2)))
     e_comb = (sum_p1 + sum_p2) ** (1 / p1) if p1 == p2 else None
     return ErrorReport(sum_p1 ** (1 / p1), sum_p2 ** (1 / p2), math.sqrt(sum_v), e_comb)

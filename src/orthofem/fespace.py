@@ -181,12 +181,18 @@ class FeSpace:
     def rule(self, degree):
         return quadrature_rule(self.mesh.kind, degree)
 
+    def template_rule(self, degree):
+        """Quadrature points (J, npts, 2) and weights (J, npts) of the rule on
+        the J cells of the per-square template, at their flat indices t per + k
+        (``_placement``), with the square's corner at the origin."""
+        return map_rule(self.rule(degree), self._corners)
+
     def rule_geometry(self, degree, cells=slice(None)):
         """Physical quadrature points (nc, npts, 2) and weights (nc, npts) on
         the given cells (a slice or index array; all by default): the rule
         on each cell's template cell, translated to its square's corner."""
         corner, j = self._placement(cells)
-        pts, wts = map_rule(self.rule(degree), self._corners)
+        pts, wts = self.template_rule(degree)
         pts = pts.take(j, axis=0)
         pts += corner.repeat(pts.shape[1], axis=0).reshape(pts.shape)  # unbroadcast: faster
         return pts, wts.take(j, axis=0)

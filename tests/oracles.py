@@ -1,7 +1,10 @@
 """Reference computations shared by several test modules."""
 
+import math
+
 import numpy as np
 
+from orthofem import analysis
 from orthofem.fespace import map_rule
 from orthofem.linalg import CsrPattern
 from orthofem.mesh import locate
@@ -110,6 +113,28 @@ def integrate(space, cell, integrand, degree):
     """Gauss integral of a pointwise integrand over one cell."""
     pts, wts = space.rule_geometry(degree, [cell])
     return float(np.sum(wts[0] * np.asarray(integrand(pts[0]))))
+
+
+def pointwise_error_norms(u_h, ms, law, degree=analysis.ERROR_DEGREE):
+    """``analysis.error_norms`` with the exact gradient ``ms.grad`` evaluated
+    at every quadrature point of every cell (``rule_geometry``), summed over
+    blocks of ``analysis.ERROR_BLOCK_CELLS`` cells, as read at the call."""
+    space = u_h.space
+    p1, p2 = law.exponents
+    sum_p1 = sum_p2 = sum_v = 0.0
+    for start in range(0, space.mesh.num_cells, analysis.ERROR_BLOCK_CELLS):
+        cells = slice(start, start + analysis.ERROR_BLOCK_CELLS)
+        pts, wts = space.rule_geometry(degree, cells)
+        gu = u_h.gradients_on_rule(degree, cells)
+        ge = ms.grad(pts)
+        sum_p1 += float(np.sum(wts * np.abs(ge[..., 0] - gu[..., 0]) ** p1))
+        sum_p2 += float(np.sum(wts * np.abs(ge[..., 1] - gu[..., 1]) ** p2))
+        v1 = law.natural(0, ge[..., 0]) - law.natural(0, gu[..., 0])
+        v2 = law.natural(1, ge[..., 1]) - law.natural(1, gu[..., 1])
+        sum_v += float(np.sum(wts * (v1 ** 2 + v2 ** 2)))
+    e_comb = (sum_p1 + sum_p2) ** (1 / p1) if p1 == p2 else None
+    return analysis.ErrorReport(sum_p1 ** (1 / p1), sum_p2 ** (1 / p2), math.sqrt(sum_v),
+                                e_comb)
 
 
 def vertex_rule_geometry(space, degree, cells=slice(None)):

@@ -3,15 +3,23 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from orthofem import analysis
 from orthofem.analysis import (ConvergenceTable, ManufacturedSolution, eoc,
                                error_norms)
-from orthofem.fespace import FeFunction, FeSpace, interpolate_nodal
+from orthofem.fespace import FeFunction, FeSpace, interpolate_nodal, quadrature_rule
 from orthofem.linalg import CgConfig
 from orthofem.mesh import build_quad, build_tri
 from orthofem.nfunc import GrowthLaw
 from orthofem.solver import FlowConfig, ProblemSpec, solve
+
+FAMILIES = ["quad", "boxslash", "alternating-kuhn", "unionjack", "cross"]
+
+
+def _mesh(family, n, bounds):
+    return build_quad(n, bounds) if family == "quad" else build_tri(n, family, bounds)
 
 
 class TestManufacturedSolution:
@@ -69,6 +77,20 @@ class TestManufacturedSolution:
             worst = max(worst, abs(div))
         assert worst < 1e-7
 
+    @pytest.mark.parametrize("p", [(1.5, 2.0), (3.0, 1.5), (4.0, 4.0)])
+    def test_grad_stacks_the_partials(self, p):
+        # d_i u depends on x_i alone, and grad is those partials bit for bit,
+        # signed zeros included
+        ms = ManufacturedSolution(GrowthLaw(p))
+        rng = np.random.default_rng(11)
+        points = rng.uniform(-1.0, 1.0, (7, 5, 2))
+        points[0] = [[0.0, -0.0], [-0.0, 0.0], [1.0, -1.0], [-1.0, 1.0], [0.5, -0.5]]
+        g = ms.grad(points)
+        assert g.shape == points.shape
+        for i in (0, 1):
+            expected = ms.partial(i, points[..., i])
+            assert g[..., i].tobytes() == expected.tobytes()
+
 
 class TestErrorNorms:
     def test_interpolant_of_quadratic_on_p1(self):
@@ -87,10 +109,8 @@ class TestErrorNorms:
     def test_exact_reproduction_gives_zero(self):
         # u = x1 is reproduced by Q1; compare against its own gradient field
         class Linear:
-            def grad(self, pts):
-                out = np.zeros(pts.shape)
-                out[..., 0] = 1.0
-                return out
+            def partial(self, i, t):
+                return np.full(np.shape(t), 1.0 if i == 0 else 0.0)
 
         law = GrowthLaw((2.0, 2.0))
         space = FeSpace(build_quad(6))
@@ -101,15 +121,13 @@ class TestErrorNorms:
         assert report.e_V < 1e-12
         assert report.e_comb < 1e-12
 
-    @pytest.mark.parametrize("family", ["quad", "boxslash", "alternating-kuhn",
-                                        "unionjack", "cross"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_blocks_cover_the_mesh(self, family):
         # 40 cells are whole squares on every family and leave a partial last
         # block on each; the block sums may round otherwise than one sum
         law = GrowthLaw((2.0, 2.0))
         ms = ManufacturedSolution(law)
-        bounds = (-1.0, 1.0)
-        mesh = build_quad(12, bounds) if family == "quad" else build_tri(12, family, bounds)
+        mesh = _mesh(family, 12, (-1.0, 1.0))
         space = FeSpace(mesh)
         noise = 0.01 * np.random.default_rng(4).standard_normal(space.ndofs)
         u = FeFunction(space, ms.value(mesh.nodes) + noise)
@@ -119,6 +137,51 @@ class TestErrorNorms:
             with mock.patch.object(analysis, "ERROR_BLOCK_CELLS", block):
                 reports.append(astuple(error_norms(u, ms, law)))
         assert reports[0] == pytest.approx(reports[1], rel=1e-14, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(FAMILIES), n=st.integers(2, 40),
+           bounds=st.sampled_from([(0.0, 1.0), (-1.0, 1.0)]), degree=st.integers(1, 7),
+           p=st.tuples(*[st.sampled_from([1.5, 2.0, 3.0, 4.0])] * 2),
+           noise=st.sampled_from([0.0, 1e-3, 0.1]), squares=st.integers(2, 64),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_the_pointwise_oracle(self, family, n, bounds, degree, p, noise,
+                                          squares, seed):
+        # the per-line tables give the same floats as the exact gradient at
+        # every point, summed in the same order: equal reports, bit for bit,
+        # over blocks of whole squares that leave a partial last block
+        assume(n * n % squares)
+        law = GrowthLaw(p)
+        ms = ManufacturedSolution(law)
+        mesh = _mesh(family, n, bounds)
+        space = FeSpace(mesh)
+        perturb = noise * np.random.default_rng(seed).standard_normal(space.ndofs)
+        u = FeFunction(space, ms.value(mesh.nodes) + perturb)
+        block = squares * mesh.num_cells // n ** 2
+        with mock.patch.object(analysis, "ERROR_BLOCK_CELLS", block):
+            expected = astuple(oracles.pointwise_error_norms(u, ms, law, degree))
+            assert astuple(error_norms(u, ms, law, degree)) == expected
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_exact_side_is_tabulated_once_per_line(self, family):
+        # d_i u is asked at most once per lattice line, template cell and rule
+        # point, not once per quadrature point of every cell
+        law = GrowthLaw((3.0, 1.5))
+        calls = {0: 0, 1: 0}
+
+        class Counting(ManufacturedSolution):
+            def partial(self, i, t):
+                calls[i] += np.size(t)
+                return super().partial(i, t)
+
+        ms = Counting(law)
+        n, degree = 8, 5
+        mesh = _mesh(family, n, (-1.0, 1.0))
+        u = interpolate_nodal(FeSpace(mesh), ms.value)
+        error_norms(u, ms, law, degree)
+        template_cells = mesh.offsets.shape[0] * mesh.offsets.shape[1]
+        nq = len(quadrature_rule(mesh.kind, degree).weights)
+        for i in (0, 1):
+            assert 0 < calls[i] <= n * template_cells * nq
 
     def test_combined_norm_only_for_equal_exponents(self):
         law = GrowthLaw((3.0, 1.5))

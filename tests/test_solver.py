@@ -578,8 +578,9 @@ class TestSolve:
         assert returned == report.final_residual
 
     def test_cg_iteration_count_guard(self):
-        # forcing-term inner solves need about 420 CG iterations here;
-        # solving every step to 5e-14 of the full right-hand side needs 3 740
+        # a cold level climbs its V-cycle levels n = 10 and 20 first (10 and
+        # 25 PCG iterations), then takes 37 on n = 40; both gates sit at
+        # about twice those counts, for the fine level and for all three
         law = GrowthLaw((3.0, 1.5))
         ms = ManufacturedSolution(law)
         space = FeSpace(build_tri(40, "boxslash", bounds=(-1.0, 1.0)))
@@ -587,7 +588,8 @@ class TestSolve:
         cfg = FlowConfig(tol=1e-12, residual_target=5e-7, cg=CgConfig(tol=5e-14))
         _, report = solve(spec, cfg)
         assert report.converged
-        assert report.cg_iterations <= 2500
+        assert report.cg_iterations <= 75
+        assert report.cg_iterations + sum(c.cg_iterations for c in report.coarse) <= 150
 
     def test_nonfinite_dirichlet_rejected(self):
         law = GrowthLaw((2.0, 2.0))
