@@ -342,6 +342,18 @@ def _split(poly, vals):
     return below, above
 
 
+def _clip_to_cell(poly, cell):
+    """The part of a convex polygon inside a convex CCW cell: at each cell
+    edge p -> q the part where (q - p) x (x - p) >= 0, a value that is exactly
+    0 at p and q, so that a vertex on a cell vertex is kept as it is."""
+    for (px, py), (qx, qy) in zip(cell, cell[1:] + cell[:1]):
+        ex, ey = qx - px, qy - py
+        poly = _split(poly, [ex * (y - py) - ey * (x - px) for x, y in poly])[1]
+        if len(poly) < 3:
+            break
+    return poly
+
+
 def _moment(moments, a, bx, by):
     """|integral of a + bx*x + by*y| over a polygon, from its area and
     centroid (``_area_centroid``)."""
@@ -392,14 +404,17 @@ def _region_pieces(space, region):
                 and min(py) < y1 - tol and max(py) > y0 + tol):
             continue
         vx, vy = poly[0]
-        # clip a cell only if it is not inside every half-plane, and drop it
-        # at the first half-plane that leaves less than a polygon (a cell
-        # wholly outside one leaves at most the vertices on its line)
-        if max(pa + pbx * x + pby * y for pa, pbx, pby in planes for x, y in poly) > 0:
-            for pa, pbx, pby in planes:
-                poly = _split(poly, [pa + pbx * x + pby * y for x, y in poly])[0]
-                if len(poly) < 3:
-                    break
+        # a cell outside one half-plane, up to the vertices on its line, is
+        # dropped, and a cell inside every half-plane is its own piece; else
+        # the region is clipped against the cell, and not the cell against
+        # the region, so that a region vertex inside the cell, as a sliver's
+        # apex, is kept as given instead of cut anew from two nearly parallel
+        # region edges
+        vals = [[pa + pbx * x + pby * y for x, y in poly] for pa, pbx, pby in planes]
+        if any(min(v) >= 0 for v in vals):
+            continue
+        if max(map(max, vals)) > 0:
+            poly = _clip_to_cell(region, poly)
             if len(poly) < 3:
                 continue
         # (a, bx, by) act on offsets from vertex 0, as small as the cell

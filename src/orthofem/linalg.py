@@ -8,17 +8,18 @@ j mod 4: one scan of the template gives each class its coupled offsets,
 ordered once by the column id they reach, which is the same order in every
 row of the class.  The entries are laid out in the padded-row (ELLPACK)
 format of Bell and Garland (SC '09): column j of a ``(width, dim)`` array
-holds row j's entries in column order, every row has a slot for its
-diagonal, and unused slots point at the row itself and hold zero.  A row
-gets the slots of its class's offsets; where a neighbour lies outside the
-domain or is dropped by the kept-node mask, the row's later entries move up
-(a cumsum of the slots' presence, over those rows only).  Each triplet
-(cell, a, b) finds its slot by broadcasting over the squares, and one of an
-uncoupled pair or a dropped node shares the one discarded slot past the
-end.  The flow's patterns drop the couplings that the element makes
-structurally zero, so the width is that of the nonzero entries: 5 on
-boxslash, alternating-kuhn and unionjack, 9 on cross and quad
-(``solver._Assembler``).  ``CsrMatrix.submatrix`` slices the padded arrays
+holds row j's slots, and slot s of a row is always its class's offset s.
+Where a neighbour lies outside the domain or is dropped by the kept-node
+mask, and past the offsets of a class with fewer, the slot points at the
+row itself and holds zero; the diagonal is the class's own offset.  A zero
+slot inside a row leaves the matvec's sums bit for bit as they are: they
+run over the slots in order from +0.0, and a zero product adds exactly.
+Each triplet (cell, a, b) finds its slot by broadcasting over the squares,
+and one of an uncoupled pair or a dropped node shares the one discarded
+slot past the end.  The flow's patterns drop the couplings that the
+element makes structurally zero, so the width is the widest star of the
+nonzero entries: 5 on boxslash, alternating-kuhn and unionjack, 9 on cross
+and quad (``solver._Assembler``).  ``CsrMatrix.submatrix`` slices the padded arrays
 of a matrix the same way, with no pattern build.  Every matrix on a
 pattern shares its layout, so an assembly (one per flow step) is one
 ``bincount`` of the triplet values into their slots, and a matvec is one
@@ -27,6 +28,7 @@ and takes a preconditioner, by default Jacobi.
 """
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,15 +60,14 @@ class CsrPattern:
     renumbered in order.
 
     The pattern is read off the template by node class, the half-lattice
-    position j mod 4: a row's raw slots are its class's offsets in column
-    order, and a row that lacks one of them moves its later entries up.
-    ``cols`` is the padded ``(width, dim)`` column array, and row j has
-    ``counts[j]`` entries, in its first slots.  ``target``, ``slots``,
-    ``diag`` and ``transpose`` are flat positions in it: of each triplet
-    (cell, a, b) in row-major order, of each entry in row-major order, of
-    each row's diagonal and of each slot's transpose entry.  Position
-    ``width * dim``, one past the end, takes the triplets of uncoupled pairs
-    and of dropped nodes.
+    position j mod 4: slot s of a row is its class's offset s, in column
+    order, and a slot whose neighbour is absent points at the row and holds
+    zero.  ``cols`` is the padded ``(width, dim)`` column array.
+    ``target``, ``slots``, ``diag`` and ``transpose`` are flat positions in
+    it: of each triplet (cell, a, b) in row-major order, of each entry in
+    row-major order, of each row's diagonal and of each slot's transpose
+    entry (itself in an unused slot).  Position ``width * dim``, one past
+    the end, takes the triplets of uncoupled pairs and of dropped nodes.
     """
 
     def __init__(self, mesh, coupled, keep=None):
@@ -103,17 +104,16 @@ class CsrPattern:
         late = (np.arange(16)[:, None] // 4 + e1) % 2 * (nodes < side ** 2)
         key = (25 * late + 5 * e2 + e1).reshape(16, 5, 5)
         rank = ((key[:, None, None] < key[..., None, None]) & star[:, None, None]).sum(axis=(3, 4))
-        raw = int(star.sum(axis=(1, 2)).max(initial=0))
-        # per raw slot (rank) and class: the step on the id grid, whether
-        # it is an offset, and the slot of its transpose entry (itself in an
-        # unused slot)
+        width = int(star.sum(axis=(1, 2)).max(initial=0))
+        # per slot (rank) and class: the step on the id grid, whether it is
+        # an offset, and the slot of its transpose entry
         cls, e1, e2 = np.nonzero(star)
         s = rank[cls, e1, e2]
-        grid_step = np.zeros((raw, 16), dtype=np.int64)
+        grid_step = np.zeros((width, 16), dtype=np.int64)
         grid_step[s, cls] = (e1 - 2) * (side + 4) + e2 - 2
-        valid = np.zeros((raw, 16), dtype=bool)
+        valid = np.zeros((width, 16), dtype=bool)
         valid[s, cls] = True
-        mirror = np.repeat(np.arange(raw), 16).reshape(raw, 16)
+        mirror = np.zeros((width, 16), dtype=np.int64)
         mirror[s, cls] = rank[(cls // 4 + e1 - 2) % 4 * 4 + (cls % 4 + e2 - 2) % 4, 4 - e1, 4 - e2]
         # the renumbered ids on the half lattice, with a margin of 2 without nodes
         grid = np.full((side + 4) ** 2, -1, dtype=np.int64)
@@ -127,40 +127,39 @@ class CsrPattern:
         present = valid.take(node_class, axis=1)
         present &= cols >= 0  # a neighbour outside the domain or dropped
         del grid, place
-        layout = _Compaction(present, valid.sum(axis=0)[node_class], rank[node_class, 2, 2])
-        del present
-        transpose = (mirror * dim).take(node_class, axis=1)
-        transpose += cols
-        self._lay_out(layout, cols, layout.place(transpose, cols))
-        del cols, transpose
-        # each triplet's raw position, square by square: the raw slot of its
-        # offset in the class of its row, raw past the last for an uncoupled
-        # pair, and a dropped row past them all
-        slot = np.where(pairs, rank[row_class, step[..., 0], step[..., 1]], raw) * dim
-        rows = np.where(keep, renumber, raw * dim)[mesh.cells].ravel()
+        ids = np.arange(dim)
+        np.copyto(cols, ids, where=~present)  # an absent slot points at the row
+        self.dim, self.cols = dim, cols
+        self.diag = rank[node_class, 2, 2] * dim + ids
+        self.transpose = np.where(present, mirror.take(node_class, axis=1),
+                                  np.arange(width)[:, None])
+        self.transpose *= dim
+        self.transpose += cols
+        absent = np.append(~present, True)  # of each slot, and the end
+        del ids, present
+        # each triplet's position, square by square: the slot of its offset
+        # in the class of its row, width past the last for an uncoupled pair,
+        # and a dropped row past them all
+        slot = np.where(pairs, rank[row_class, step[..., 0], step[..., 1]], width) * dim
+        rows = np.where(keep, renumber, width * dim)[mesh.cells].ravel()
         line = np.empty((2, mesh.squares, slot[0].size), dtype=np.int64)  # a row of squares
         for k in range(4):
             line[b[k], a[k]::2] = slot[k].ravel()
         target = np.repeat(rows, nv).reshape(mesh.squares, *line.shape[1:])
         for parity in (0, 1):
             target[parity::2] += line[parity]
-        self.target = layout.place(target.reshape(-1, nv), rows).ravel()
-
-    def _lay_out(self, layout, cols, transpose):
-        """Set ``dim``, ``cols``, ``transpose``, ``diag`` and ``counts`` from
-        a _Compaction and the raw arrays of its columns and transpose entries
-        (compact flat positions), both moved in place."""
-        self.dim, rows = layout.dim, layout.rows
-        self.cols = layout.settle(cols, rows)  # unused slots point at the row
-        own = np.arange(layout.width)[:, None] * layout.dim + rows
-        self.transpose = layout.settle(transpose, own)
-        self.diag, self.counts = layout.diag, layout.counts
+        self.target = target.ravel()
+        del rows, line
+        # the end takes those and a dropped column's triplets
+        self.target[absent.take(self.target, mode="clip")] = width * dim
 
     @functools.cached_property
     def slots(self):
-        """The first ``counts`` slots of each row, row by row: only the
+        """The flat positions of the stored entries, row by row: each row's
+        diagonal and every slot that points at another row.  Only the
         entries' reader needs them, not the flow."""
-        stored = np.arange(len(self.cols))[:, None] < self.counts
+        stored = self.cols != np.arange(self.dim)
+        stored.flat[self.diag] = True
         return np.arange(stored.size).reshape(stored.shape).T[stored.T]
 
     def assemble(self, vals):
@@ -171,53 +170,6 @@ class CsrPattern:
             raise ValueError("the triplet values do not match the pattern")
         sums = np.bincount(self.target, weights=vals, minlength=self.cols.size + 1)
         return CsrMatrix(self, sums[:-1].reshape(self.cols.shape))
-
-
-class _Compaction:
-    """A padded layout from a raw one of shape (raw, dim): each row's
-    ``present`` slots move to its front, in order.  A row with ``full``
-    present slots keeps them where they are, which must be its first ones;
-    only the rows with fewer, ``rows``, move.  ``diag`` is each row's raw
-    diagonal slot; a row without a present one gets the slot after its
-    entries, unused, which must lie within the raw slots."""
-
-    def __init__(self, present, full, diag):
-        raw, self.dim = present.shape
-        self.counts = present.sum(axis=0)
-        moves = self.counts < full
-        self.rows = np.flatnonzero(moves)
-        self.moves = np.append(moves, False)  # and a row id past the last
-        ids = np.arange(self.dim)
-        has_diag = present[diag, ids]
-        self.width = int((self.counts + ~has_diag).max(initial=0))
-        # the compact slot of each raw slot of the moving rows: width where
-        # absent, and so at raw and past
-        kept = present[:, self.rows]
-        self.slot = np.full((raw + 1, len(self.rows)), self.width)
-        self.slot[:-1][kept] = (np.cumsum(kept, axis=0) - 1)[kept]
-        self.index = np.zeros(self.dim, dtype=np.int64)  # of a moving row in rows
-        self.index[self.rows] = np.arange(len(self.rows))
-        self.diag = np.where(has_diag, self.place(diag * self.dim + ids, ids),
-                             self.counts * self.dim + ids)
-
-    def place(self, flat, rows):
-        """The compact flat positions, in place, of the raw ones ``flat`` in
-        rows ``rows``, the shape of its leading axes; a position at raw
-        times dim and past it, or in a moving row's absent slot, is the end,
-        width times dim."""
-        hit = np.nonzero(self.moves.take(rows, mode="clip"))
-        slot, row = np.divmod(flat[hit], self.dim)
-        flat[hit] = self.slot[np.minimum(slot, len(self.slot) - 1), self.index[row]] * self.dim + row
-        return np.minimum(flat, self.width * self.dim, out=flat)
-
-    def settle(self, raw, fill):
-        """The compact layout of a raw array, in place: ``fill``, broadcast to
-        (width, len(rows)), in the moving rows' slots after their entries."""
-        block = np.empty((self.width + 1, len(self.rows)), dtype=raw.dtype)
-        block[:-1] = fill
-        block[self.slot[:-1], np.arange(len(self.rows))] = raw[:, self.rows]
-        raw[:self.width, self.rows] = block[:-1]
-        return raw[:self.width]
 
 
 class CsrMatrix:
@@ -237,6 +189,8 @@ class CsrMatrix:
 
     def matvec(self, x):
         x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"x must have shape ({self.dim},), got {x.shape}")
         return np.einsum("ij,ij->j", self.values, x.take(self.pattern.cols))
 
     def diagonal(self):
@@ -255,31 +209,27 @@ class CsrMatrix:
 
     def submatrix(self, keep):
         """Principal submatrix on the True entries of a boolean mask, sliced
-        from the padded arrays: the kept rows, their entries in kept columns
-        renumbered and moved to the front.  Its pattern's ``target`` takes
-        this matrix's entries, row by row."""
+        from the padded arrays: the kept rows, their slots in place, with a
+        dropped column's slot unused, and the kept columns renumbered.  Its
+        pattern's ``target`` takes this matrix's entries, row by row."""
         pattern, dim = self.pattern, self.dim
         keep = _node_mask(keep, dim)
         renumber = np.cumsum(keep) - 1
-        width = len(pattern.cols)
-        stored = np.zeros(width * dim, dtype=bool)
-        stored[pattern.slots] = True
-        stored = stored.reshape(width, dim)[:, keep]
-        cols = pattern.cols[:, keep]
-        present = stored & keep[cols]
-        layout = _Compaction(present, stored.sum(axis=0), pattern.diag[keep] // dim)
-        cols = renumber[cols]
-        # a transpose entry lies in the row of the column, at slot
-        # transpose // dim: width, past the raw slots, where none is stored
-        transpose = pattern.transpose[:, keep] // dim
-        transpose *= layout.dim
-        transpose += cols
         sub = CsrPattern.__new__(CsrPattern)
-        sub._lay_out(layout, cols, layout.place(transpose, cols))
+        sub.dim = int(np.count_nonzero(keep))
+        width, rows = len(pattern.cols), np.arange(sub.dim)
+        cols = pattern.cols[:, keep]
+        present = keep[cols]
+        sub.cols = np.where(present, renumber[cols], rows)
+        sub.diag = pattern.diag[keep] // dim * sub.dim + rows
+        # a transpose entry lies in the row of the column, at slot
+        # transpose // dim: width, past the slots, where none is stored
+        transpose = np.where(present, pattern.transpose[:, keep] // dim, np.arange(width)[:, None])
+        sub.transpose = np.minimum(transpose * sub.dim + sub.cols, width * sub.dim)
         slot, row = np.divmod(pattern.slots, dim)
-        row = np.where(keep[row], renumber[row], width * layout.dim)  # a dropped row: past all
-        sub.target = layout.place(slot * layout.dim + row, row)
-        return CsrMatrix(sub, layout.settle(self.values[:, keep], 0.0))
+        sub.target = np.where(keep[row] & keep[pattern.cols.take(pattern.slots)],
+                              slot * sub.dim + renumber[row], width * sub.dim)
+        return CsrMatrix(sub, np.where(present, self.values[:, keep], 0.0))
 
 
 def _node_mask(keep, dim):
@@ -302,8 +252,14 @@ class CgConfig:
     def __post_init__(self):
         if not 0 < self.tol < 1:
             raise ValueError(f"cg_tol must lie in (0, 1), got {self.tol}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if self.max_iter is not None:
+            _check_max_iter(self.max_iter)
+
+
+def _check_max_iter(max_iter):
+    """Raise ValueError unless ``max_iter`` is an integer of at least 1."""
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
 
 
 def _dot(u, v):
@@ -334,6 +290,8 @@ def cg_solve(a, b, cfg=None, precondition=None):
     cfg = cfg or CgConfig()
     _check_symmetric(a)
     b = np.asarray(b, dtype=float)
+    if b.shape != (a.dim,):
+        raise ValueError(f"b must have shape ({a.dim},), got {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side is not finite")
     max_iter = cfg.max_iter if cfg.max_iter is not None else 10 * a.dim

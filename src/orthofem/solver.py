@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fespace import FeFunction, FeSpace, _field_values, contract
-from .linalg import CgConfig, CsrPattern, cg_solve
+from .linalg import CgConfig, CsrPattern, _check_max_iter, cg_solve
 from .mesh import locate
 
 __all__ = [
@@ -108,8 +108,7 @@ class FlowConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive")
-        if not self.max_iter >= 1:
-            raise ValueError("max_iter must be at least 1")
+        _check_max_iter(self.max_iter)
 
 
 @dataclass

@@ -19,9 +19,10 @@ class TripletPattern(CsrPattern):
     mask ``keep``, of their principal block on the kept nodes, renumbered in
     order.  A boolean ``where``, broadcast the same way, drops each triplet
     where it is False, as it drops one that touches a node outside ``keep``.
-    One stable sort of the row-major keys finds the distinct entries; the
-    layout and its positions are those of ``CsrPattern``, and a row without
-    a diagonal entry gets a zero slot for it."""
+    One stable sort of the row-major keys finds the distinct entries, which
+    lead each row in column order, its unused slots pointing at the row; a
+    row without a diagonal entry gets a zero slot for it.  This is another
+    valid layout than ``CsrPattern``'s, whose slots are a node class's."""
 
     def __init__(self, dim, rows, cols, keep=None, where=None):
         rows = np.asarray(rows, dtype=np.int64)
@@ -190,11 +191,12 @@ def polygon_area_centroid(poly):
     return area, poly[0] + np.array([cx, cy])
 
 
-def _clip_halfplane(poly, a, bx, by):
-    """Keep the part of the polygon with a + bx*x + by*y <= 0."""
+def _clip_halfplane(poly, a, bx, by, origin=(0.0, 0.0)):
+    """Keep the part of the polygon with a + bx*(x - x0) + by*(y - y0) <= 0,
+    (x0, y0) the origin."""
     if len(poly) == 0:
         return poly
-    vals = a + bx * poly[:, 0] + by * poly[:, 1]
+    vals = a + bx * (poly[:, 0] - origin[0]) + by * (poly[:, 1] - origin[1])
     out = []
     k = len(poly)
     for i in range(k):
@@ -214,10 +216,10 @@ def clip_convex(poly, clipper):
     k = len(clipper)
     for i in range(k):
         p, q = clipper[i], clipper[(i + 1) % k]
-        # interior of the CCW clipper is to the left of edge p->q
+        # interior of the CCW clipper is to the left of edge p->q; taken about
+        # p, the value is exactly 0 at p and q
         bx, by = q[1] - p[1], -(q[0] - p[0])
-        a = -(bx * p[0] + by * p[1])
-        out = _clip_halfplane(out, a, bx, by)
+        out = _clip_halfplane(out, 0.0, bx, by, p)
         if len(out) == 0:
             break
     return out
@@ -240,8 +242,8 @@ def _partial_affine(u, cell, i):
 
 
 def abs_partial_integral(u, region, i):
-    """Integral of |partial_i u| over a convex CCW region: every cell whose
-    bounding box overlaps the region's is clipped against it and split
+    """Integral of |partial_i u| over a convex CCW region: the region is
+    clipped against every cell whose bounding box overlaps its own, and split
     where partial_i u changes sign."""
     mesh = u.space.mesh
     region = np.asarray(region, dtype=float)
@@ -255,7 +257,7 @@ def abs_partial_integral(u, region, i):
     )
     total = 0.0
     for cell in candidates:
-        piece = clip_convex(v[cell], region) - v[cell, 0]
+        piece = clip_convex(region, v[cell]) - v[cell, 0]
         if len(piece) < 3:
             continue
         a, bx, by = _partial_affine(u, cell, i)

@@ -431,6 +431,32 @@ class TestExactIntegralOracle:
             assert oracles.abs_partial_integral(u, region, i) == pytest.approx(exact, rel=1e-12,
                                                                                abs=0)
 
+    def test_sliver_apex_inside_a_cell_is_exact(self):
+        # a sliver 2.7e-6 deep on the diagonal edge of a unionjack triangle,
+        # its apex inside the cell: cutting the cell by the region rebuilt the
+        # apex from two nearly parallel edges and lost 2e-10 of the area, and
+        # left the neighbour across the edge a piece 3e-19 in area
+        mesh = build_tri(4, "unionjack", (0.0, 1.0))
+        u = FeFunction(FeSpace(mesh), np.random.default_rng(0).standard_normal(mesh.num_nodes))
+        cell = 69
+        assert mesh.nodes[mesh.cells[cell]].tolist() == [[0.125, 0.75], [0.0, 0.75],
+                                                         [0.125, 0.625]]
+        region = np.array([[0.0, 0.75], [0.125, 0.625],
+                           [0.06250034104197023, 0.6875003410419702]])
+        (x0, y0), (x1, y1), (x2, y2) = ([Fraction(c) for c in mesh.nodes[k]]
+                                        for k in mesh.cells[cell])
+        c0, c1, c2 = (Fraction(c) for c in u.coeffs[mesh.cells[cell]])
+        det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+        grad = (((c1 - c0) * (y2 - y0) - (c2 - c0) * (y1 - y0)) / det,
+                ((x1 - x0) * (c2 - c0) - (x2 - x0) * (c1 - c0)) / det)
+        r = [[Fraction(c) for c in p] for p in region]
+        area = sum(r[k][0] * r[k - 2][1] - r[k - 2][0] * r[k][1] for k in range(3)) / 2
+        for i in (0, 1):
+            exact = float(abs(grad[i]) * area)
+            assert abs_partial_integral(u, region, i) == pytest.approx(exact, rel=1e-12, abs=0)
+            assert oracles.abs_partial_integral(u, region, i) == pytest.approx(exact, rel=1e-12,
+                                                                               abs=0)
+
     def test_split_sliver_agrees_with_oracle(self):
         # a sliver 1e-6 deep on cell 0's top edge, split by the root line of
         # partial_1 u: the two parts share cut points rounded off the sliver's

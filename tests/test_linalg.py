@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from orthofem.fespace import FeFunction, FeSpace
-from orthofem.linalg import (CgConfig, CsrMatrix, CsrPattern,
-                             IterativeSolveError, _check_symmetric, cg_solve)
+from orthofem.linalg import (CgConfig, CsrMatrix, CsrPattern, IterativeSolveError,
+                             _check_symmetric, _node_mask, cg_solve)
 from orthofem.mesh import build_quad, build_tri, refine_kuhn_half
 from orthofem.nfunc import GrowthLaw
 from orthofem.solver import _assembler, assemble_stiffness, assemble_weighted_stiffness
@@ -176,6 +176,14 @@ class TestPaddedLayout:
         sub = a.submatrix(keep)
         assert np.array_equal(sub.pattern.assemble(a.entries()[2]).values, sub.values)
 
+    def test_matvec_rejects_a_vector_of_another_length(self):
+        # a longer x would be read up to the matrix's columns and its tail
+        # dropped without a word
+        a = laplacian_1d(9)
+        for x in (np.ones(12), np.ones(8), np.ones((9, 1)), 1.0):
+            with pytest.raises(ValueError, match=r"x must have shape \(9,\)"):
+                a.matvec(x)
+
     def test_values_are_read_only(self):
         a = laplacian_1d(4)
         with pytest.raises(ValueError):
@@ -198,36 +206,46 @@ def template_mesh(family, n, bounds):
     return build_tri(n, family, bounds)
 
 
+TEMPLATE_CASES = (
+    st.sampled_from(["quad", "boxslash", "alternating-kuhn", "unionjack", "cross", "half-kuhn"]),
+    st.integers(2, 40), st.sampled_from([(0.0, 1.0), (-1.0, 1.0)]),
+    st.sampled_from(["all", "interior", "random"]), st.integers(0, 2 ** 32 - 1))
+
+
+def template_case(family, n, bounds, nodes, seed):
+    """A space, its coupled table, a kept-node mask and a seeded generator."""
+    space = FeSpace(template_mesh(family, n, bounds))
+    rng = np.random.default_rng(seed)
+    keep = {"all": None, "interior": space.interior,
+            "random": rng.random(space.ndofs) < 0.8}[nodes]
+    return space, _assembler(space).coupled, keep, rng
+
+
+def cell_values(space, coupled, rng):
+    """Random triplet values, symmetric in each cell."""
+    vals = rng.standard_normal((space.mesh.num_cells,) + coupled.shape[2:])
+    return vals + vals.swapaxes(1, 2)
+
+
 class TestTemplatePattern:
     """The pattern read off the mesh template against the sort-based
-    oracle, which takes every pair of every cell as a triplet."""
+    oracle, which takes every pair of every cell as a triplet and lays the
+    entries out first in each row: the same matrix in another layout."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(["quad", "boxslash", "alternating-kuhn", "unionjack", "cross",
-                            "half-kuhn"]),
-           st.integers(2, 40), st.sampled_from([(0.0, 1.0), (-1.0, 1.0)]),
-           st.sampled_from(["all", "interior", "random"]), st.integers(0, 2 ** 32 - 1))
+    @given(*TEMPLATE_CASES)
     def test_matches_the_sort_build(self, family, n, bounds, nodes, seed):
-        space = FeSpace(template_mesh(family, n, bounds))
-        coupled = _assembler(space).coupled
-        rng = np.random.default_rng(seed)
-        keep = {"all": None, "interior": space.interior,
-                "random": rng.random(space.ndofs) < 0.8}[nodes]
+        space, coupled, keep, rng = template_case(family, n, bounds, nodes, seed)
         pattern = CsrPattern(space.mesh, coupled, keep)
-        oracle = cell_pattern(space, coupled, keep)
-        for name in ("cols", "slots", "diag", "transpose", "target"):
-            assert np.array_equal(getattr(pattern, name), getattr(oracle, name)), name
-        # random values, symmetric in each cell
-        vals = rng.standard_normal((space.mesh.num_cells,) + coupled.shape[2:])
-        vals += vals.swapaxes(1, 2)
-        a, b = pattern.assemble(vals), oracle.assemble(vals)
-        assert a.nnz == b.nnz
-        if a.dim <= 2000:
-            assert np.array_equal(a.todense(), b.todense())
+        vals = cell_values(space, coupled, rng)
+        a, b = pattern.assemble(vals), cell_pattern(space, coupled, keep).assemble(vals)
+        assert a.dim == b.dim and a.nnz == b.nnz
         assert all(np.array_equal(x, y) for x, y in zip(a.entries(), b.entries()))
         assert np.array_equal(a.diagonal(), b.diagonal())
+        if a.dim <= 2000:
+            assert np.array_equal(a.todense(), b.todense())
         x = rng.standard_normal(a.dim)
-        assert np.array_equal(a.matvec(x), b.matvec(x))
+        assert a.matvec(x).tobytes() == b.matvec(x).tobytes()
         _check_symmetric(a)
         rows, cols, _ = a.entries()
         off_diagonal = np.flatnonzero(rows != cols)
@@ -243,6 +261,32 @@ class TestTemplatePattern:
             for name in ("cols", "slots", "diag", "transpose"):
                 assert np.array_equal(getattr(sub.pattern, name), getattr(pattern, name))
             assert np.array_equal(sub.values, a.values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(*TEMPLATE_CASES)
+    def test_a_rows_slots_are_its_node_classs(self, family, n, bounds, nodes, seed):
+        # slot s of every row of one class, j mod 4 on the half lattice,
+        # points at the neighbour of one offset or at the row itself, the
+        # diagonal slot at offset 0, and a self-pointing slot holds zero
+        space, coupled, keep, rng = template_case(family, n, bounds, nodes, seed)
+        pattern = CsrPattern(space.mesh, coupled, keep)
+        j = space.mesh.half_lattice()[_node_mask(keep, space.ndofs)]
+        node_class = (j[:, 0] % 4) * 4 + j[:, 1] % 4
+        rows = np.arange(pattern.dim)
+        step = j[pattern.cols] - j  # (width, dim, 2)
+        to_self = pattern.cols == rows
+        for c in np.unique(node_class):
+            in_class = node_class == c
+            for s in range(len(pattern.cols)):
+                assert len(np.unique(step[s, in_class & ~to_self[s]], axis=0)) <= 1
+            assert len(np.unique(pattern.diag[in_class] // pattern.dim)) == 1
+        assert np.array_equal(pattern.diag % max(pattern.dim, 1), rows)
+        assert np.all(to_self.flat[pattern.diag])
+        unused = to_self.copy()
+        unused.flat[pattern.diag] = False
+        a = pattern.assemble(cell_values(space, coupled, rng))
+        assert np.all(a.values[unused] == 0.0)
+        assert not np.any(unused.flat[pattern.slots])
 
     def test_coupled_must_be_a_symmetric_table_with_its_diagonal(self):
         space = FeSpace(build_tri(3, "boxslash"))
@@ -349,6 +393,12 @@ class TestCg:
         with pytest.raises(ValueError):
             cg_solve(laplacian_1d(8), b)
 
+    def test_rhs_of_another_length_rejected(self):
+        a = laplacian_1d(8)
+        for b in (np.ones(9), np.ones(7), np.ones((8, 1))):
+            with pytest.raises(ValueError, match=r"b must have shape \(8,\)"):
+                cg_solve(a, b)
+
     def test_symmetry_check(self):
         a = TripletPattern(3, [0, 1], [1, 2]).assemble([1.0, 3.0])
         with pytest.raises(ValueError):
@@ -376,6 +426,13 @@ class TestCg:
             CgConfig(tol=2.0)
         with pytest.raises(ValueError):
             CgConfig(max_iter=0)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", float("nan")])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        # cg_solve would compare its count with 2.5 and quietly stop at 3
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            CgConfig(max_iter=max_iter)
+        assert CgConfig(max_iter=np.int64(3)).max_iter == 3
 
 
 class TestSymmetryOfAssemblies:

@@ -295,20 +295,19 @@ class TestInteriorAssembly:
 
 # sha256 of the int64 bytes of cols, slots, diag, transpose and target, in
 # that order, of the stiffness pattern on all nodes or on the interior: the
-# layout every matrix of the flow shares.  The quad and cross digests date
-# from before the interior condensation moved into CsrPattern; the
-# boxslash, unionjack and alternating-kuhn ones from when their structurally
-# zero pairs left the pattern
+# layout every matrix of the flow shares.  They date from when a row's
+# slots became its node class's, with an absent neighbour's slot pointing at
+# the row, in place of the entries-first layout
 PATTERN_LAYOUT_SHA256 = {
-    ("boxslash", 4, False): "e2a8b44df02de922e7b8c6e26b16a4159d009ff6f9f9a3c20784fbadae3d4083",
-    ("boxslash", 4, True): "8624b3b15521c38df8ad0ca51080e409807f1763493accc57c28e0a002a1f11a",
-    ("quad", 3, False): "e8930c40ce10568eba0fd8337609d10e5fc7a6a6a96b13dc7becb6296f6330b4",
-    ("quad", 3, True): "2e5e69f521c6117f4900109f08766843ec457de93c600cfbb473d227a61017fb",
-    ("cross", 3, False): "7380324cede26bfca7641ee21b6f39c8e42242b69f991c4b2bd3a7966790b430",
-    ("cross", 3, True): "e4ed3c1e663bcd0a2e7e8ee1bc9cb733c1394a0493679e044adf0f4aa6fec177",
-    ("unionjack", 2, True): "209c2aacee149c9f0037872559528d8ed540a39806130d070e2f2e9f98b4dc16",
+    ("boxslash", 4, False): "c24e606aef3d3616ef3f183d7773c5a9995e7e8af2d765c23c93aced5bb1ece1",
+    ("boxslash", 4, True): "30c4be0d866ccfc93845fc0c3050a5a899c2ce8f99876cd78820aaf4107ff72d",
+    ("quad", 3, False): "0241ef589640adb051f411b22deebb425effa93a2ec989d73664dce0036c69ea",
+    ("quad", 3, True): "b299f67f55df4c51deb7ec5dd49ecda1a742fc84c7c7da5386940d2d6bc860b6",
+    ("cross", 3, False): "f9f6c8ecf789dac513fcecc8c173b573cdef894d7290f31426466964256ab6ca",
+    ("cross", 3, True): "7063bfde2e4f3db86dda32e4948d1e57037e470120aab8f1b1d49ec19322cc23",
+    ("unionjack", 2, True): "dfeae6a111d835fb30810467c23d59434b19a88d5c9f054808a838225425f12e",
     ("alternating-kuhn", 4, True):
-        "2c532e529dd3c476bc4a968ff4bc0953e8e8cdef0cff17f9672a6f24a87671d3",
+        "c0cc308975688ede30770fa91aa8f40fa4e8af88bba626efe1bc8f89bb7a63d5",
 }
 
 
@@ -664,6 +663,12 @@ class TestSolve:
                     FlowConfig(**{name: value})
         with pytest.raises(ValueError, match="max_iter"):
             FlowConfig(max_iter=nan)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3"])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        # a float passed the bound check, and solve() then failed in range()
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            FlowConfig(max_iter=max_iter)
 
 
 def test_scalar_source_is_a_constant_field():
