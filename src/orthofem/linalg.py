@@ -24,7 +24,7 @@ of a matrix the same way, with no pattern build.  Every matrix on a
 pattern shares its layout, so an assembly (one per flow step) is one
 ``bincount`` of the triplet values into their slots, and a matvec is one
 ``take`` and one ``einsum``; ``cg_solve`` reduces through ``einsum`` too,
-and takes a preconditioner, by default Jacobi.
+and takes the preconditioner as an argument.
 """
 
 import functools
@@ -278,14 +278,15 @@ def _check_symmetric(a, rtol=1e-10):
         raise ValueError("matrix is not symmetric; CG needs A = A^T")
 
 
-def cg_solve(a, b, cfg=None, precondition=None):
+def cg_solve(a, b, cfg, precondition):
     """Preconditioned conjugate gradients for SPD systems, from zero.
 
-    ``precondition`` maps r to M r, M symmetric positive definite; None is
-    Jacobi.  Returns ``(x, iterations)``; raises IterativeSolveError when
-    the iteration budget is exhausted before the relative residual drops
-    below the configured tolerance, and ValueError for a non-finite b.  A
-    call costs one matvec and one preconditioner per iteration.
+    ``cfg`` is a CgConfig, or None for its defaults; ``precondition`` maps
+    r to M r, M symmetric positive definite.  Returns ``(x, iterations)``;
+    raises IterativeSolveError when the iteration budget is exhausted
+    before the relative residual drops below the configured tolerance, and
+    ValueError for a non-finite b.  A call costs one matvec and one
+    preconditioner per iteration.
     """
     cfg = cfg or CgConfig()
     _check_symmetric(a)
@@ -295,11 +296,8 @@ def cg_solve(a, b, cfg=None, precondition=None):
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side is not finite")
     max_iter = cfg.max_iter if cfg.max_iter is not None else 10 * a.dim
-    diag = a.diagonal()
-    if np.any(diag <= 0):
+    if np.any(a.diagonal() <= 0):
         raise ValueError("nonpositive diagonal entry; matrix is not SPD")
-    if precondition is None:
-        precondition = functools.partial(np.multiply, 1.0 / diag)
     bb = _dot(b, b)
     if bb == 0.0:
         return np.zeros_like(b), 0

@@ -37,10 +37,12 @@ class PowerNFunction:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not self.p > 1:
-            raise ValueError(f"exponent must satisfy p > 1, got {self.p}")
-        if not self.delta >= 0:  # NaN fails too
-            raise ValueError(f"regularization shift delta must be >= 0, got {self.delta}")
+        if not 1 < self.p < np.inf:  # NaN fails too
+            raise ValueError(f"exponent must satisfy 1 < p < inf, got {self.p}")
+        # delta ** 2 of a Python float raises OverflowError where the square is not finite
+        if not (self.delta >= 0 and self.delta * self.delta < np.inf):
+            raise ValueError("regularization shift delta must be >= 0 with a finite square, "
+                             f"got {self.delta}")
 
     def value(self, t):
         _check_nonnegative(t)
@@ -67,8 +69,9 @@ class GrowthLaw:
     exponents : pair of floats
         Growth exponents (p_1, p_2), each in (1, inf).
     deltas : pair of floats, optional
-        Regularization shifts per coordinate; 0 gives the plain
-        power-law case used in all convergence experiments.
+        Regularization shifts per coordinate, each at least 0 with a
+        finite square; 0 gives the plain power-law case used in all
+        convergence experiments.
     """
 
     def __init__(self, exponents, deltas=(0.0, 0.0)):
@@ -77,8 +80,8 @@ class GrowthLaw:
         if len(exponents) != 2 or len(deltas) != 2:
             raise ValueError("growth law is two-dimensional: need two exponents/deltas")
         for i, p in enumerate(exponents, 1):
-            if not p > 1:  # NaN fails too
-                raise ValueError(f"exponent p{i} must satisfy p{i} > 1, got {p}")
+            if not 1 < p < np.inf:  # NaN fails too
+                raise ValueError(f"exponent p{i} must satisfy 1 < p{i} < inf, got {p}")
         self.phis = tuple(PowerNFunction(p, d) for p, d in zip(exponents, deltas))
         self.exponents = exponents
         self.deltas = deltas

@@ -46,9 +46,9 @@ SIAM J. Sci. Comput. 21, 2000) preconditions CG: at most 11 PCG iterations
 a step on the acceptance studies' largest levels, against up to 207 Jacobi
 ones.  A level with at most COARSEST interior unknowns has no coarser
 level: its cycle is the dense inverse of the step matrix, so it is solved
-exactly, in one PCG iteration a step.  A solve without a start solves the
-even ones of these levels first, coarsest first, each from the one below
-(``solve``).
+exactly, in one PCG iteration a step.  A solve without a start first
+solves the next of these levels in the same way, if its n is even, and
+starts from that solution (``solve``).
 """
 
 from dataclasses import dataclass, field
@@ -106,8 +106,8 @@ class FlowConfig:
     def __post_init__(self):
         for name in ("tau", "tol", "clamp", "residual_target"):
             value = getattr(self, name)
-            if value is not None and not value > 0:  # NaN fails too
-                raise ValueError(f"{name} must be positive")
+            if value is not None and not 0 < value < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite")
         _check_max_iter(self.max_iter)
 
 
@@ -248,7 +248,7 @@ def galerkin_residual(space, u, law, f=None):
     return res
 
 
-def flow_step(system, residual, interior, cg_cfg=None, precondition=None):
+def flow_step(system, residual, interior, cg_cfg, precondition):
     """CG from zero on ``system`` delta = -residual[interior]: the
     correction over all nodes, zero on the boundary, and its iterations.
     ``system`` is the step matrix, ``residual`` the Galerkin residual at
@@ -355,15 +355,11 @@ def solve(spec, cfg=None, start=None):
     The flow starts from ``start``, a coefficient vector of length
     ``ndofs`` whose boundary values are always replaced by the Dirichlet
     data.  A start of the wrong shape or with non-finite interior values
-    raises ValueError.  With no start, the flow first climbs the V-cycle's
-    own levels n // 2, n // 4, ... (nested iteration, or full multigrid:
-    Brandt, Math. Comp. 31, 1977), down to the last even one: the lowest
-    level starts from zero interior values, every finer one, this space
-    last, from the coarser solution evaluated at its nodes, each solved
-    with ``cfg``.  An odd level ends the climb: where some p_i < 2 the flow
-    can stall there for all ``max_iter`` steps, although the finer level
-    would converge from zero.  A space with no even coarser level (at
-    most COARSEST interior unknowns, or n // 2 odd) starts from zero.
+    raises ValueError.  With no start, the flow starts from the solution
+    of the next coarser V-cycle level n // 2, solved first in the same way
+    with ``cfg``, if that n is even (on an odd level with some p_i < 2 the
+    flow can stall for all ``max_iter`` steps), else from zero interior
+    values: nested iteration, or full multigrid (Brandt, Math. Comp. 31, 1977).
     The Dirichlet data is evaluated and checked (``fespace._field_values``)
     at the boundary nodes only, as only those values are used.
 
@@ -384,37 +380,31 @@ def solve(spec, cfg=None, start=None):
                              f"expected ({space.ndofs},)")
         if not np.all(np.isfinite(start[space.interior])):
             raise ValueError("start iterate is not finite at some interior node")
-    boundary = _dirichlet_values(spec, space)
-
+    boundary = _field_values(spec.dirichlet, space.mesh.nodes[space.mesh.boundary])
     _assembler(space).pattern(interior_only=True)  # before the iterates: a lower peak
-    transfers = _hierarchy(space)
-    coarse = []
-    if start is None:
-        # transfers[k + 1:] is the hierarchy of transfers[k].coarse; the climb
-        # leaves out the first odd level and all below it
-        levels = []
-        for k, transfer in enumerate(transfers):
-            if transfer.coarse.mesh.n % 2:
-                break
-            levels.append((transfer.coarse, transfers[k + 1:]))
-        solution = None
-        for level, below in levels[::-1]:
-            u = (np.zeros(level.ndofs) if solution is None
-                 else solution.evaluate(level.mesh.nodes))
-            u[level.mesh.boundary] = _dirichlet_values(spec, level)
-            solution, report = _flow(spec.law, level, spec.source, u, cfg, below)
-            coarse.append(report)
-        start = (np.zeros(space.ndofs) if solution is None
-                 else solution.evaluate(space.mesh.nodes))
-    start[space.mesh.boundary] = boundary
-    solution, report = _flow(spec.law, space, spec.source, start, cfg, transfers)
-    report.coarse = tuple(coarse)
+    solution, reports = _climb(spec, space, _hierarchy(space), cfg, start, boundary)
+    report = reports.pop()
+    report.coarse = tuple(reports)
     return solution, report
 
 
-def _dirichlet_values(spec, space):
-    """The Dirichlet data at the boundary nodes of ``space``."""
-    return _field_values(spec.dirichlet, space.mesh.nodes[space.mesh.boundary])
+def _climb(spec, space, transfers, cfg, start, boundary):
+    """The flow on ``space``, preconditioned through ``transfers``, from
+    ``start``, or with none from the next coarser level's solution, solved
+    on this path first, if its n is even, else from zero interior values;
+    ``boundary``, the Dirichlet data, replaces the start on the boundary.
+    Returns the solution and every solved level's report, coarsest first."""
+    reports = []
+    if start is None and transfers and transfers[0].coarse.mesh.n % 2 == 0:
+        coarse = transfers[0].coarse
+        solution, reports = _climb(spec, coarse, transfers[1:], cfg, None, _field_values(
+            spec.dirichlet, coarse.mesh.nodes[coarse.mesh.boundary]))
+        start = solution.evaluate(space.mesh.nodes)
+    elif start is None:
+        start = np.zeros(space.ndofs)
+    start[space.mesh.boundary] = boundary
+    solution, report = _flow(spec.law, space, spec.source, start, cfg, transfers)
+    return solution, reports + [report]
 
 
 def _flow(law, space, source, u, cfg, transfers):

@@ -1,5 +1,6 @@
 """Reference computations shared by several test modules."""
 
+import functools
 import math
 
 import numpy as np
@@ -74,6 +75,12 @@ class TripletPattern(CsrPattern):
         pos[keys.take(pos, mode="clip") != tkeys] = len(keys)  # not stored
         self.transpose = np.arange(width * dim).reshape(width, dim)
         np.put(self.transpose, self.slots, np.append(self.slots, width * dim)[pos])
+
+
+def jacobi(a):
+    """The point Jacobi preconditioner of ``a`` for ``cg_solve``: r times
+    the inverse of a's diagonal."""
+    return functools.partial(np.multiply, 1.0 / a.diagonal())
 
 
 def cell_pattern(space, coupled, keep=None):

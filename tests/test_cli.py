@@ -220,14 +220,17 @@ class TestParseConfig:
                       dict(n_list=(8, 4)), dict(n_list=(4, 4))):
             with pytest.raises(UsageError, match="level sizes"):
                 StudyConfig(mesh="quad", p1=2.0, p2=2.0, **sizes)
-        nan = float("nan")
+        nan, inf = float("nan"), float("inf")
         for name, value in (("p1", 0.9), ("p2", 1.0), ("p1", nan), ("tau", 0.0),
                             ("tau", -1.0), ("tol", 0.0), ("clamp", 0.0), ("clamp", -1.0),
                             ("residual_target", -1.0), ("residual_target", 0.0),
                             ("max_iter", 0), ("cg_tol", 0.0), ("cg_tol", 1.0),
                             ("cg_tol", 2.0), ("quad_degree", 0), ("quad_degree", 9),
                             ("delta", -1.0), ("tau", nan), ("tol", nan), ("clamp", nan),
-                            ("residual_target", nan), ("delta", nan), ("cg_tol", nan)):
+                            ("residual_target", nan), ("delta", nan), ("cg_tol", nan),
+                            ("p1", inf), ("p2", inf), ("tau", inf), ("tol", inf),
+                            ("clamp", inf), ("residual_target", inf), ("delta", inf),
+                            ("delta", 1e200), ("cg_tol", inf)):
             settings = dict(dict(p1=1.5, p2=2.0, n0=4, levels=1), **{name: value})
             with pytest.raises(UsageError, match=rf"\b{name}\b"):
                 StudyConfig(mesh="quad", **settings)
@@ -440,6 +443,16 @@ class TestMain:
         if case == "unwritable output file":
             assert "cannot write" in captured.err and locked.read_text() == "old\n"
 
+    @pytest.mark.parametrize("setting", [("--p1", "inf", "--p2", "2"),
+                                         ("--p1", "3", "--p2", "1.5", "--delta", "1e200"),
+                                         ("--p1", "3", "--p2", "3", "--tau", "inf")],
+                             ids=["p1", "delta", "tau"])
+    def test_nonfinite_or_overflowing_setting_exit_code(self, capsys, setting):
+        # q_1 = inf / (inf - 1) is NaN, delta ** 2 overflows, and 1 / tau = 0
+        # leaves the coarsest V-cycle matrix singular
+        assert main(["--mesh", "boxslash", "--N", "10", *setting]) in (1, 2)
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_failure_exit_code(self, capsys):
         code = main(["--mesh", "quad", "--p1", "3", "--p2", "1.5",
                      "--N0", "4", "--levels", "1", "--tol", "1e-18",
@@ -453,7 +466,7 @@ class TestMain:
     def test_solver_failure_keeps_partial_table(self, monkeypatch, capsys, error):
         cg_solve = solver.cg_solve
 
-        def failing_on_level_two(a, b, cfg=None, precondition=None):
+        def failing_on_level_two(a, b, cfg, precondition):
             if a.dim > 9:      # N = 4 has 9 interior nodes, N = 8 has 49
                 raise error
             return cg_solve(a, b, cfg, precondition)

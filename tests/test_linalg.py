@@ -11,7 +11,7 @@ from orthofem.mesh import build_quad, build_tri, refine_kuhn_half
 from orthofem.nfunc import GrowthLaw
 from orthofem.solver import _assembler, assemble_stiffness, assemble_weighted_stiffness
 
-from oracles import TripletPattern, cell_pattern
+from oracles import TripletPattern, cell_pattern, jacobi
 
 
 def dense_solve(a, b):
@@ -325,14 +325,14 @@ class TestCg:
         n = 9
         eye = TripletPattern(n, np.arange(n), np.arange(n)).assemble(np.ones(n))
         b = np.linspace(-1, 2, n)
-        x, iterations = cg_solve(eye, b)
+        x, iterations = cg_solve(eye, b, None, jacobi(eye))
         assert np.allclose(x, b, atol=1e-13)
         assert iterations <= 2
 
     def test_1d_laplacian_against_dense(self):
         a = laplacian_1d(4)
         b = np.ones(4)
-        x, _ = cg_solve(a, b)
+        x, _ = cg_solve(a, b, None, jacobi(a))
         assert np.allclose(x, dense_solve(a, b), atol=1e-10)
 
     def test_q1_stiffness_against_dense(self):
@@ -340,7 +340,7 @@ class TestCg:
         k = assemble_stiffness(space).submatrix(space.interior)
         rng = np.random.default_rng(42)
         b = rng.standard_normal(k.dim)
-        x, _ = cg_solve(k, b, CgConfig(tol=1e-13))
+        x, _ = cg_solve(k, b, CgConfig(tol=1e-13), jacobi(k))
         assert np.abs(x - dense_solve(k, b)).max() < 1e-9
 
     def test_matvec_count(self):
@@ -354,18 +354,19 @@ class TestCg:
 
         lap = laplacian_1d(40)
         a = CountingMatrix(lap.pattern, lap.values)
-        _, iterations = cg_solve(a, np.ones(40))
+        _, iterations = cg_solve(a, np.ones(40), None, jacobi(a))
         assert iterations > 0 and a.calls == iterations
 
     def test_preconditioner(self):
-        # None is Jacobi; the exact inverse converges in one iteration, each
-        # iteration applying the preconditioner once
+        # Jacobi as a division gives the bits of the oracle's product with the
+        # inverse diagonal, a power of two here; the exact inverse converges in
+        # one iteration, each iteration applying the preconditioner once
         space = FeSpace(build_tri(12, "boxslash"))
         k = assemble_stiffness(space).submatrix(space.interior)
         b = np.random.default_rng(5).standard_normal(k.dim)
-        jacobi = cg_solve(k, b, CgConfig(tol=1e-10), lambda r: r / k.diagonal())
-        x, iterations = cg_solve(k, b, CgConfig(tol=1e-10))
-        assert np.array_equal(jacobi[0], x) and jacobi[1] == iterations
+        divided = cg_solve(k, b, CgConfig(tol=1e-10), lambda r: r / k.diagonal())
+        x, iterations = cg_solve(k, b, CgConfig(tol=1e-10), jacobi(k))
+        assert np.array_equal(divided[0], x) and divided[1] == iterations
         inverse, applied = np.linalg.inv(k.todense()), []
 
         def exact(r):
@@ -380,7 +381,7 @@ class TestCg:
         a = laplacian_1d(64)
         b = np.ones(64)
         with pytest.raises(IterativeSolveError) as err:
-            cg_solve(a, b, CgConfig(tol=1e-13, max_iter=2))
+            cg_solve(a, b, CgConfig(tol=1e-13, max_iter=2), jacobi(a))
         assert err.value.iterations == 2
         assert np.isfinite(err.value.residual) and err.value.residual > 0
 
@@ -390,19 +391,20 @@ class TestCg:
         # pass as convergence after zero iterations
         b = np.ones(8)
         b[3] = bad
+        a = laplacian_1d(8)
         with pytest.raises(ValueError):
-            cg_solve(laplacian_1d(8), b)
+            cg_solve(a, b, None, jacobi(a))
 
     def test_rhs_of_another_length_rejected(self):
         a = laplacian_1d(8)
         for b in (np.ones(9), np.ones(7), np.ones((8, 1))):
             with pytest.raises(ValueError, match=r"b must have shape \(8,\)"):
-                cg_solve(a, b)
+                cg_solve(a, b, None, jacobi(a))
 
     def test_symmetry_check(self):
         a = TripletPattern(3, [0, 1], [1, 2]).assemble([1.0, 3.0])
         with pytest.raises(ValueError):
-            cg_solve(a, np.ones(3))
+            cg_solve(a, np.ones(3), None, np.copy)
 
     def test_a_norm_error_monotone(self):
         space = FeSpace(build_tri(12, "boxslash"))
@@ -414,7 +416,7 @@ class TestCg:
         # so these iterates are ever longer prefixes of one CG sequence
         counts, energies = [], []
         for tol in 10.0 ** -np.arange(1, 13):
-            x, iterations = cg_solve(k, b, CgConfig(tol=tol))
+            x, iterations = cg_solve(k, b, CgConfig(tol=tol), jacobi(k))
             d = x - exact
             counts.append(iterations)
             energies.append(float(d @ k.matvec(d)))

@@ -143,15 +143,18 @@ class TestPowerNFunction:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             PowerNFunction(1.0)
-        nan = float("nan")
-        for delta in (-0.1, nan):
+        nan, inf = float("nan"), float("inf")
+        # the square of 1e200 overflows
+        for delta in (-0.1, nan, inf, 1e200):
             with pytest.raises(ValueError, match="delta"):
                 PowerNFunction(2.0, delta=delta)
             with pytest.raises(ValueError, match="delta"):
                 GrowthLaw((2.0, 3.0), (0.0, delta))
-        for p in (nan, 0.5):
+        for p in (nan, 0.5, inf):
             with pytest.raises(ValueError):
                 PowerNFunction(p)
+            with pytest.raises(ValueError, match="p2"):
+                GrowthLaw((2.0, p))
         with pytest.raises(ValueError):
             PowerNFunction(2.0).value(-1.0)
 

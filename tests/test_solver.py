@@ -346,8 +346,9 @@ class TestFlowStep:
         interior = space.interior
         u0 = np.where(boundary, g, 0.0)
         residual = galerkin_residual(space, u0, law)
-        delta, _ = flow_step(step_matrix(space, law, u0, 1e12), residual, interior,
-                             CgConfig(tol=1e-14))
+        system = step_matrix(space, law, u0, 1e12)
+        delta, _ = flow_step(system, residual, interior, CgConfig(tol=1e-14),
+                             oracles.jacobi(system))
         # oracle: dense direct solve of the condensed linear system
         kd = assemble_stiffness(space).todense()
         rhs = -kd[np.ix_(interior, boundary)] @ g[boundary]
@@ -361,16 +362,18 @@ class TestFlowStep:
         ms = ManufacturedSolution(law)
         u_star = interpolate_nodal(space, ms.value).coeffs
         residual = galerkin_residual(space, u_star, law)
-        delta, _ = flow_step(step_matrix(space, law, u_star, 1.0), residual,
-                             space.interior, CgConfig(tol=1e-14))
+        system = step_matrix(space, law, u_star, 1.0)
+        delta, _ = flow_step(system, residual, space.interior, CgConfig(tol=1e-14),
+                             oracles.jacobi(system))
         assert np.abs(delta).max() < 1e-10
 
     def test_zero_data_stays_zero(self):
         space = FeSpace(build_tri(4, "boxslash"))
         law = GrowthLaw((1.5, 3.0))
         u0 = np.zeros(space.ndofs)
-        delta, iterations = flow_step(step_matrix(space, law, u0, 1.0), np.zeros(space.ndofs),
-                                      space.interior)
+        system = step_matrix(space, law, u0, 1.0)
+        delta, iterations = flow_step(system, np.zeros(space.ndofs), space.interior, None,
+                                      oracles.jacobi(system))
         assert np.abs(delta).max() == 0.0
         assert iterations == 0
 
@@ -656,9 +659,9 @@ class TestSolve:
             with pytest.raises(ValueError):
                 FlowConfig(clamp=clamp)
         # NaN compares False with every bound, so it must fail each check too
-        nan = float("nan")
+        nan, inf = float("nan"), float("inf")
         for name in ("tau", "tol", "clamp", "residual_target"):
-            for value in (nan, -1.0, 0.0):
+            for value in (nan, inf, -1.0, 0.0):
                 with pytest.raises(ValueError, match=name):
                     FlowConfig(**{name: value})
         with pytest.raises(ValueError, match="max_iter"):
@@ -857,8 +860,8 @@ class TestMultigrid:
         spec = ProblemSpec(law=law, space=space, dirichlet=ManufacturedSolution(law).value)
         cfg = FlowConfig(tol=1e-12, residual_target=1e-9)
 
-        def jacobi(a, b, cfg=None, precondition=None):
-            return linalg.cg_solve(a, b, cfg)
+        def jacobi(a, b, cfg, precondition):
+            return linalg.cg_solve(a, b, cfg, oracles.jacobi(a))
 
         with mock.patch.object(solver, "cg_solve", jacobi):
             u_jacobi, _ = solve(spec, cfg)
@@ -1034,6 +1037,60 @@ class TestNestedStart:
         assert report.converged and report.coarse == ()
         assert np.array_equal(u.coeffs, v.coeffs)
         assert report.increments == other.increments
+
+    def test_unconverged_level_starts_the_next(self, monkeypatch):
+        # a climb level that runs out of steps still starts the next level,
+        # from the iterate it returns
+        levels, original = [], solver._flow
+
+        def flow(law, space, source, u, *args):
+            start = u.copy()
+            solution, report = original(law, space, source, u, *args)
+            levels.append((space, start, solution))
+            return solution, report
+
+        monkeypatch.setattr(solver, "_flow", flow)
+        cfg = FlowConfig(tol=1e-12, max_iter=2, residual_target=5e-7, cg=CgConfig(tol=5e-14))
+        _, report = solve(acceptance_spec("boxslash", 40, (3.0, 1.5)), cfg)
+        assert [space.mesh.n for space, _, _ in levels] == [10, 20, 40]
+        assert len(report.coarse) == 2 and not any(r.converged for r in report.coarse)
+        for (_, _, coarse), (space, start, _) in zip(levels, levels[1:]):
+            evaluated = coarse.evaluate(space.mesh.nodes)
+            assert np.array_equal(start[space.interior], evaluated[space.interior])
+
+    def test_dirichlet_data_evaluated_once_per_level(self):
+        # first on the solved level, to fail fast, then once on each level
+        # of the climb
+        sizes, spec = [], acceptance_spec("boxslash", 80, (3.0, 1.5))
+        data = spec.dirichlet
+
+        def recording(points):
+            sizes.append(len(points))
+            return data(points)
+
+        spec.dirichlet = recording
+        _, report = solve(spec, ACCEPTANCE_FLOW)
+        assert report.converged
+        assert sizes[0] == 320 and sorted(sizes[1:]) == [40, 80, 160]
+
+    def test_nonfinite_dirichlet_fails_before_the_flow(self, monkeypatch):
+        # not finite at one boundary node of N=80 only, which no coarser level has
+        calls = []
+        monkeypatch.setattr(solver, "_hierarchy", lambda space: calls.append("_hierarchy"))
+        monkeypatch.setattr(solver, "_flow", lambda *args: calls.append("_flow"))
+        spec = acceptance_spec("boxslash", 80, (3.0, 1.5))
+        data = spec.dirichlet
+
+        def fine_only_inf(x):
+            return np.where(np.isclose(x[:, 0], -0.975) & (x[:, 1] == -1.0), np.inf, data(x))
+
+        assert not np.all(np.isfinite(fine_only_inf(spec.space.mesh.nodes)))
+        for n in (40, 20, 10):
+            assert np.all(np.isfinite(fine_only_inf(build_tri(n, "boxslash", (-1.0, 1.0)).nodes)))
+        spec.dirichlet = fine_only_inf
+        with pytest.raises(ValueError, match="not finite"):
+            solve(spec, ACCEPTANCE_FLOW)
+        assert calls == []
 
     def test_spaces_are_freed_without_the_cycle_collector(self, monkeypatch):
         # no space sits in a reference cycle: once the caller drops it, it
